@@ -86,36 +86,14 @@ class MinimaReport:
         return math.prod(self.lambdas, start=Fraction(1)) <= self.det
 
     def vectors_independent(self) -> bool:
-        return _rational_rank([
-            [f for f in vec] for vec in self.vectors
-        ]) == len(self.vectors)
+        width = len(self.vectors[0]) if self.vectors else 0
+        return width - len(_integer_nullspace(self.vectors, width)) == len(self.vectors)
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _integer_nullspace(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Integer basis of the right null space of an integer matrix."""
+def _integer_nullspace(
+    rows: Sequence[Sequence[int | Fraction]], width: int
+) -> list[list[int]]:
+    """Integer basis of the right null space of a rational matrix."""
     m = [[Fraction(v) for v in row] for row in rows]
     pivots: list[int] = []
     rank = 0

@@ -17,12 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, StructureError
+from .errors import DomainError, StructureError
 from .groups import Character, GroupElement, GroupSpec, _frozen
 from .sumsets import DoublingReport, GroupSet, doubling
 
 DEFAULT_TOLERANCE = 1e-9
-DISSOCIATIVITY_CAP = 16
 _PHASE_BUDGET = 1 << 22
 
 
@@ -185,133 +184,107 @@ def spec_threshold(
     )
 
 
-def _signed_sums(spec: GroupSpec, char_indices: Sequence[int]) -> np.ndarray:
-    """Indices of sum(eps_j * phi_j) for every eps pattern in {-1,0,1}^h.
+class _Cube:
+    """cube(Phi) = {sum_j eps_j phi_j : eps in {-1,0,1}^d}, a mask over the dual group.
 
-    Position p holds the pattern whose base-3 digits (little-endian, digit
-    0/1/2 meaning eps 0/+1/-1) encode p.
+    Characters join one at a time, each doing mask |= (mask + phi) |
+    (mask - phi), so the mask has one entry per character of the group.  A
+    dissociated Phi stays dissociated after adding gamma exactly when gamma
+    is not yet in the cube; ``first_inside`` is the position of the first
+    character that already was (None while Phi is dissociated).  Each entry
+    also records the step and sign that first reached it, so a member can
+    be written back as a pattern.
     """
-    sums = np.zeros(1, dtype=np.int64)
-    for ci in char_indices:
-        plus = spec.add_scalar(sums, int(ci))
-        minus = spec.add_scalar(sums, int(spec.negate_indices(np.array([ci]))[0]))
-        sums = np.concatenate([sums, plus, minus])
-    return sums
 
+    def __init__(self, spec: GroupSpec, characters: Sequence[Character] = ()):
+        self.spec = spec
+        self.chars: list[Character] = []
+        self.first_inside: int | None = None
+        self.mask = np.zeros(spec.orders, dtype=bool)
+        self.mask[(0,) * spec.rank] = True
+        # +(j+1) or -(j+1): first reached at step j by adding +phi_j or -phi_j
+        self.via = np.zeros(spec.orders, dtype=np.int32)
+        for gamma in characters:
+            self.add(gamma)
 
-def _pattern_of(position: int, width: int) -> tuple[int, ...]:
-    eps = []
-    for _ in range(width):
-        position, digit = divmod(position, 3)
-        eps.append(0 if digit == 0 else (1 if digit == 1 else -1))
-    return tuple(eps)
-
-
-def signed_combination_count(
-    characters: Sequence[Character],
-    target: Character | None = None,
-    cap: int = DISSOCIATIVITY_CAP,
-) -> tuple[int, tuple[int, ...] | None]:
-    """Count eps patterns in {-1,0,1}^d with sum(eps_j phi_j) = target.
-
-    Returns the count and one witness pattern (the one with the smallest
-    split positions), using a meet-in-the-middle enumeration.
-    """
-    chars = list(characters)
-    d = len(chars)
-    if d > cap:
-        raise ResourceLimitError(
-            f"{d} characters exceed the dissociativity cap {cap}"
-        )
-    if d == 0:
-        trivial = target is None or target.is_trivial()
-        return (1 if trivial else 0), (() if trivial else None)
-    spec = chars[0].spec
-    for c in chars:
-        if c.spec != spec:
+    def __contains__(self, gamma: Character) -> bool:
+        if gamma.spec != self.spec:
             raise StructureError("characters of different groups")
-    t_idx = 0 if target is None else target.index
-    half = d // 2
-    left = _signed_sums(spec, [c.index for c in chars[:half]])
-    right = _signed_sums(spec, [c.index for c in chars[half:]])
-    # need: left + right = target  <=>  left = target - right
-    need = spec.add_scalar(spec.negate_indices(right), t_idx)
-    order = np.argsort(left, kind="stable")
-    left_sorted = left[order]
-    lo = np.searchsorted(left_sorted, need, side="left")
-    hi = np.searchsorted(left_sorted, need, side="right")
-    count = int((hi - lo).sum())
-    witness: tuple[int, ...] | None = None
-    hits = np.nonzero(hi > lo)[0]
-    if len(hits):
-        p_right = int(hits[0])
-        p_left = int(order[lo[p_right]])
-        witness = _pattern_of(p_left, half) + _pattern_of(p_right, d - half)
-    return count, witness
+        return bool(self.mask[gamma.coords])
+
+    def add(self, gamma: Character) -> None:
+        if gamma in self and self.first_inside is None:
+            self.first_inside = len(self.chars)
+        axes = tuple(range(self.spec.rank))
+        plus = np.roll(self.mask, gamma.coords, axes)
+        minus = np.roll(self.mask, tuple(-c for c in gamma.coords), axes)
+        step = len(self.chars) + 1
+        self.via[plus & ~self.mask] = step
+        self.via[minus & ~(self.mask | plus)] = -step
+        self.mask |= plus | minus
+        self.chars.append(gamma)
+
+    def pattern(self, gamma: Character) -> tuple[int, ...]:
+        """Signs eps with sum(eps_j phi_j) = gamma, for gamma in the cube."""
+        eps = [0] * len(self.chars)
+        x = gamma.coords
+        while step := int(self.via[x]):
+            j = abs(step) - 1
+            eps[j] = 1 if step > 0 else -1
+            x = tuple(
+                (c - eps[j] * p) % n
+                for c, p, n in zip(x, self.chars[j].coords, self.spec.orders)
+            )
+        return tuple(eps)
+
+    def witness(self) -> tuple[int, ...] | None:
+        """A vanishing pattern whose first non-zero sign is +1, or None.
+
+        It writes the first character inside the cube of those before it
+        as their combination.
+        """
+        k = self.first_inside
+        if k is None:
+            return None
+        eps = list(self.pattern(self.chars[k]))
+        eps[k] = -1
+        sign = next(e for e in eps if e)
+        return tuple(sign * e for e in eps)
 
 
-def is_dissociated(
-    characters: Sequence[Character], cap: int = DISSOCIATIVITY_CAP
-) -> bool:
+def is_dissociated(characters: Sequence[Character]) -> bool:
     """True iff only the all-zero pattern solves sum(eps_j phi_j) = 0."""
-    count, _ = signed_combination_count(characters, None, cap)
-    return count == 1
+    return dissociation_witness(characters) is None
 
 
-def dissociation_witness(
-    characters: Sequence[Character], cap: int = DISSOCIATIVITY_CAP
-) -> tuple[int, ...] | None:
+def dissociation_witness(characters: Sequence[Character]) -> tuple[int, ...] | None:
     """A non-trivial vanishing pattern, or None if the set is dissociated."""
     chars = list(characters)
-    count, _ = signed_combination_count(chars, None, cap)
-    if count == 1:
-        return None
-    # scan patterns in meet-in-the-middle order for the first non-trivial hit
-    spec = chars[0].spec
-    half = len(chars) // 2
-    left = _signed_sums(spec, [c.index for c in chars[:half]])
-    right = _signed_sums(spec, [c.index for c in chars[half:]])
-    need = spec.negate_indices(right)
-    order = np.argsort(left, kind="stable")
-    left_sorted = left[order]
-    lo = np.searchsorted(left_sorted, need, side="left")
-    hi = np.searchsorted(left_sorted, need, side="right")
-    for p_right in range(len(right)):
-        for j in sorted(int(order[p]) for p in range(lo[p_right], hi[p_right])):
-            if j == 0 and p_right == 0:
-                continue
-            return _pattern_of(j, half) + _pattern_of(p_right, len(chars) - half)
-    return None
+    return _Cube(chars[0].spec, chars).witness() if chars else None
 
 
-def cube_contains(
-    characters: Sequence[Character],
-    gamma: Character,
-    cap: int = DISSOCIATIVITY_CAP,
-) -> bool:
+def cube_contains(characters: Sequence[Character], gamma: Character) -> bool:
     """Whether gamma lies in the cube of {-1,0,1}-combinations of the set."""
-    count, _ = signed_combination_count(characters, gamma, cap)
-    return count > 0
+    return gamma in _Cube(gamma.spec, characters)
 
 
-def max_dissociated(
-    threshold_set: SpecThresholdSet, cap: int = DISSOCIATIVITY_CAP
-) -> tuple[Character, ...]:
+def max_dissociated(threshold_set: SpecThresholdSet) -> tuple[Character, ...]:
     """Greedy maximal dissociated subset, scanned by descending magnitude.
 
-    Ties are broken lexicographically on character coordinates.  The result
-    is maximal (nothing left in the threshold set can be added), though not
-    necessarily of maximum cardinality.
+    Ties are broken lexicographically on character coordinates.  A
+    character is kept when it lies outside the cube of those kept so far.
+    The result is maximal (nothing left in the threshold set can be added),
+    though not necessarily of maximum cardinality.
     """
     ranked = sorted(
         zip(threshold_set.chars, threshold_set.magnitudes),
         key=lambda cm: (-cm[1], cm[0].coords),
     )
-    kept: list[Character] = []
+    cube = _Cube(threshold_set.spec)
     for gamma, _ in ranked:
-        if is_dissociated(kept + [gamma], cap):
-            kept.append(gamma)
-    return tuple(kept)
+        if gamma not in cube:
+            cube.add(gamma)
+    return tuple(cube.chars)
 
 
 @dataclass(frozen=True)

@@ -215,14 +215,6 @@ class GroupElement:
         return f"({', '.join(map(str, self.coords))})"
 
 
-def elem_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def elem_neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
 @dataclass(frozen=True)
 class Character:
     """A character of a GroupSpec: x -> exp(2*pi*i * sum(c_i x_i / n_i)).

@@ -29,9 +29,9 @@ from .covering import CoverInput, CoverTrace, chang_cover
 from .errors import DomainError, InvariantError
 from .fourier import (
     BohrSpec,
+    _Cube,
     bogolyubov_bohr,
     indicator_transform,
-    is_dissociated,
     spec_threshold,
 )
 from .freiman import FreimanMap, compose, induced_difference_iso, is_freiman_iso, transport_progression
@@ -804,13 +804,19 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     )
     phi = cert.phi
     add("phi_inside_raw", all(g.coords in stored_raw for g in phi))
-    add("phi_dissociated", is_dissociated(phi) if phi else True)
-    maximal = all(
-        not is_dissociated(list(phi) + [g])
-        for g, _ in cert.gamma_raw
-        if g.coords not in {p.coords for p in phi}
+    cube = _Cube(a1.spec, phi)
+    i = cube.first_inside
+    add(
+        "phi_dissociated",
+        i is None,
+        "" if i is None else f"{phi[i]!r} in the cube of phi[:{i}], witness {cube.witness()}",
     )
-    add("phi_maximal", maximal)
+    outside = next((g for g, _ in cert.gamma_raw if g not in cube), None)
+    add(
+        "phi_maximal",
+        outside is None,
+        "" if outside is None else f"{outside!r} outside the cube of phi",
+    )
     d = len(phi)
     add("bohr_radius_rule", cert.bohr_rho == Fraction(1, 6 * max(d, 1)))
     l4 = float(np.sum(spectrum.magnitudes**4))

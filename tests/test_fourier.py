@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -11,6 +12,7 @@ from cosetprog import (
     GroupSet,
     GroupSpec,
     RieszFunction,
+    StructureError,
     bogolyubov_bohr,
     bohr_set,
     chang_bound_check,
@@ -27,7 +29,7 @@ from cosetprog import (
 )
 from cosetprog.fourier import inversion_values
 
-from conftest import oracle_convolution_power, oracle_dft
+from conftest import SMALL_SPECS, oracle_convolution_power, oracle_dft
 
 EPS = 1e-9
 
@@ -146,6 +148,63 @@ def test_dissociated_examples():
 def test_dissociated_trivial_character_never():
     z4 = GroupSpec((4,))
     assert not is_dissociated([z4.trivial_character()])
+
+
+def _brute_cube(spec, chars):
+    """Every eps in {-1,0,1}^d mapped to the coordinates of sum(eps_j phi_j)."""
+    return {
+        eps: tuple(
+            sum(e * c.coords[i] for e, c in zip(eps, chars)) % n
+            for i, n in enumerate(spec.orders)
+        )
+        for eps in itertools.product((-1, 0, 1), repeat=len(chars))
+    }
+
+
+def test_dissociativity_matches_brute_force():
+    rng = Random(7)
+    for spec in SMALL_SPECS:
+        zero = (0,) * spec.rank
+        for _ in range(40):
+            d = rng.randrange(6)
+            # small indices make repeats, inverse pairs and the trivial character likely
+            pool = min(spec.cardinality, 12)
+            chars = [spec.character_at(rng.randrange(pool)) for _ in range(d)]
+            cube = _brute_cube(spec, chars)
+            vanishing = [eps for eps, x in cube.items() if x == zero and any(eps)]
+            assert is_dissociated(chars) == (not vanishing)
+            witness = dissociation_witness(chars)
+            if vanishing:
+                assert witness in vanishing
+                assert next(e for e in witness if e) == 1
+            else:
+                assert witness is None
+            members = set(cube.values())
+            probes = [spec.character_at(rng.randrange(spec.cardinality)) for _ in range(8)]
+            probes += [spec.character(x) for x in rng.sample(sorted(members), min(4, len(members)))]
+            for gamma in probes:
+                assert cube_contains(chars, gamma) == (gamma.coords in members)
+
+
+def test_dissociated_f2_17_coordinate_characters():
+    g = GroupSpec((2,) * 17)
+    units = [g.character(tuple(int(i == j) for i in range(17))) for j in range(17)]
+    assert is_dissociated(units)
+    pair_sum = g.character((1, 1) + (0,) * 15)
+    assert not is_dissociated(units + [pair_sum])
+    witness = dissociation_witness(units + [pair_sum])
+    assert witness[0] == 1 and witness[-1] != 0
+    total = [sum(e * c.coords[i] for e, c in zip(witness, units + [pair_sum])) % 2
+             for i in range(17)]
+    assert total == [0] * 17
+
+
+def test_dissociativity_rejects_mixed_groups():
+    z4, z5 = GroupSpec((4,)), GroupSpec((5,))
+    with pytest.raises(StructureError):
+        is_dissociated([z4.character((1,)), z5.character((1,))])
+    with pytest.raises(StructureError):
+        cube_contains([z4.character((1,))], z5.character((1,)))
 
 
 def test_max_dissociated_only_trivial():

@@ -99,6 +99,40 @@ def test_verify_detects_minima_tamper():
     assert any(e.name == "minkowski" for e in report.failures())
 
 
+def _phi_block(text):
+    lines = text.splitlines()
+    start = lines.index("begin phi")
+    return lines, start, lines.index("end phi", start)
+
+
+def test_verify_detects_dropped_phi_character():
+    cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
+    lines, start, end = _phi_block(write_certificate(cert))
+    assert end - start > 2
+    dropped = int(lines[end - 1].split()[1])
+    del lines[end - 1]
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    failed = {e.name: e.detail for e in report.failures()}
+    assert "phi_maximal" in failed
+    # the first gamma-raw character outside the cube is the dropped one or its inverse
+    named = {f"chi({c}) outside the cube of phi" for c in (dropped, -dropped % 100)}
+    assert failed["phi_maximal"] in named
+
+
+def test_verify_detects_dependent_phi_character():
+    g = GroupSpec((100,))
+    cert = run_pipeline(_interval(g, 10), PipelineConfig(skip_model=True))
+    first, second = cert.phi[:2]
+    pair_sum = g.character(((first.coords[0] + second.coords[0]) % 100,))
+    lines, start, end = _phi_block(write_certificate(cert))
+    lines.insert(end, f"char {pair_sum.coords[0]}")
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    failed = {e.name: e.detail for e in report.failures()}
+    assert "phi_dissociated" in failed
+    d = len(cert.phi)
+    assert failed["phi_dissociated"].startswith(f"{pair_sum!r} in the cube of phi[:{d}], witness ")
+
+
 def test_verify_detects_map_tamper():
     g = GroupSpec((200,))
     a = _interval(g, 3)
