@@ -22,18 +22,6 @@ from .groups import Character, GroupElement, GroupSpec, _frozen
 from .sumsets import DoublingReport, GroupSet, doubling
 
 DEFAULT_TOLERANCE = 1e-9
-_PHASE_BUDGET = 1 << 22
-
-
-def _phase_matrix(spec: GroupSpec) -> np.ndarray:
-    """Integer phase rows over the common denominator exp(G).
-
-    Row c gives gamma_c(x) = exp(2*pi*i * (row . x mod L) / L).
-    """
-    L = spec.exponent
-    chars = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
-    scale = np.array([L // n for n in spec.orders], dtype=np.int64)
-    return chars * scale[None, :]
 
 
 class Spectrum:
@@ -76,32 +64,23 @@ class Spectrum:
 
 
 def indicator_transform(a: GroupSet, cap: int | None = None) -> Spectrum:
-    """Fourier transform of 1_A over the full dual group."""
+    """Fourier transform of 1_A over the full dual group, by one inverse FFT.
+
+    Indices are row-major in the group's orders, so the reshaped indicator's
+    inverse FFT is E_x 1_A(x) gamma(x), normalisation and sign included.
+    """
     spec = a.spec
     if cap is not None:
         spec.require_enumerable(cap)
-    L = spec.exponent
-    phases = _phase_matrix(spec)
-    x = a.coords()
-    n = spec.cardinality
-    values = np.zeros(n, dtype=complex)
-    if a.size:
-        step = max(1, _PHASE_BUDGET // max(a.size, 1))
-        for i in range(0, n, step):
-            t = (phases[i : i + step] @ x.T) % L
-            values[i : i + step] = np.exp(2j * np.pi / L * t).sum(axis=1)
-    return Spectrum(spec, a.size, values / n)
+    indicator = np.zeros(spec.cardinality)
+    indicator[a.indices] = 1.0
+    values = np.fft.ifftn(indicator.reshape(spec.orders)).ravel()
+    return Spectrum(spec, a.size, values)
 
 
 def inversion_values(spectrum: Spectrum) -> np.ndarray:
     """Reconstruct f(x) = sum_gamma f^(gamma) conj(gamma(x)) over all x."""
-    spec = spectrum.spec
-    L = spec.exponent
-    phases = _phase_matrix(spec)
-    x = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
-    t = (phases @ x.T) % L
-    table = np.exp(-2j * np.pi * t / L)
-    return spectrum.values @ table
+    return np.fft.fftn(spectrum.values.reshape(spectrum.spec.orders)).ravel()
 
 
 _DIRECT_CONV_BUDGET = 200_000
@@ -120,12 +99,9 @@ def convolution_power_at(
         raise DomainError("convolution power needs m >= 2")
     if x.spec != a.spec:
         raise StructureError("evaluation point from a different group")
-    spectrum = indicator_transform(a)
     spec = a.spec
-    L = spec.exponent
-    phases = _phase_matrix(spec)
-    t = (phases @ np.array(x.coords, dtype=np.int64)) % L
-    total = float(np.sum(spectrum.values**m * np.exp(-2j * np.pi * t / L)).real)
+    values = indicator_transform(a).values
+    total = float(np.fft.fftn((values**m).reshape(spec.orders)).flat[x.index].real)
     if m <= 4 and a.size**m <= _DIRECT_CONV_BUDGET:
         count = _direct_tuple_count(a, m, x)
         direct = count / spec.cardinality ** (m - 1)
@@ -268,20 +244,37 @@ def cube_contains(characters: Sequence[Character], gamma: Character) -> bool:
     return gamma in _Cube(gamma.spec, characters)
 
 
+_TIE_GAP = 1e-12
+
+
+def _magnitude_order(magnitudes: np.ndarray, alpha: float) -> np.ndarray:
+    """Positions by descending magnitude, ties kept in position order.
+
+    Along the descending order, a magnitude within _TIE_GAP * alpha of the
+    one before it ties with it, so exact ties (gamma and -gamma, automorphic
+    images) stay ties whatever the transform's last bits.  A fixed rounding
+    grid would not do: a tied pair astride a grid point splits under noise
+    far below the grid's spacing.
+    """
+    order = np.argsort(-magnitudes, kind="stable")
+    drops = -np.diff(magnitudes[order], prepend=magnitudes[order[:1]])
+    tie_class = np.cumsum(drops > _TIE_GAP * alpha)
+    return order[np.lexsort((order, tie_class))]
+
+
 def max_dissociated(threshold_set: SpecThresholdSet) -> tuple[Character, ...]:
     """Greedy maximal dissociated subset, scanned by descending magnitude.
 
-    Ties are broken lexicographically on character coordinates.  A
-    character is kept when it lies outside the cube of those kept so far.
-    The result is maximal (nothing left in the threshold set can be added),
-    though not necessarily of maximum cardinality.
+    Ties (see _magnitude_order) are broken lexicographically on character
+    coordinates, the order of the threshold set.  A character is kept when
+    it lies outside the cube of those kept so far.  The result is maximal
+    (nothing left in the threshold set can be added), though not
+    necessarily of maximum cardinality.
     """
-    ranked = sorted(
-        zip(threshold_set.chars, threshold_set.magnitudes),
-        key=lambda cm: (-cm[1], cm[0].coords),
-    )
+    mags = np.array(threshold_set.magnitudes, dtype=float)
     cube = _Cube(threshold_set.spec)
-    for gamma, _ in ranked:
+    for i in _magnitude_order(mags, float(threshold_set.alpha)).tolist():
+        gamma = threshold_set.chars[i]
         if gamma not in cube:
             cube.add(gamma)
     return tuple(cube.chars)

@@ -516,6 +516,21 @@ def _max_order_element(spec: GroupSpec, indices: np.ndarray) -> GroupElement:
     return best
 
 
+def _first_primitive_character(g: GroupElement) -> Character:
+    """The lowest-index character whose value at g has g's full order."""
+    spec = g.spec
+    L = spec.exponent
+    # gamma(g) = exp(2 pi i t / L) has order L / gcd(t, L)
+    scale = np.array(
+        [x * (L // n) for x, n in zip(g.coords, spec.orders)], dtype=np.int64
+    )
+    t = spec.decode(np.arange(spec.cardinality, dtype=np.int64)) @ scale % L
+    primitive = np.flatnonzero(L // np.gcd(t, L) == g.order())
+    if not len(primitive):
+        raise InvariantError("no character is primitive on a maximal element")
+    return spec.character_at(int(primitive[0]))
+
+
 def subgroup_decomposition(
     subgroup: Subgroup, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> CyclicDecomposition:
@@ -534,14 +549,7 @@ def subgroup_decomposition(
     while len(rem) > 1:
         g = _max_order_element(spec, rem)
         m = g.order()
-        split: Character | None = None
-        for cidx in range(spec.cardinality):
-            gamma = spec.character_at(cidx)
-            if gamma.arg_fraction(g).denominator == m:
-                split = gamma
-                break
-        if split is None:
-            raise InvariantError("no character is primitive on a maximal element")
+        split = _first_primitive_character(g)
         orders.append(m)
         gens.append(g)
         nums = split.arg_numerators(spec.decode(rem))

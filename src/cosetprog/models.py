@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .fourier import indicator_transform
+from .fourier import _magnitude_order, indicator_transform
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
     Character,
@@ -93,7 +93,8 @@ def find_concentrating_character(
     holds all but at most |D|/(4K^2) of the difference-set image under the
     induced map to Z/q, and (ii) the whole image of A then fits inside an
     arc no longer than that window.  Returns the first hit in scan order,
-    or None.
+    or None.  Magnitude ties (see fourier._magnitude_order) go to the lower
+    index.
     """
     if not a:
         raise DomainError("cannot analyze the empty set")
@@ -106,7 +107,7 @@ def find_concentrating_character(
     params = step_params(0, delta, dbl.k, Fraction(d_set.size, spec.cardinality))
     spectrum = indicator_transform(d_set, cap)
     mags = spectrum.magnitudes
-    ranked = sorted(range(1, spec.cardinality), key=lambda i: (-mags[i], i))
+    ranked = (_magnitude_order(mags[1:], float(spectrum.density)) + 1).tolist()
     allowed_out = params.kappa * d_set.size
     d_coords = d_set.coords()
     a_coords = a.coords()

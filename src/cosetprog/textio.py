@@ -24,11 +24,20 @@ def fmt_fraction(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def parse_int(token: str) -> int:
+    """A decimal integer token; anything else is a DomainError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"malformed integer token {token!r}") from None
+
+
 def parse_fraction(token: str) -> Fraction:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    num, _, den = token.partition("/")
+    try:
+        return Fraction(parse_int(num), parse_int(den or "1"))
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {token!r}") from None
 
 
 def fmt_float(x: float) -> str:
@@ -59,14 +68,14 @@ def read_group_set(text: str) -> GroupSet:
     rows = strip_lines(text)
     if not rows or rows[0][0] != "group":
         raise DomainError("set file must start with a 'group' line")
-    spec = GroupSpec(tuple(int(t) for t in rows[0][1:]))
+    spec = GroupSpec(tuple(parse_int(t) for t in rows[0][1:]))
     coords = []
     for row in rows[1:]:
         if row[0] != "elem":
             raise DomainError(f"unexpected line in set file: {' '.join(row)}")
         if len(row) - 1 != spec.rank:
             raise DomainError("element arity does not match the group")
-        coords.append(tuple(int(t) for t in row[1:]))
+        coords.append(tuple(parse_int(t) for t in row[1:]))
     return GroupSet.from_coords(spec, coords)
 
 
@@ -80,7 +89,7 @@ def read_int_set(text: str) -> list[int]:
     for row in rows:
         if row[0] == "intset":
             continue
-        values.extend(int(t) for t in row)
+        values.extend(parse_int(t) for t in row)
     if not values:
         raise DomainError("integer set file holds no values")
     return sorted(set(values))
@@ -107,7 +116,7 @@ def read_progression(text: str) -> CosetProgression:
     rows = strip_lines(text)
     if not rows or rows[0][0] != "group":
         raise DomainError("progression file must start with a 'group' line")
-    spec = GroupSpec(tuple(int(t) for t in rows[0][1:]))
+    spec = GroupSpec(tuple(parse_int(t) for t in rows[0][1:]))
     k = spec.rank
     base = spec.zero()
     gens: list[GroupElement] = []
@@ -117,16 +126,16 @@ def read_progression(text: str) -> CosetProgression:
     mode = "body"
     for row in rows[1:]:
         if row[0] == "base":
-            base = spec.element([int(t) for t in row[1:]])
+            base = spec.element([parse_int(t) for t in row[1:]])
         elif row[0] == "gen":
             if len(row) != 1 + k + 2:
                 raise DomainError("gen line must hold coordinates plus lo hi")
-            gens.append(spec.element([int(t) for t in row[1 : 1 + k]]))
-            bounds.append((int(row[1 + k]), int(row[2 + k])))
+            gens.append(spec.element([parse_int(t) for t in row[1 : 1 + k]]))
+            bounds.append((parse_int(row[1 + k]), parse_int(row[2 + k])))
         elif row[0] == "subgroup":
             mode = "subgroup"
         elif row[0] == "elem" and mode == "subgroup":
-            sub_gens.append(spec.element([int(t) for t in row[1:]]))
+            sub_gens.append(spec.element([parse_int(t) for t in row[1:]]))
         elif row[0] == "proper":
             proper = row[1] == "1"
         else:
@@ -168,17 +177,17 @@ def read_freiman_map(text: str) -> FreimanMap:
     pairs: list[tuple[int, int]] = []
     for row in rows[1:]:
         if row[0] == "source":
-            source = GroupSpec(tuple(int(t) for t in row[1:]))
+            source = GroupSpec(tuple(parse_int(t) for t in row[1:]))
         elif row[0] == "target":
-            target = GroupSpec(tuple(int(t) for t in row[1:]))
+            target = GroupSpec(tuple(parse_int(t) for t in row[1:]))
         elif row[0] == "order":
-            order = int(row[1])
+            order = parse_int(row[1])
         elif row[0] == "pair":
             if source is None or target is None:
                 raise DomainError("pair lines must follow source and target")
             arrow = row.index("->")
-            x = source.index_of(tuple(int(t) for t in row[1:arrow]))
-            y = target.index_of(tuple(int(t) for t in row[arrow + 1 :]))
+            x = source.index_of(tuple(parse_int(t) for t in row[1:arrow]))
+            y = target.index_of(tuple(parse_int(t) for t in row[arrow + 1 :]))
             pairs.append((x, y))
         else:
             raise DomainError(f"unexpected line in map file: {' '.join(row)}")

@@ -147,6 +147,19 @@ def oracle_dft(a: GroupSet) -> np.ndarray:
     return values
 
 
+def oracle_inversion(spec: GroupSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Direct sum_gamma c(gamma) conj(gamma(x)) at every x, one term at a time."""
+    n = spec.cardinality
+    out = np.zeros(n, dtype=complex)
+    for xi in range(n):
+        x = spec.coords_of(xi)
+        for ci in range(n):
+            c = spec.coords_of(ci)
+            angle = sum(cj * xj / nj for cj, xj, nj in zip(c, x, spec.orders))
+            out[xi] += coeffs[ci] * np.exp(-2j * np.pi * angle)
+    return out
+
+
 def oracle_convolution_power(a: GroupSet, m: int, x) -> float:
     """Direct m-fold convolution by tuple enumeration."""
     spec = a.spec

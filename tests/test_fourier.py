@@ -27,9 +27,14 @@ from cosetprog import (
     riesz_moment_check,
     spec_threshold,
 )
-from cosetprog.fourier import inversion_values
+from cosetprog.fourier import Spectrum, _magnitude_order, inversion_values
 
-from conftest import SMALL_SPECS, oracle_convolution_power, oracle_dft
+from conftest import (
+    SMALL_SPECS,
+    oracle_convolution_power,
+    oracle_dft,
+    oracle_inversion,
+)
 
 EPS = 1e-9
 
@@ -85,6 +90,49 @@ def test_identities_on_campaign(fourier_campaign):
         neg = a.spec.negate_indices(np.arange(a.spec.cardinality, dtype=np.int64))
         assert np.max(np.abs(spectrum.values[neg] - np.conj(spectrum.values))) <= EPS
         spectrum.validate()
+
+
+def test_transform_within_guard_band_of_oracle(fourier_campaign):
+    for a in fourier_campaign:
+        alpha = a.size / a.spec.cardinality
+        diff = np.abs(indicator_transform(a).values - oracle_dft(a))
+        assert diff.max() <= 1e-9 * alpha, (a.spec, a.size)
+
+
+def test_transform_interval_z2_18_dirichlet_kernel():
+    n, length = 1 << 18, 1000
+    g = GroupSpec((n,))
+    spectrum = indicator_transform(_interval(g, length))
+    c = np.arange(1, n)
+    # |sum_{x<l} e(cx/n)| = |sin(pi c l/n) / sin(pi c/n)|, the numerator reduced mod n
+    kernel = np.abs(np.sin(np.pi * (c * length % n) / n) / np.sin(np.pi * c / n)) / n
+    assert abs(spectrum.values[0] - length / n) <= 1e-12
+    assert np.max(np.abs(spectrum.magnitudes[1:] - kernel)) <= 1e-12
+
+
+MIXED_SPECS = [GroupSpec((6, 10)), GroupSpec((3, 4, 5)), GroupSpec((2, 6, 9))]
+
+
+def test_inversion_values_matches_oracle():
+    rng = np.random.default_rng(5)
+    for spec in MIXED_SPECS:
+        n = spec.cardinality
+        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        values = inversion_values(Spectrum(spec, 1, coeffs))
+        assert np.max(np.abs(values - oracle_inversion(spec, coeffs))) <= EPS
+
+
+def test_convolution_power_matches_oracle():
+    rng = Random(8)
+    for spec in MIXED_SPECS:
+        a = GroupSet.from_coords(
+            spec, [spec.coords_of(rng.randrange(spec.cardinality)) for _ in range(7)]
+        )
+        for m in (2, 3):
+            for xi in rng.sample(range(spec.cardinality), 6):
+                x = spec.element_at(xi)
+                expected = oracle_convolution_power(a, m, x)
+                assert abs(convolution_power_at(a, m, x) - expected) < EPS
 
 
 def test_convolution_full_group():
@@ -223,6 +271,16 @@ def test_max_dissociated_inverse_pair_tie():
     coords = {c.coords[0] for c in phi}
     # gamma and -gamma can never both stay; the lexicographic tie-break keeps one
     assert not ({1, 4} <= coords) and not ({2, 3} <= coords)
+
+
+def test_magnitude_order_ties_survive_noise():
+    alpha = 0.25
+    point = 0.9805361183985  # |f^|/alpha rounds up above it, down below it
+    for delta in (3e-15, -3e-15):
+        ratios = np.array([0.5, point + delta, 0.9, point - delta])
+        assert _magnitude_order(ratios * alpha, alpha).tolist() == [1, 3, 2, 0]
+    distinct = np.array([0.5, 0.5 + 2e-12, 0.5 - 2e-12]) * alpha
+    assert _magnitude_order(distinct, alpha).tolist() == [1, 0, 2]
 
 
 def test_max_dissociated_z16_trace_and_maximality():

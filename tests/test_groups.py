@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from cosetprog import (
     subgroup_closure,
     subgroup_decomposition,
 )
-from cosetprog.groups import reduce_generators
+from cosetprog.groups import _first_primitive_character, reduce_generators
+
+from conftest import SMALL_SPECS
 
 
 def test_elem_add_modular():
@@ -163,6 +166,26 @@ def test_index_roundtrip(n, salt):
     g = GroupSpec((n, (salt % 5) + 1))
     idx = salt % g.cardinality
     assert g.index_of(g.coords_of(idx)) == idx
+
+
+def _first_primitive_by_loop(g):
+    spec = g.spec
+    for cidx in range(spec.cardinality):
+        gamma = spec.character_at(cidx)
+        if gamma.arg_fraction(g).denominator == g.order():
+            return gamma
+    return None
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_first_primitive_character_matches_loop(spec):
+    rng = Random(spec.cardinality)
+    indices = range(spec.cardinality)
+    if spec.cardinality > 64:
+        indices = rng.sample(indices, 64)
+    for idx in indices:
+        g = spec.element_at(idx)
+        assert _first_primitive_character(g) == _first_primitive_by_loop(g), g
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,8 @@
+from random import Random
+
+import numpy as np
+import pytest
+
 from cosetprog import (
     GroupSet,
     GroupSpec,
@@ -6,8 +11,16 @@ from cosetprog import (
     verify_certificate,
     write_certificate,
 )
-from cosetprog.generators import gen_random_in_progression, gen_subgroup
+from cosetprog import fourier, models
+from cosetprog.generators import (
+    gen_progression,
+    gen_random,
+    gen_random_in_progression,
+    gen_subgroup,
+)
 from cosetprog.pipeline import PipelineConfig
+
+from conftest import SMALL_SPECS
 
 
 def _interval(spec, length):
@@ -202,3 +215,78 @@ def test_cli_usage_error_exit_two(tmp_path):
     from cosetprog.cli import main
 
     assert main(["analyze", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize("command", [["fourier"], ["pipeline", "--skip-model"]])
+def test_cli_malformed_token_exit_two(tmp_path, capsys, command):
+    from cosetprog.cli import main
+
+    set_file = tmp_path / "bad.txt"
+    set_file.write_text("group 8\nelem x\n")
+    assert main([command[0], str(set_file), *command[1:]]) == 2
+    assert "malformed integer token 'x'" in capsys.readouterr().err
+
+
+def _zoo_certificates():
+    """Certificates for random, interval and random-in-interval sets on each
+    zoo shape, with the model on and off."""
+    rng = Random(0)
+    texts = []
+    for spec in SMALL_SPECS:
+        e0 = [0] * spec.rank
+        e0[0] = 1
+        for family in ("random", "interval", "random-in-interval"):
+            size = 1 + rng.randrange(min(spec.cardinality, 64))
+            draw = rng.randrange(1 << 30)
+            if family == "random":
+                a = gen_random(spec, size, draw)
+            elif family == "interval":
+                length = max(2, min(size, spec.orders[0]))
+                a = gen_progression(spec, [0] * spec.rank, [e0], [length])
+            else:
+                span = min(spec.orders[0], max(4, 2 * size))
+                a = gen_random_in_progression(
+                    spec, [0] * spec.rank, [e0], [span], size, draw
+                )
+            for skip_model in (False, True):
+                config = PipelineConfig(skip_model=skip_model)
+                texts.append(write_certificate(run_pipeline(a, config)))
+    return texts
+
+
+def _same_but_last_printed_digit(text, other):
+    """Token for token equal, except that a printed float may move in its last
+    (12th significant) digit."""
+    lines, other_lines = text.splitlines(), other.splitlines()
+    if len(lines) != len(other_lines):
+        return False
+    for line, other_line in zip(lines, other_lines):
+        tokens, other_tokens = line.split(), other_line.split()
+        if len(tokens) != len(other_tokens):
+            return False
+        for t, u in zip(tokens, other_tokens):
+            if t == u:
+                continue
+            if "." not in t or "." not in u:
+                return False
+            if abs(float(t) - float(u)) > 2e-11 * abs(float(t)):
+                return False
+    return True
+
+
+def test_certificates_ignore_transform_noise(monkeypatch):
+    clean = _zoo_certificates()
+    exact = fourier.indicator_transform
+    rng = np.random.default_rng(14)
+
+    def noisy(a, cap=None):
+        s = exact(a, cap)
+        noise = 1 + 1e-14 * rng.uniform(-1, 1, s.values.shape)
+        return fourier.Spectrum(s.spec, s.set_size, s.values * noise)
+
+    monkeypatch.setattr(fourier, "indicator_transform", noisy)
+    monkeypatch.setattr(models, "indicator_transform", noisy)
+    perturbed = _zoo_certificates()
+    assert len(clean) == len(perturbed) == 84
+    changed = [i for i, (t, u) in enumerate(zip(clean, perturbed)) if t != u]
+    assert all(_same_but_last_printed_digit(clean[i], perturbed[i]) for i in changed)

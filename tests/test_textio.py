@@ -53,6 +53,27 @@ def test_group_set_rejects_bad_arity():
         read_group_set("group 4 4\nelem 1\n")
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_group_set, "group 4\nelem x\n"),
+        (read_group_set, "group four\n"),
+        (read_int_set, "1 2 3.5\n"),
+        (read_progression, "group 8\ngen 1 -2 two\nsubgroup\nproper 1\n"),
+        (read_freiman_map, "map\nsource 4\ntarget 4\norder s\n"),
+    ],
+)
+def test_readers_reject_malformed_tokens(read, text):
+    with pytest.raises(DomainError, match="malformed integer token"):
+        read(text)
+
+
+def test_parse_fraction_rejects_malformed():
+    for token in ("1/x", "1/2/3", "", "3/0"):
+        with pytest.raises(DomainError):
+            parse_fraction(token)
+
+
 def test_int_set_roundtrip():
     values = [5, -3, 12]
     assert read_int_set(write_int_set(values)) == sorted(set(values))
