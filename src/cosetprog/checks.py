@@ -1,22 +1,60 @@
-"""Named pass/fail records for bound checks, shared across modules."""
+"""Named pass/fail records for bound checks, and the scalar text tokens.
+
+The scalar formatters and parsers live here, in a leaf module, because
+both the check records and ``textio`` (which imports the modules that
+build checks) need them.  Rationals are written ``p/q`` (or a bare
+integer), floats with 12 significant digits; a malformed token is a
+DomainError.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-def fmt_value(v) -> str:
+def fmt_fraction(f: Fraction) -> str:
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def fmt_float(x: float) -> str:
+    return format(float(x), ".12g")
+
+
+def parse_int(token: str) -> int:
+    """A decimal integer token; anything else is a DomainError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"malformed integer token {token!r}") from None
+
+
+def parse_fraction(token: str) -> Fraction:
+    num, _, den = token.partition("/")
+    try:
+        return Fraction(parse_int(num), parse_int(den or "1"))
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {token!r}") from None
+
+
+def parse_float(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise DomainError(f"malformed float token {token!r}") from None
+
+
+def _fmt(v) -> str:
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    if isinstance(v, bool):
-        return "1" if v else "0"
+        return fmt_fraction(v)
     if isinstance(v, float):
-        return format(v, ".12g")
+        return fmt_float(v)
     return str(v)
 
 
@@ -29,11 +67,11 @@ class BoundCheck:
 
     @classmethod
     def make(cls, name: str, ok: bool, lhs, rhs) -> "BoundCheck":
-        return cls(name, PASS if ok else FAIL, fmt_value(lhs), fmt_value(rhs))
+        return cls(name, PASS if ok else FAIL, _fmt(lhs), _fmt(rhs))
 
     @classmethod
     def inconclusive(cls, name: str, lhs, rhs) -> "BoundCheck":
-        return cls(name, INCONCLUSIVE, fmt_value(lhs), fmt_value(rhs))
+        return cls(name, INCONCLUSIVE, _fmt(lhs), _fmt(rhs))
 
     @property
     def passed(self) -> bool:

@@ -38,17 +38,27 @@ from .freiman import FreimanMap, compose, induced_difference_iso, is_freiman_iso
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
     Character,
-    GroupElement,
     GroupSpec,
     Subgroup,
     kernel_of_characters,
+    subgroup_closure,
 )
 from .models import ModelStage, ModelTrace, _assemble_trace, minimize_model
-from .sumsets import GroupSet, doubling, iterated_sumset, sumset
+from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, sumset
 from .textio import (
     fmt_float,
     fmt_fraction,
+    freiman_map_lines,
+    group_set_lines,
+    join_ints,
+    parse_float,
     parse_fraction,
+    parse_freiman_map,
+    parse_group_set,
+    parse_int,
+    parse_ints,
+    parse_progression,
+    progression_lines,
     strip_lines,
 )
 
@@ -182,14 +192,9 @@ def run_pipeline(
                 cp_model.dimension,
             )
         )
-        checks.append(
-            BoundCheck.make(
-                "transport_size",
-                materialize(cp, config.cap).size == materialize(cp_model, config.cap).size,
-                materialize(cp, config.cap).size,
-                materialize(cp_model, config.cap).size,
-            )
-        )
+        size = materialize(cp, config.cap).size
+        size_model = materialize(cp_model, config.cap).size
+        checks.append(BoundCheck.make("transport_size", size == size_model, size, size_model))
 
     cover_input = CoverInput.build(a, cp, config.cap)
     cover = chang_cover(cover_input, config.cap)
@@ -238,43 +243,9 @@ def run_pipeline(
 # --- serialization ----------------------------------------------------------
 
 
-def _w_orders(spec: GroupSpec) -> str:
-    return " ".join(str(n) for n in spec.orders)
-
-
-def _w_coords(coords) -> str:
-    return " ".join(str(int(c)) for c in coords)
-
-
-def _w_set(out: list[str], name: str, a: GroupSet) -> None:
+def _section(out: list[str], name: str, lines: list[str]) -> None:
     out.append(f"begin {name}")
-    out.append("group " + _w_orders(a.spec))
-    for row in a.coords():
-        out.append("elem " + _w_coords(row))
-    out.append(f"end {name}")
-
-
-def _w_map(out: list[str], name: str, phi: FreimanMap) -> None:
-    out.append(f"begin {name}")
-    out.append("source " + _w_orders(phi.domain.spec))
-    out.append("target " + _w_orders(phi.target))
-    out.append(f"order {phi.order}")
-    src, tgt = phi.domain.spec, phi.target
-    for i, j in phi.pairs():
-        out.append(f"pair {_w_coords(src.coords_of(i))} -> {_w_coords(tgt.coords_of(j))}")
-    out.append(f"end {name}")
-
-
-def _w_progression(out: list[str], name: str, cp: CosetProgression) -> None:
-    out.append(f"begin {name}")
-    out.append("group " + _w_orders(cp.spec))
-    out.append("base " + _w_coords(cp.base.coords))
-    for g, (lo, hi) in zip(cp.generators, cp.bounds):
-        out.append(f"gen {_w_coords(g.coords)} {lo} {hi}")
-    out.append("subgroup")
-    for g in cp.subgroup.generators:
-        out.append("elem " + _w_coords(g.coords))
-    out.append(f"proper {1 if cp.proper else 0}")
+    out.extend(lines)
     out.append(f"end {name}")
 
 
@@ -291,7 +262,7 @@ def write_certificate(cert: PipelineCertificate) -> str:
     out.append("delta " + ("none" if c.delta is None else fmt_fraction(c.delta)))
     out.append("end config")
 
-    _w_set(out, "input", cert.input_set)
+    _section(out, "input", group_set_lines(cert.input_set))
 
     out.append("begin doubling")
     out.append(f"set-size {cert.doubling_report.set_size}")
@@ -309,26 +280,24 @@ def write_certificate(cert: PipelineCertificate) -> str:
         out.append("begin stage")
         out.append(f"kind {stage.kind}")
         if stage.gamma is not None:
-            out.append("gamma " + _w_coords(stage.gamma.coords))
+            out.append("gamma " + join_ints(stage.gamma.coords))
             out.append(f"q {stage.q}")
             out.append(f"interval {stage.interval[0]} {stage.interval[1]}")
-            out.append("translation " + _w_coords(stage.translation.coords))
-        _w_map(out, "map", stage.map)
+            out.append("translation " + join_ints(stage.translation.coords))
+        _section(out, "map", freiman_map_lines(stage.map))
         out.append("end stage")
-    _w_set(out, "model-set", cert.model.final_set)
+    _section(out, "model-set", group_set_lines(cert.model.final_set))
     out.append("end model")
 
     out.append("begin bogolyubov")
     out.append("alpha " + fmt_fraction(cert.alpha))
     out.append("threshold-rho " + fmt_float(cert.threshold_rho))
-    out.append("begin gamma-raw")
-    for gamma, mag in cert.gamma_raw:
-        out.append(f"char {_w_coords(gamma.coords)} {fmt_float(mag)}")
-    out.append("end gamma-raw")
-    out.append("begin phi")
-    for gamma in cert.phi:
-        out.append("char " + _w_coords(gamma.coords))
-    out.append("end phi")
+    _section(
+        out,
+        "gamma-raw",
+        [f"char {join_ints(gamma.coords)} {fmt_float(mag)}" for gamma, mag in cert.gamma_raw],
+    )
+    _section(out, "phi", ["char " + join_ints(gamma.coords) for gamma in cert.phi])
     out.append("bohr-rho " + fmt_fraction(cert.bohr_rho))
     out.append("l4-sum " + fmt_float(cert.l4_sum))
     out.append("l4-lower " + fmt_float(cert.l4_lower))
@@ -340,14 +309,8 @@ def write_certificate(cert: PipelineCertificate) -> str:
         m = cert.minima
         out.append("begin minima")
         out.append(f"denominator {m.denominator}")
-        out.append("begin stripped")
-        for gamma in m.stripped:
-            out.append("char " + _w_coords(gamma.coords))
-        out.append("end stripped")
-        out.append("begin subgroup")
-        for g in m.subgroup.generators:
-            out.append("elem " + _w_coords(g.coords))
-        out.append("end subgroup")
+        _section(out, "stripped", ["char " + join_ints(gamma.coords) for gamma in m.stripped])
+        _section(out, "subgroup", ["elem " + join_ints(g.coords) for g in m.subgroup.generators])
         out.append(f"subgroup-size {m.subgroup.order}")
         out.append("det " + fmt_fraction(m.det))
         for lam, vec, pre in zip(m.lambdas, m.vectors, m.preimages):
@@ -357,19 +320,19 @@ def write_certificate(cert: PipelineCertificate) -> str:
                 + " vector "
                 + " ".join(fmt_fraction(v) for v in vec)
                 + " preimage "
-                + _w_coords(pre.coords)
+                + join_ints(pre.coords)
             )
         out.append("end minima")
 
-    _w_progression(out, "progression-model", cert.progression_model)
+    _section(out, "progression-model", progression_lines(cert.progression_model))
 
     out.append("begin transport")
     out.append(f"identity {1 if cert.transport is None else 0}")
     if cert.transport is not None:
-        _w_map(out, "map", cert.transport)
+        _section(out, "map", freiman_map_lines(cert.transport))
     out.append("end transport")
 
-    _w_progression(out, "progression", cert.progression)
+    _section(out, "progression", progression_lines(cert.progression))
 
     cover = cert.cover
     out.append("begin cover")
@@ -377,24 +340,17 @@ def write_certificate(cert: PipelineCertificate) -> str:
     out.append(f"t {cover.t}")
     out.append("eta " + fmt_fraction(cover.input.eta))
     for i, r in enumerate(cover.r_sets):
-        _w_set(out, f"r{i}", r)
+        _section(out, f"r{i}", group_set_lines(r))
     for i, s in enumerate(cover.s_sets):
-        _w_set(out, f"s{i}", s)
+        _section(out, f"s{i}", group_set_lines(s))
     for i, p in enumerate(cover.p_sets):
         out.append(f"p-size {i} {p.size}")
-    _w_progression(out, "q", cover.q)
+    _section(out, "q", progression_lines(cover.q))
     out.append(f"q-size {cover.q_materialized.size}")
     out.append("end cover")
 
-    out.append("begin checks")
-    for check in cert.checks:
-        out.append(check.line())
-    out.append("end checks")
-
-    out.append("begin summary")
-    for key, value in cert.summary:
-        out.append(f"{key} {value}")
-    out.append("end summary")
+    _section(out, "checks", [check.line() for check in cert.checks])
+    _section(out, "summary", [f"{key} {value}" for key, value in cert.summary])
     return "\n".join(out) + "\n"
 
 
@@ -408,10 +364,10 @@ class _Block:
     children: list["_Block"] = field(default_factory=list)
 
     def child(self, name: str) -> "_Block":
-        for c in self.children:
-            if c.name == name:
-                return c
-        raise DomainError(f"certificate is missing section {name!r}")
+        block = self.maybe_child(name)
+        if block is None:
+            raise DomainError(f"certificate is missing section {name!r}")
+        return block
 
     def maybe_child(self, name: str) -> "_Block | None":
         for c in self.children:
@@ -419,11 +375,20 @@ class _Block:
                 return c
         return None
 
-    def kv(self, key: str) -> list[str]:
+    def kv(self, key: str, count: int | None = None) -> list[str]:
+        """The tokens after ``key``; exactly ``count`` of them if given."""
         for line in self.lines:
             if line[0] == key:
+                if count is not None and len(line) - 1 != count:
+                    raise DomainError(
+                        f"key {key!r} in section {self.name!r} needs {count} "
+                        f"value(s), got {len(line) - 1}"
+                    )
                 return line[1:]
         raise DomainError(f"section {self.name!r} is missing key {key!r}")
+
+    def value(self, key: str) -> str:
+        return self.kv(key, 1)[0]
 
 
 def _parse_blocks(rows: list[list[str]]) -> _Block:
@@ -445,62 +410,6 @@ def _parse_blocks(rows: list[list[str]]) -> _Block:
     return root
 
 
-def _r_set(block: _Block) -> GroupSet:
-    spec = GroupSpec(tuple(int(t) for t in block.kv("group")))
-    coords = [tuple(int(t) for t in line[1:]) for line in block.lines if line[0] == "elem"]
-    return GroupSet.from_coords(spec, coords)
-
-
-def _r_map(block: _Block) -> FreimanMap:
-    source = GroupSpec(tuple(int(t) for t in block.kv("source")))
-    target = GroupSpec(tuple(int(t) for t in block.kv("target")))
-    order = int(block.kv("order")[0])
-    pairs = []
-    for line in block.lines:
-        if line[0] != "pair":
-            continue
-        arrow = line.index("->")
-        x = source.index_of(tuple(int(t) for t in line[1:arrow]))
-        y = target.index_of(tuple(int(t) for t in line[arrow + 1 :]))
-        pairs.append((x, y))
-    domain = GroupSet(source, np.array([x for x, _ in pairs], dtype=np.int64))
-    return FreimanMap(domain, target, dict(pairs), order)
-
-
-def _r_progression(block: _Block) -> CosetProgression:
-    from .groups import subgroup_closure
-
-    spec = GroupSpec(tuple(int(t) for t in block.kv("group")))
-    k = spec.rank
-    base = spec.zero()
-    gens: list[GroupElement] = []
-    bounds: list[tuple[int, int]] = []
-    sub_gens: list[GroupElement] = []
-    proper = False
-    in_subgroup = False
-    for line in block.lines:
-        if line[0] == "base":
-            base = spec.element([int(t) for t in line[1:]])
-        elif line[0] == "gen":
-            gens.append(spec.element([int(t) for t in line[1 : 1 + k]]))
-            bounds.append((int(line[1 + k]), int(line[2 + k])))
-        elif line[0] == "subgroup":
-            in_subgroup = True
-        elif line[0] == "elem" and in_subgroup:
-            sub_gens.append(spec.element([int(t) for t in line[1:]]))
-        elif line[0] == "proper":
-            proper = line[1] == "1"
-    subgroup = subgroup_closure(spec, sub_gens)
-    return CosetProgression(
-        spec=spec,
-        base=base,
-        generators=tuple(gens),
-        bounds=tuple(bounds),
-        subgroup=subgroup,
-        proper=proper,
-    )
-
-
 def read_certificate(text: str) -> PipelineCertificate:
     rows = strip_lines(text)
     if not rows or " ".join(rows[0]) != CERT_HEADER:
@@ -508,48 +417,44 @@ def read_certificate(text: str) -> PipelineCertificate:
     root = _parse_blocks(rows[1:])
 
     cfg = root.child("config")
-    log_token = cfg.kv("log-base")[0]
-    delta_token = cfg.kv("delta")[0]
+    log_token = cfg.value("log-base")
+    delta_token = cfg.value("delta")
     config = PipelineConfig(
-        s=int(cfg.kv("s")[0]),
-        skip_model=cfg.kv("skip-model")[0] == "1",
-        tolerance=float(cfg.kv("tolerance")[0]),
-        cap=int(cfg.kv("cap")[0]),
-        log_base=math.e if log_token == "e" else float(log_token),
-        target_density=parse_fraction(cfg.kv("target-density")[0]),
+        s=parse_int(cfg.value("s")),
+        skip_model=cfg.value("skip-model") == "1",
+        tolerance=parse_float(cfg.value("tolerance")),
+        cap=parse_int(cfg.value("cap")),
+        log_base=math.e if log_token == "e" else parse_float(log_token),
+        target_density=parse_fraction(cfg.value("target-density")),
         delta=None if delta_token == "none" else parse_fraction(delta_token),
     )
 
-    input_set = _r_set(root.child("input"))
+    input_set = parse_group_set(root.child("input").lines)
 
     dbl_b = root.child("doubling")
-    from .sumsets import DoublingReport
-
     dbl = DoublingReport(
-        set_size=int(dbl_b.kv("set-size")[0]),
-        sumset_size=int(dbl_b.kv("sumset-size")[0]),
-        k=parse_fraction(dbl_b.kv("k")[0]),
+        set_size=parse_int(dbl_b.value("set-size")),
+        sumset_size=parse_int(dbl_b.value("sumset-size")),
+        k=parse_fraction(dbl_b.value("k")),
     )
 
     model_b = root.child("model")
     stages: list[ModelStage] = []
-    current = input_set
     for sb in model_b.children:
         if sb.name != "stage":
             continue
-        kind = sb.kv("kind")[0]
-        phi = _r_map(sb.child("map"))
+        kind = sb.value("kind")
+        phi = parse_freiman_map(sb.child("map").lines)
         gamma = None
         q = None
         interval = None
         translation = None
         if kind == "spectral":
             spec_before = phi.domain.spec
-            gamma = spec_before.character(tuple(int(t) for t in sb.kv("gamma")))
-            q = int(sb.kv("q")[0])
-            iv = sb.kv("interval")
-            interval = (int(iv[0]), int(iv[1]))
-            translation = spec_before.element(tuple(int(t) for t in sb.kv("translation")))
+            gamma = spec_before.character(parse_ints(sb.kv("gamma")))
+            q = parse_int(sb.value("q"))
+            interval = parse_ints(sb.kv("interval", 2))
+            translation = spec_before.element(parse_ints(sb.kv("translation")))
         stages.append(
             ModelStage(
                 kind=kind,
@@ -562,8 +467,7 @@ def read_certificate(text: str) -> PipelineCertificate:
                 translation=translation,
             )
         )
-        current = phi.image()
-    final_set = _r_set(model_b.child("model-set"))
+    final_set = parse_group_set(model_b.child("model-set").lines)
     s = config.s
     composite = FreimanMap.identity(input_set, s)
     for stage in stages:
@@ -574,91 +478,86 @@ def read_certificate(text: str) -> PipelineCertificate:
         stages=tuple(stages),
         final_set=final_set,
         composite=composite,
-        density_initial=parse_fraction(model_b.kv("density-initial")[0]),
-        density_final=parse_fraction(model_b.kv("density-final")[0]),
-        prop_density_bound=float(model_b.kv("density-bound")[0]),
+        density_initial=parse_fraction(model_b.value("density-initial")),
+        density_final=parse_fraction(model_b.value("density-final")),
+        prop_density_bound=parse_float(model_b.value("density-bound")),
         meets_density_bound=True,
     )
 
     bog_b = root.child("bogolyubov")
     spec1 = final_set.spec
-    gamma_raw = []
-    for line in bog_b.child("gamma-raw").lines:
-        coords = tuple(int(t) for t in line[1:-1])
-        gamma_raw.append((spec1.character(coords), float(line[-1])))
+    gamma_raw = tuple(
+        (spec1.character(parse_ints(line[1:-1])), parse_float(line[-1]))
+        for line in bog_b.child("gamma-raw").lines
+    )
     phi_chars = tuple(
-        spec1.character(tuple(int(t) for t in line[1:]))
-        for line in bog_b.child("phi").lines
+        spec1.character(parse_ints(line[1:])) for line in bog_b.child("phi").lines
     )
 
     minima = None
     min_b = root.maybe_child("minima")
     if min_b is not None:
-        den = int(min_b.kv("denominator")[0])
         stripped = tuple(
-            spec1.character(tuple(int(t) for t in line[1:]))
+            spec1.character(parse_ints(line[1:]))
             for line in min_b.child("stripped").lines
         )
         sub_gens = [
-            spec1.element(tuple(int(t) for t in line[1:]))
-            for line in min_b.child("subgroup").lines
+            spec1.element(parse_ints(line[1:])) for line in min_b.child("subgroup").lines
         ]
-        from .groups import subgroup_closure
-
-        subgroup = subgroup_closure(spec1, sub_gens)
-        lambdas = []
-        vectors = []
-        preimages = []
+        lambdas, vectors, preimages = [], [], []
         for line in min_b.lines:
             if line[0] != "minimum":
                 continue
-            lam = parse_fraction(line[1])
-            vi = line.index("vector")
+            if line[2:3] != ["vector"] or "preimage" not in line:
+                raise DomainError(
+                    "minimum line must read 'minimum lam vector v.. preimage x..': "
+                    + " ".join(line)
+                )
             pi = line.index("preimage")
-            vec = tuple(parse_fraction(t) for t in line[vi + 1 : pi])
-            pre = spec1.element(tuple(int(t) for t in line[pi + 1 :]))
-            lambdas.append(lam)
-            vectors.append(vec)
-            preimages.append(pre)
+            lambdas.append(parse_fraction(line[1]))
+            vectors.append(tuple(parse_fraction(t) for t in line[3:pi]))
+            preimages.append(spec1.element(parse_ints(line[pi + 1 :])))
         minima = MinimaReport(
             spec=spec1,
             chars=phi_chars,
             stripped=stripped,
-            denominator=den,
+            denominator=parse_int(min_b.value("denominator")),
             lambdas=tuple(lambdas),
             vectors=tuple(vectors),
             preimages=tuple(preimages),
-            subgroup=subgroup,
-            det=parse_fraction(min_b.kv("det")[0]),
+            subgroup=subgroup_closure(spec1, sub_gens),
+            det=parse_fraction(min_b.value("det")),
         )
 
-    cp_model = _r_progression(root.child("progression-model"))
+    cp_model = parse_progression(root.child("progression-model").lines)
     tr_b = root.child("transport")
     transport = None
-    if tr_b.kv("identity")[0] == "0":
-        transport = _r_map(tr_b.child("map"))
-    cp = _r_progression(root.child("progression"))
+    if tr_b.value("identity") == "0":
+        transport = parse_freiman_map(tr_b.child("map").lines)
+    cp = parse_progression(root.child("progression").lines)
 
     cover_b = root.child("cover")
-    mk = int(cover_b.kv("mk")[0])
-    t = int(cover_b.kv("t")[0])
-    eta = parse_fraction(cover_b.kv("eta")[0])
+    mk = parse_int(cover_b.value("mk"))
+    t = parse_int(cover_b.value("t"))
+    eta = parse_fraction(cover_b.value("eta"))
     r_sets = []
     s_sets = []
     i = 0
     while cover_b.maybe_child(f"r{i}") is not None:
-        r_sets.append(_r_set(cover_b.child(f"r{i}")))
+        r_sets.append(parse_group_set(cover_b.child(f"r{i}").lines))
         i += 1
     i = 0
     while cover_b.maybe_child(f"s{i}") is not None:
-        s_sets.append(_r_set(cover_b.child(f"s{i}")))
+        s_sets.append(parse_group_set(cover_b.child(f"s{i}").lines))
         i += 1
     p_sizes = {}
     for line in cover_b.lines:
         if line[0] == "p-size":
-            p_sizes[int(line[1])] = int(line[2])
-    q_prog = _r_progression(cover_b.child("q"))
-    q_size = int(cover_b.kv("q-size")[0])
+            if len(line) != 3:
+                raise DomainError(f"p-size line must read 'p-size i n': {' '.join(line)}")
+            p_sizes[parse_int(line[1])] = parse_int(line[2])
+    q_prog = parse_progression(cover_b.child("q").lines)
+    parse_int(cover_b.value("q-size"))  # read for its form only; verify recomputes |Q+H|
 
     realized = materialize(cp, config.cap)
     cover_input = CoverInput(
@@ -673,11 +572,14 @@ def read_certificate(text: str) -> PipelineCertificate:
     for i in range(t):
         p_sets.append(sumset(p_sets[i], s_sets[i]))
     q_realized = materialize(q_prog, config.cap)
-    checks = tuple(
-        BoundCheck(line[1], line[2], line[3], line[4])
-        for line in root.child("checks").lines
-        if line[0] == "check"
-    )
+    checks = []
+    for line in root.child("checks").lines:
+        if line[0] == "check":
+            if len(line) != 5:
+                raise DomainError(
+                    f"check line must read 'check name status lhs rhs': {' '.join(line)}"
+                )
+            checks.append(BoundCheck(*line[1:]))
     cover = CoverTrace(
         input=cover_input,
         mk=mk,
@@ -692,28 +594,27 @@ def read_certificate(text: str) -> PipelineCertificate:
     summary = tuple(
         (line[0], " ".join(line[1:])) for line in root.child("summary").lines
     )
-    bohr_rho = parse_fraction(bog_b.kv("bohr-rho")[0])
     stored_p_sizes = tuple(p_sizes.get(i, -1) for i in range(t + 1))
     cert = PipelineCertificate(
         config=config,
         input_set=input_set,
         doubling_report=dbl,
         model=trace,
-        alpha=parse_fraction(bog_b.kv("alpha")[0]),
-        threshold_rho=float(bog_b.kv("threshold-rho")[0]),
-        gamma_raw=tuple(gamma_raw),
+        alpha=parse_fraction(bog_b.value("alpha")),
+        threshold_rho=parse_float(bog_b.value("threshold-rho")),
+        gamma_raw=gamma_raw,
         phi=phi_chars,
-        bohr_rho=bohr_rho,
-        l4_sum=float(bog_b.kv("l4-sum")[0]),
-        l4_lower=float(bog_b.kv("l4-lower")[0]),
-        dim_bound=float(bog_b.kv("dim-bound")[0]),
-        radius_lower=float(bog_b.kv("radius-lower")[0]),
+        bohr_rho=parse_fraction(bog_b.value("bohr-rho")),
+        l4_sum=parse_float(bog_b.value("l4-sum")),
+        l4_lower=parse_float(bog_b.value("l4-lower")),
+        dim_bound=parse_float(bog_b.value("dim-bound")),
+        radius_lower=parse_float(bog_b.value("radius-lower")),
         minima=minima,
         progression_model=cp_model,
         transport=transport,
         progression=cp,
         cover=cover,
-        checks=checks,
+        checks=tuple(checks),
         summary=summary,
     )
     object.__setattr__(cert, "_stored_p_sizes", stored_p_sizes)
@@ -958,9 +859,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     dim_bound = cp0.dimension + 2 * cover.mk * (t + 1)
     add("cover_dimension", q.dimension <= dim_bound)
     ratio = k**4 / cover.input.eta
-    five_k = 5 * k
-    low = (1 << cp0.dimension) * ratio ** math.floor(five_k) * a.size
-    high = (1 << cp0.dimension) * ratio ** math.ceil(five_k) * a.size
+    high = (1 << cp0.dimension) * ratio ** math.ceil(5 * k) * a.size
     add("cover_size_bound", q_realized.size <= high, "inconclusive band allowed")
 
     add("stored_checks", not any(c.failed for c in cert.checks))

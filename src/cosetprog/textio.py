@@ -8,40 +8,19 @@ objects produce byte-identical text.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from .bohr import CosetProgression
+
+# The scalar tokens are defined in the leaf module ``checks`` (``bohr`` imports
+# it, and this module imports ``bohr``) and re-exported here with the formats.
+from .checks import fmt_float, fmt_fraction, parse_float, parse_fraction, parse_int
 from .errors import DomainError
 from .freiman import FreimanMap
 from .groups import GroupElement, GroupSpec, subgroup_closure
 from .sumsets import GroupSet
-
-
-def fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_int(token: str) -> int:
-    """A decimal integer token; anything else is a DomainError."""
-    try:
-        return int(token)
-    except ValueError:
-        raise DomainError(f"malformed integer token {token!r}") from None
-
-
-def parse_fraction(token: str) -> Fraction:
-    num, _, den = token.partition("/")
-    try:
-        return Fraction(parse_int(num), parse_int(den or "1"))
-    except ZeroDivisionError:
-        raise DomainError(f"zero denominator in {token!r}") from None
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def strip_lines(text: str) -> list[list[str]]:
@@ -54,29 +33,54 @@ def strip_lines(text: str) -> list[list[str]]:
     return rows
 
 
+def join_ints(values) -> str:
+    return " ".join(str(int(v)) for v in values)
+
+
+def parse_ints(tokens: list[str]) -> tuple[int, ...]:
+    return tuple(parse_int(t) for t in tokens)
+
+
+def _value(row: list[str]) -> str:
+    """The single token after a line's keyword."""
+    if len(row) != 2:
+        raise DomainError(f"line needs exactly one value: {' '.join(row)}")
+    return row[1]
+
+
 # --- sets -----------------------------------------------------------------
+#
+# Each format has a line-level writer (``*_lines``) and a row-level parser
+# (``parse_*``) over ``strip_lines`` rows; certificates embed the same lines
+# in their ``begin``/``end`` sections.
 
 
-def write_group_set(a: GroupSet) -> str:
-    lines = ["group " + " ".join(str(n) for n in a.spec.orders)]
-    for row in a.coords():
-        lines.append("elem " + " ".join(str(int(c)) for c in row))
-    return "\n".join(lines) + "\n"
+def group_set_lines(a: GroupSet) -> list[str]:
+    return ["group " + join_ints(a.spec.orders)] + [
+        "elem " + join_ints(row) for row in a.coords()
+    ]
 
 
-def read_group_set(text: str) -> GroupSet:
-    rows = strip_lines(text)
+def parse_group_set(rows: list[list[str]]) -> GroupSet:
     if not rows or rows[0][0] != "group":
-        raise DomainError("set file must start with a 'group' line")
-    spec = GroupSpec(tuple(parse_int(t) for t in rows[0][1:]))
+        raise DomainError("a set must start with a 'group' line")
+    spec = GroupSpec(parse_ints(rows[0][1:]))
     coords = []
     for row in rows[1:]:
         if row[0] != "elem":
-            raise DomainError(f"unexpected line in set file: {' '.join(row)}")
+            raise DomainError(f"unexpected line in set: {' '.join(row)}")
         if len(row) - 1 != spec.rank:
             raise DomainError("element arity does not match the group")
-        coords.append(tuple(parse_int(t) for t in row[1:]))
+        coords.append(parse_ints(row[1:]))
     return GroupSet.from_coords(spec, coords)
+
+
+def write_group_set(a: GroupSet) -> str:
+    return "\n".join(group_set_lines(a)) + "\n"
+
+
+def read_group_set(text: str) -> GroupSet:
+    return parse_group_set(strip_lines(text))
 
 
 def write_int_set(values: Iterable[int]) -> str:
@@ -98,25 +102,20 @@ def read_int_set(text: str) -> list[int]:
 # --- progressions ----------------------------------------------------------
 
 
-def write_progression(cp: CosetProgression) -> str:
-    lines = ["group " + " ".join(str(n) for n in cp.spec.orders)]
-    lines.append("base " + " ".join(str(c) for c in cp.base.coords))
+def progression_lines(cp: CosetProgression) -> list[str]:
+    lines = ["group " + join_ints(cp.spec.orders), "base " + join_ints(cp.base.coords)]
     for g, (lo, hi) in zip(cp.generators, cp.bounds):
-        lines.append(
-            "gen " + " ".join(str(c) for c in g.coords) + f" {lo} {hi}"
-        )
+        lines.append(f"gen {join_ints(g.coords)} {lo} {hi}")
     lines.append("subgroup")
-    for g in cp.subgroup.generators:
-        lines.append("elem " + " ".join(str(c) for c in g.coords))
+    lines.extend("elem " + join_ints(g.coords) for g in cp.subgroup.generators)
     lines.append(f"proper {1 if cp.proper else 0}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def read_progression(text: str) -> CosetProgression:
-    rows = strip_lines(text)
+def parse_progression(rows: list[list[str]]) -> CosetProgression:
     if not rows or rows[0][0] != "group":
-        raise DomainError("progression file must start with a 'group' line")
-    spec = GroupSpec(tuple(parse_int(t) for t in rows[0][1:]))
+        raise DomainError("a progression must start with a 'group' line")
+    spec = GroupSpec(parse_ints(rows[0][1:]))
     k = spec.rank
     base = spec.zero()
     gens: list[GroupElement] = []
@@ -126,20 +125,20 @@ def read_progression(text: str) -> CosetProgression:
     mode = "body"
     for row in rows[1:]:
         if row[0] == "base":
-            base = spec.element([parse_int(t) for t in row[1:]])
+            base = spec.element(parse_ints(row[1:]))
         elif row[0] == "gen":
             if len(row) != 1 + k + 2:
                 raise DomainError("gen line must hold coordinates plus lo hi")
-            gens.append(spec.element([parse_int(t) for t in row[1 : 1 + k]]))
+            gens.append(spec.element(parse_ints(row[1 : 1 + k])))
             bounds.append((parse_int(row[1 + k]), parse_int(row[2 + k])))
         elif row[0] == "subgroup":
             mode = "subgroup"
         elif row[0] == "elem" and mode == "subgroup":
-            sub_gens.append(spec.element([parse_int(t) for t in row[1:]]))
+            sub_gens.append(spec.element(parse_ints(row[1:])))
         elif row[0] == "proper":
-            proper = row[1] == "1"
+            proper = _value(row) == "1"
         else:
-            raise DomainError(f"unexpected line in progression file: {' '.join(row)}")
+            raise DomainError(f"unexpected line in progression: {' '.join(row)}")
     subgroup = subgroup_closure(spec, sub_gens)
     return CosetProgression(
         spec=spec,
@@ -151,50 +150,74 @@ def read_progression(text: str) -> CosetProgression:
     )
 
 
+def write_progression(cp: CosetProgression) -> str:
+    return "\n".join(progression_lines(cp)) + "\n"
+
+
+def read_progression(text: str) -> CosetProgression:
+    return parse_progression(strip_lines(text))
+
+
 # --- maps ------------------------------------------------------------------
+#
+# The map body (``source``, ``target``, ``order``, ``pair`` lines) follows a
+# leading ``map`` line in a map file and a ``begin map`` line in a certificate.
+
+
+def freiman_map_lines(phi: FreimanMap) -> list[str]:
+    src, tgt = phi.domain.spec, phi.target
+    lines = [
+        "source " + join_ints(src.orders),
+        "target " + join_ints(tgt.orders),
+        f"order {phi.order}",
+    ]
+    for i, j in phi.pairs():
+        lines.append(f"pair {join_ints(src.coords_of(i))} -> {join_ints(tgt.coords_of(j))}")
+    return lines
+
+
+def parse_freiman_map(rows: list[list[str]]) -> FreimanMap:
+    source: GroupSpec | None = None
+    target: GroupSpec | None = None
+    order = 2
+    table: dict[int, int] = {}
+    for row in rows:
+        if row[0] == "source":
+            source = GroupSpec(parse_ints(row[1:]))
+        elif row[0] == "target":
+            target = GroupSpec(parse_ints(row[1:]))
+        elif row[0] == "order":
+            order = parse_int(_value(row))
+        elif row[0] == "pair":
+            if source is None or target is None:
+                raise DomainError("pair lines must follow source and target")
+            arrow = 1 + source.rank
+            if len(row) != arrow + 1 + target.rank or row[arrow] != "->":
+                raise DomainError(
+                    f"pair line must read 'pair x.. -> y..' with {source.rank} and "
+                    f"{target.rank} coordinates: {' '.join(row)}"
+                )
+            x = source.index_of(parse_ints(row[1:arrow]))
+            if x in table:
+                raise DomainError(f"second pair line for one domain element: {' '.join(row)}")
+            table[x] = target.index_of(parse_ints(row[arrow + 1 :]))
+        else:
+            raise DomainError(f"unexpected line in map: {' '.join(row)}")
+    if source is None or target is None:
+        raise DomainError("a map must declare source and target groups")
+    domain = GroupSet(source, np.array(list(table), dtype=np.int64))
+    return FreimanMap(domain, target, table, order)
 
 
 def write_freiman_map(phi: FreimanMap) -> str:
-    lines = ["map"]
-    lines.append("source " + " ".join(str(n) for n in phi.domain.spec.orders))
-    lines.append("target " + " ".join(str(n) for n in phi.target.orders))
-    lines.append(f"order {phi.order}")
-    src = phi.domain.spec
-    for i, j in phi.pairs():
-        xc = " ".join(str(c) for c in src.coords_of(i))
-        yc = " ".join(str(c) for c in phi.target.coords_of(j))
-        lines.append(f"pair {xc} -> {yc}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["map", *freiman_map_lines(phi)]) + "\n"
 
 
 def read_freiman_map(text: str) -> FreimanMap:
     rows = strip_lines(text)
     if not rows or rows[0][0] != "map":
         raise DomainError("map file must start with a 'map' line")
-    source: GroupSpec | None = None
-    target: GroupSpec | None = None
-    order = 2
-    pairs: list[tuple[int, int]] = []
-    for row in rows[1:]:
-        if row[0] == "source":
-            source = GroupSpec(tuple(parse_int(t) for t in row[1:]))
-        elif row[0] == "target":
-            target = GroupSpec(tuple(parse_int(t) for t in row[1:]))
-        elif row[0] == "order":
-            order = parse_int(row[1])
-        elif row[0] == "pair":
-            if source is None or target is None:
-                raise DomainError("pair lines must follow source and target")
-            arrow = row.index("->")
-            x = source.index_of(tuple(parse_int(t) for t in row[1:arrow]))
-            y = target.index_of(tuple(parse_int(t) for t in row[arrow + 1 :]))
-            pairs.append((x, y))
-        else:
-            raise DomainError(f"unexpected line in map file: {' '.join(row)}")
-    if source is None or target is None:
-        raise DomainError("map file must declare source and target groups")
-    domain = GroupSet(source, np.array([x for x, _ in pairs], dtype=np.int64))
-    return FreimanMap(domain, target, dict(pairs), order)
+    return parse_freiman_map(rows[1:])
 
 
 # --- spectra ---------------------------------------------------------------
@@ -202,9 +225,9 @@ def read_freiman_map(text: str) -> FreimanMap:
 
 def write_spectrum(spectrum) -> str:
     spec = spectrum.spec
-    lines = ["group " + " ".join(str(n) for n in spec.orders)]
+    lines = ["group " + join_ints(spec.orders)]
     for idx in range(spec.cardinality):
-        coords = " ".join(str(c) for c in spec.coords_of(idx))
+        coords = join_ints(spec.coords_of(idx))
         v = complex(spectrum.values[idx])
         lines.append(
             f"char {coords} {fmt_float(v.real)} {fmt_float(v.imag)} {fmt_float(abs(v))}"

@@ -227,6 +227,103 @@ def test_cli_malformed_token_exit_two(tmp_path, capsys, command):
     assert "malformed integer token 'x'" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def model_on_certificate():
+    """A model-on certificate holding every section kind: stage and transport
+    maps, minima, two covering rounds (r0, r1, s0)."""
+    cert = run_pipeline(_interval(GroupSpec((300,)), 5), PipelineConfig())
+    assert cert.model.stages and cert.transport is not None and cert.cover.s_sets
+    return cert, write_certificate(cert)
+
+
+def _drop(*words):
+    return lambda line: " ".join(t for t in line.split() if t not in words)
+
+
+# (first line starting with, corruption of that line)
+CORRUPTIONS = {
+    "elem-token": ("elem ", lambda line: "elem x"),
+    "t-token": ("t ", lambda line: "t y"),
+    "cap-token": ("cap ", lambda line: "cap 1e6"),
+    "l4-sum-token": ("l4-sum ", lambda line: "l4-sum nan-ish"),
+    "key-without-value": ("mk ", lambda line: "mk"),
+    "short-check": ("check ", lambda line: " ".join(line.split()[:2])),
+    "pair-without-arrow": ("pair ", _drop("->")),
+    "minimum-without-markers": ("minimum ", _drop("vector", "preimage")),
+    "elem-extra-coordinate": ("elem ", lambda line: line + " 2"),
+    "pair-extra-coordinate": ("pair ", lambda line: line.replace(" -> ", " 7 -> ")),
+}
+
+
+@pytest.mark.parametrize(
+    "prefix, corrupt", CORRUPTIONS.values(), ids=list(CORRUPTIONS)
+)
+def test_cli_verify_malformed_certificate_exit_two(
+    tmp_path, capsys, model_on_certificate, prefix, corrupt
+):
+    from cosetprog.cli import main
+
+    lines = model_on_certificate[1].splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    bad = corrupt(lines[i])
+    assert bad != lines[i]
+    lines[i] = bad
+    path = tmp_path / "cert.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _sections(text):
+    """(name, body text) of every certificate section, in the order they end;
+    a body holds the section's own lines, not those of its subsections."""
+    sections, stack = [], []
+    for line in text.splitlines():
+        if line.startswith("begin "):
+            stack.append((line[len("begin "):], []))
+        elif line.startswith("end "):
+            name, body = stack.pop()
+            sections.append((name, "".join(row + "\n" for row in body)))
+        elif stack:
+            stack[-1][1].append(line)
+    return sections
+
+
+def _progression_key(cp):
+    return (cp.spec, cp.base, cp.generators, cp.bounds, cp.subgroup, cp.proper)
+
+
+def _map_key(phi):
+    return (phi.domain, phi.target, phi.table, phi.order)
+
+
+def test_certificate_sections_use_the_file_formats(model_on_certificate):
+    from cosetprog.textio import read_freiman_map, read_group_set, read_progression
+
+    cert, text = model_on_certificate
+    sets = {"input": cert.input_set, "model-set": cert.model.final_set}
+    sets.update((f"r{i}", r) for i, r in enumerate(cert.cover.r_sets))
+    sets.update((f"s{i}", s) for i, s in enumerate(cert.cover.s_sets))
+    progressions = {
+        "progression-model": cert.progression_model,
+        "progression": cert.progression,
+        "q": cert.cover.q,
+    }
+    maps = [stage.map for stage in cert.model.stages] + [cert.transport]
+
+    sections = _sections(text)
+    got_sets = {name: read_group_set(body) for name, body in sections if name in sets}
+    assert got_sets == sets
+    got_progressions = {
+        name: _progression_key(read_progression(body))
+        for name, body in sections
+        if name in progressions
+    }
+    assert got_progressions == {n: _progression_key(cp) for n, cp in progressions.items()}
+    got_maps = [read_freiman_map("map\n" + body) for name, body in sections if name == "map"]
+    assert [_map_key(phi) for phi in got_maps] == [_map_key(phi) for phi in maps]
+
+
 def _zoo_certificates():
     """Certificates for random, interval and random-in-interval sets on each
     zoo shape, with the model on and off."""

@@ -68,6 +68,22 @@ def test_readers_reject_malformed_tokens(read, text):
         read(text)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "pair 1 2 -> 3",  # extra source coordinate
+        "pair 1 -> 3 0",  # extra target coordinate
+        "pair 1 ->",  # missing target coordinate
+        "pair 1 3",  # no arrow
+        "pair 1 -> 2\npair 1 -> 3",  # two images for one element
+        "order",  # key without a value
+    ],
+)
+def test_read_freiman_map_rejects_malformed_lines(body):
+    with pytest.raises(DomainError):
+        read_freiman_map("map\nsource 4\ntarget 4\norder 2\n" + body + "\n")
+
+
 def test_parse_fraction_rejects_malformed():
     for token in ("1/x", "1/2/3", "", "3/0"):
         with pytest.raises(DomainError):
