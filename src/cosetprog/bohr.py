@@ -11,7 +11,7 @@ most 1 because the integer unit vectors lie in the unit cube).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -126,6 +126,29 @@ def _integer_nullspace(
     return basis
 
 
+def minima_frame(
+    characters: Sequence[Character], cap: int = DEFAULT_ENUMERATION_CAP
+) -> MinimaReport:
+    """The kept and stripped characters, the kernel H, det = |H|/|G| and
+    the common denominator; lambdas, vectors and preimages are left empty."""
+    kept, stripped = strip_redundant_characters(characters)
+    if not kept:
+        raise DomainError("all characters are trivial or redundant")
+    spec = kept[0].spec
+    subgroup = kernel_of_characters(spec, kept, cap)
+    return MinimaReport(
+        spec=spec,
+        chars=kept,
+        stripped=stripped,
+        denominator=math.lcm(*(g.order() for g in kept)),
+        lambdas=(),
+        vectors=(),
+        preimages=(),
+        subgroup=subgroup,
+        det=Fraction(subgroup.order, spec.cardinality),
+    )
+
+
 def successive_minima(
     characters: Sequence[Character],
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -144,15 +167,10 @@ def successive_minima(
     for c in chars:
         if c.spec != spec:
             raise StructureError("characters of different groups")
-    kept, stripped = strip_redundant_characters(chars)
-    if not kept:
-        raise DomainError("all characters are trivial or redundant")
+    frame = minima_frame(chars, cap)
+    kept, subgroup, m_den = frame.chars, frame.subgroup, frame.denominator
     d = len(kept)
-    spec.require_enumerable(cap)
-    subgroup = kernel_of_characters(spec, kept, cap)
-    det = Fraction(subgroup.order, spec.cardinality)
 
-    m_den = math.lcm(*(g.order() for g in kept))
     coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
     cols = []
     for gamma in kept:
@@ -232,16 +250,11 @@ def successive_minima(
         vectors.append(tuple(Fraction(int(v), m_den) for v in all_rows[pick]))
         preimages.append(spec.element_at(int(all_pre[pick])))
 
-    return MinimaReport(
-        spec=spec,
-        chars=kept,
-        stripped=stripped,
-        denominator=m_den,
+    return replace(
+        frame,
         lambdas=tuple(lambdas),
         vectors=tuple(vectors),
         preimages=tuple(preimages),
-        subgroup=subgroup,
-        det=det,
     )
 
 
@@ -327,12 +340,80 @@ def to_one_sided(cp: CosetProgression) -> CosetProgression:
 
 @dataclass(frozen=True, eq=False)
 class BohrExtraction:
-    """A verified proper coset progression inside a Bohr set."""
+    """A coset progression inside a Bohr set, with its extraction checks.
+
+    ``minima`` is None for the whole group, the Bohr set of an empty Phi.
+    """
 
     progression: CosetProgression
-    minima: MinimaReport
-    bohr_size: int
+    minima: MinimaReport | None
     checks: tuple[BoundCheck, ...]
+
+
+def progression_from_minima(spec_b: BohrSpec, minima: MinimaReport) -> CosetProgression:
+    """P + H with ranges L_j = floor(rho / (d lambda_j)); ``proper`` is left False.
+
+    Zero-range generators contribute nothing to the set; dropping them
+    keeps the reported dimension equal to what the progression spans (the
+    size bound still uses the full minima dimension d).
+    """
+    d = minima.dimension
+    generators = []
+    bounds = []
+    for g, lam in zip(minima.preimages, minima.lambdas):
+        l_j = math.floor(spec_b.rho / (d * lam))
+        if l_j >= 1:
+            generators.append(g)
+            bounds.append((-l_j, l_j))
+    return CosetProgression(
+        spec=spec_b.spec,
+        base=spec_b.spec.zero(),
+        generators=tuple(generators),
+        bounds=tuple(bounds),
+        subgroup=minima.subgroup,
+        proper=False,
+    )
+
+
+def extraction_checks(
+    spec_b: BohrSpec,
+    minima: MinimaReport,
+    cp: CosetProgression,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> BohrExtraction:
+    """Set the proper flag of ``cp`` and check Minkowski's second theorem,
+    containment in the Bohr set, properness by counting and the exact size
+    lower bound (rho/d)^d |G|; a failing check is returned, never raised."""
+    rho = spec_b.rho
+    d = minima.dimension
+    realized = materialize(cp, cap)
+    bset = bohr_set(spec_b, cap)
+    proper = realized.size == cp.formal_size
+    size_lower = (rho / d) ** d * spec_b.spec.cardinality
+    checks = (
+        BoundCheck.make("bohr_minkowski", minima.minkowski_holds(),
+                        math.prod(minima.lambdas, start=Fraction(1)), minima.det),
+        BoundCheck.make("bohr_progression_contained", realized.is_subset(bset),
+                        realized.size, bset.size),
+        BoundCheck.make("bohr_progression_proper", proper,
+                        realized.size, cp.formal_size),
+        BoundCheck.make("bohr_progression_size", realized.size >= size_lower,
+                        Fraction(realized.size), size_lower),
+    )
+    return BohrExtraction(replace(cp, proper=proper), minima, checks)
+
+
+def whole_group_extraction(spec_b: BohrSpec) -> BohrExtraction:
+    """P + H = G with no generators: the Bohr set of an empty Phi."""
+    group = spec_b.spec
+    units = np.eye(group.rank, dtype=np.int64)[np.array(group.orders) > 1]
+    gens = tuple(group.element(row.tolist()) for row in units)
+    h = Subgroup(group, gens, np.arange(group.cardinality, dtype=np.int64))
+    cp = CosetProgression(group, group.zero(), (), (), h, proper=True)
+    check = BoundCheck.make(
+        "extraction_whole_group", h.order == group.cardinality, h.order, group.cardinality
+    )
+    return BohrExtraction(cp, None, (check,))
 
 
 def progression_from_bohr(
@@ -340,10 +421,7 @@ def progression_from_bohr(
 ) -> BohrExtraction:
     """Extract a proper coset progression P + H inside B(Gamma, rho).
 
-    Coefficient ranges are L_j = floor(rho / (d lambda_j)) on either side of
-    zero.  Three guarantees are verified before returning: containment in
-    the Bohr set, properness by counting, and the exact size lower bound
-    (rho/d)^d |G|.  A failure of any of them raises InvariantError.
+    Every extraction check is a guarantee: a failure raises InvariantError.
     """
     rho = spec_b.rho
     if not Fraction(0) < rho < Fraction(1, 4):
@@ -351,53 +429,10 @@ def progression_from_bohr(
     if not spec_b.chars:
         raise DomainError("extraction requires at least one character")
     minima = successive_minima(spec_b.chars, cap)
-    d = minima.dimension
-    group = spec_b.spec
-    # zero-range generators contribute nothing to the set; dropping them
-    # keeps the reported dimension equal to what the progression spans
-    # (the size bound below still uses the full minima dimension d)
-    generators = []
-    bounds = []
-    for g, lam in zip(minima.preimages, minima.lambdas):
-        l_j = math.floor(rho / (d * lam))
-        if l_j >= 1:
-            generators.append(g)
-            bounds.append((-l_j, l_j))
-    cp = CosetProgression(
-        spec=group,
-        base=group.zero(),
-        generators=tuple(generators),
-        bounds=tuple(bounds),
-        subgroup=minima.subgroup,
-        proper=False,
+    extraction = extraction_checks(
+        spec_b, minima, progression_from_minima(spec_b, minima), cap
     )
-    realized = materialize(cp, cap)
-    bset = bohr_set(spec_b, cap)
-    contained = realized.is_subset(bset)
-    proper = realized.size == cp.formal_size
-    cp = CosetProgression(
-        spec=group,
-        base=cp.base,
-        generators=cp.generators,
-        bounds=cp.bounds,
-        subgroup=cp.subgroup,
-        proper=proper,
-    )
-    size_lower = (rho / d) ** d * group.cardinality
-    size_ok = realized.size >= size_lower
-    checks = (
-        BoundCheck.make("bohr_minkowski", minima.minkowski_holds(),
-                        math.prod(minima.lambdas, start=Fraction(1)), minima.det),
-        BoundCheck.make("bohr_progression_contained", contained,
-                        realized.size, bset.size),
-        BoundCheck.make("bohr_progression_proper", proper,
-                        realized.size, cp.formal_size),
-        BoundCheck.make("bohr_progression_size", size_ok,
-                        Fraction(realized.size), size_lower),
-    )
-    for check in checks:
+    for check in extraction.checks:
         if not check.passed:
             raise InvariantError(f"guaranteed property failed: {check.line()}")
-    return BohrExtraction(
-        progression=cp, minima=minima, bohr_size=bset.size, checks=checks
-    )
+    return extraction

@@ -50,6 +50,14 @@ def parse_float(token: str) -> float:
         raise DomainError(f"malformed float token {token!r}") from None
 
 
+def parse_scalar(token: str) -> Fraction | float:
+    """A rational token (``p`` or ``p/q``) as a Fraction, any other as a float."""
+    num, _, den = token.partition("/")
+    if num.lstrip("-").isdigit() and (not den or den.isdigit()):
+        return parse_fraction(token)
+    return parse_float(token)
+
+
 def _fmt(v) -> str:
     if isinstance(v, Fraction):
         return fmt_fraction(v)
@@ -60,18 +68,20 @@ def _fmt(v) -> str:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """lhs and rhs are ints, Fractions or floats; ``line`` formats them."""
+
     name: str
     status: str
-    lhs: str
-    rhs: str
+    lhs: int | Fraction | float
+    rhs: int | Fraction | float
 
     @classmethod
     def make(cls, name: str, ok: bool, lhs, rhs) -> "BoundCheck":
-        return cls(name, PASS if ok else FAIL, _fmt(lhs), _fmt(rhs))
+        return cls(name, PASS if ok else FAIL, lhs, rhs)
 
     @classmethod
     def inconclusive(cls, name: str, lhs, rhs) -> "BoundCheck":
-        return cls(name, INCONCLUSIVE, _fmt(lhs), _fmt(rhs))
+        return cls(name, INCONCLUSIVE, lhs, rhs)
 
     @property
     def passed(self) -> bool:
@@ -82,4 +92,4 @@ class BoundCheck:
         return self.status == FAIL
 
     def line(self) -> str:
-        return f"check {self.name} {self.status} {self.lhs} {self.rhs}"
+        return f"check {self.name} {self.status} {_fmt(self.lhs)} {_fmt(self.rhs)}"

@@ -8,11 +8,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
 from .bohr import bohr_set
 from .errors import DomainError, InvariantError, ResourceLimitError, StructureError
-from .fourier import bogolyubov_bohr, indicator_transform
+from .fourier import (
+    bogolyubov_bohr,
+    bogolyubov_report,
+    indicator_transform,
+    max_dissociated,
+    spec_threshold,
+)
 from .generators import (
     FamilySpec,
     explore_multiple_cover_sumset,
@@ -75,36 +80,24 @@ def _cmd_fourier(args) -> int:
 def _cmd_bohr(args) -> int:
     a = read_group_set(_read(args.set))
     report = bogolyubov_bohr(a, cap=args.cap, log_base=args.log_base)
+    shown = report
+    if args.rho:
+        spectrum = indicator_transform(a, args.cap)
+        tset = spec_threshold(spectrum, parse_fraction(args.rho))
+        shown = bogolyubov_report(
+            report.doubling, spectrum, tset, max_dissociated(tset), log_base=args.log_base
+        )
     print(f"doubling {fmt_fraction(report.doubling.k)}")
     print(f"alpha {fmt_fraction(report.alpha)}")
-    rho = parse_fraction(args.rho) if args.rho else None
-    if rho is not None:
-        from .fourier import max_dissociated, spec_threshold
-
-        tset = spec_threshold(indicator_transform(a, args.cap), rho)
-        phi = max_dissociated(tset)
-        print(f"threshold-rho {fmt_float(float(rho))}")
-    else:
-        tset = report.gamma_raw
-        phi = report.phi
-        print(f"threshold-rho {fmt_float(report.threshold_rho)}")
-    for gamma, mag in zip(tset.chars, tset.magnitudes):
+    print(f"threshold-rho {fmt_float(shown.threshold_rho)}")
+    for gamma, mag in zip(shown.gamma_raw.chars, shown.gamma_raw.magnitudes):
         print(f"char {' '.join(str(c) for c in gamma.coords)} {fmt_float(mag)}")
-    print(f"dissociated {len(phi)}")
-    bspec = report.bohr if rho is None else None
-    if bspec is None:
-        from .fourier import BohrSpec
-
-        bspec = BohrSpec(a.spec, phi, Fraction(1, 6 * max(len(phi), 1)))
-    print(f"bohr-rho {fmt_fraction(bspec.rho)}")
-    bset = bohr_set(bspec, args.cap)
-    print(f"bohr-size {bset.size}")
-    ok = report.dim_ok and report.radius_ok and report.l4_ok
-    print(f"check spectral_dimension {'pass' if report.dim_ok else 'fail'} "
-          f"{len(report.phi)} {fmt_float(report.dim_bound)}")
-    print(f"check fourth_moment_lower {'pass' if report.l4_ok else 'fail'} "
-          f"{fmt_float(report.l4_sum)} {fmt_float(report.l4_lower)}")
-    return 0 if ok else 1
+    print(f"dissociated {len(shown.phi)}")
+    print(f"bohr-rho {fmt_fraction(shown.bohr.rho)}")
+    print(f"bohr-size {bohr_set(shown.bohr, args.cap).size}")
+    for check in report.checks:
+        print(check.line())
+    return 1 if any(c.failed for c in report.checks) else 0
 
 
 def _cmd_model(args) -> int:

@@ -10,8 +10,9 @@ forces termination; every step of that argument is checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def greedy_disjoint_translates(a: GroupSet, p: GroupSet) -> GroupSet:
 
 @dataclass(frozen=True, eq=False)
 class CoverInput:
-    """A set together with a verified proper progression inside 2A - 2A."""
+    """A set together with a progression P + H and its realized set."""
 
     set: GroupSet
     progression: CosetProgression
@@ -59,35 +60,48 @@ class CoverInput:
         cp: CosetProgression,
         cap: int = DEFAULT_ENUMERATION_CAP,
     ) -> "CoverInput":
+        """The input for ``chang_cover``: cp must be proper and inside 2A - 2A."""
         if not a:
             raise DomainError("cannot cover the empty set")
-        realized = materialize(cp, cap)
-        if realized.size != cp.formal_size:
+        cover_input = cls.derive(a, cp, doubling(a), cap)
+        if cover_input.realized.size != cp.formal_size:
             raise DomainError("progression is not proper")
-        if not realized.is_subset(iterated_sumset(a, 2, 2)):
+        if not cover_input.realized.is_subset(iterated_sumset(a, 2, 2)):
             raise DomainError("progression is not contained in 2A - 2A")
+        return cover_input
+
+    @classmethod
+    def derive(
+        cls, a: GroupSet, cp: CosetProgression, dbl: DoublingReport, cap: int
+    ) -> "CoverInput":
+        realized = materialize(cp, cap)
         return cls(
             set=a,
             progression=cp,
             realized=realized,
             eta=Fraction(realized.size, a.size),
             dimension=cp.dimension,
-            doubling=doubling(a),
+            doubling=dbl,
         )
+
+    @property
+    def mk(self) -> int:
+        """ceil(2K), the number of translates adjoined per round."""
+        return math.ceil(2 * self.doubling.k)
 
 
 @dataclass(frozen=True, eq=False)
 class CoverTrace:
-    """Full record of one covering run, with every bound check."""
+    """One covering run: its translates, |P_0|, ..., |P_t|, Q, |Q + H| and checks."""
 
     input: CoverInput
     mk: int
     t: int
     r_sets: tuple[GroupSet, ...]
     s_sets: tuple[GroupSet, ...]
-    p_sets: tuple[GroupSet, ...]
+    p_sizes: tuple[int, ...]
     q: CosetProgression
-    q_materialized: GroupSet
+    q_size: int
     checks: tuple[BoundCheck, ...]
 
     @property
@@ -102,10 +116,11 @@ def _cover_size_check(
 
     The exponent need not be an integer, so the comparison brackets the
     true bound between the floor and ceiling integer powers (ratio >= 1);
-    only a lhs between the brackets is inconclusive.
+    only a lhs between the brackets is inconclusive.  A base below 1 means
+    the progression was not inside 2A - 2A, and the check fails on it.
     """
     if ratio < 1:
-        raise InvariantError("size-bound base below 1; containment was violated")
+        return BoundCheck.make(name, False, ratio, 1)
     low = (1 << d) * ratio ** math.floor(five_k) * size_a
     high = (1 << d) * ratio ** math.ceil(five_k) * size_a
     if lhs <= low:
@@ -115,22 +130,87 @@ def _cover_size_check(
     return BoundCheck.inconclusive(name, lhs, high)
 
 
+def assemble_q(
+    cp: CosetProgression, s_sets: Sequence[GroupSet], r_last: GroupSet
+) -> CosetProgression:
+    """Q: the difference ranges of P, then a {-1, 0, 1} range for every
+    element of S_0, ..., S_{t-1} and R_t; ``proper`` is left False."""
+    gens = list(cp.generators)
+    bounds = [(lo - hi, hi - lo) for lo, hi in cp.bounds]
+    for chosen in (*s_sets, r_last):
+        for e in chosen.elements():
+            gens.append(e)
+            bounds.append((-1, 1))
+    return CosetProgression(
+        spec=cp.spec,
+        base=cp.spec.zero(),
+        generators=tuple(gens),
+        bounds=tuple(bounds),
+        subgroup=cp.subgroup,
+        proper=False,
+    )
+
+
+def cover_trace(
+    cover_input: CoverInput,
+    r_sets: Sequence[GroupSet],
+    s_sets: Sequence[GroupSet],
+    p_sets: Sequence[GroupSet],
+    q: CosetProgression,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> CoverTrace:
+    """Set the proper flag of ``q`` and check the rounds and Q: exact growth of
+    P_0, ..., P_t, the iterate inside (t+2)A - 2A and its size, 2^t <= K^4/eta,
+    A inside Q + H, and the dimension and size bounds.  None of them raises."""
+    a = cover_input.set
+    k = cover_input.doubling.k
+    eta = cover_input.eta
+    mk = cover_input.mk
+    t = len(s_sets)
+    p_t = p_sets[t]
+    q_realized = materialize(q, cap)
+    q = replace(q, proper=q_realized.size == q.formal_size)
+    predicted = p_sets[0].size * math.prod(s.size for s in s_sets)
+    envelope = iterated_sumset(a, t + 2, 2)
+    dim_bound = cover_input.dimension + 2 * mk * (t + 1)
+    iterate_bound = k ** (t + 4) * a.size
+    checks = (
+        BoundCheck.make("cover_growth_products", p_t.size == predicted, p_t.size, predicted),
+        BoundCheck.make("cover_iterate_envelope", p_t.is_subset(envelope),
+                        p_t.size, envelope.size),
+        BoundCheck.make("cover_iterate_size", p_t.size <= iterate_bound, p_t.size, iterate_bound),
+        BoundCheck.make("cover_termination", eta * 2**t <= k**4, eta * 2**t, k**4),
+        BoundCheck.make("cover_containment", a.is_subset(q_realized), a.size, q_realized.size),
+        BoundCheck.make("cover_dimension", q.dimension <= dim_bound, q.dimension, dim_bound),
+        _cover_size_check("cover_size", q_realized.size, cover_input.dimension, k**4 / eta,
+                          5 * k, a.size),
+    )
+    return CoverTrace(
+        input=cover_input,
+        mk=mk,
+        t=t,
+        r_sets=tuple(r_sets),
+        s_sets=tuple(s_sets),
+        p_sizes=tuple(p.size for p in p_sets),
+        q=q,
+        q_size=q_realized.size,
+        checks=checks,
+    )
+
+
 def chang_cover(
     cover_input: CoverInput, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> CoverTrace:
     """Run the covering iteration and assemble the containing progression.
 
-    Verifies: exact geometric growth |P_{i+1}| = |P_i| |S_i|, the iterate
-    staying inside (t+2)A - 2A with its doubling-power size bound, the
-    termination bound 2^t <= K^4/eta, the dimension bound, the final
-    containment A inside Q + H, and the (possibly inconclusive) size bound.
-    Violations of guaranteed facts raise InvariantError.
+    Rounds adjoin ceil(2K) greedy disjoint translates until at most that
+    many remain.  Every cover check is a guarantee (the size bound may be
+    inconclusive): a failure raises InvariantError.
     """
     a = cover_input.set
-    cp = cover_input.progression
     k = cover_input.doubling.k
     eta = cover_input.eta
-    mk = math.ceil(2 * k)
+    mk = cover_input.mk
     max_rounds = 10
     while eta * Fraction(2) ** max_rounds <= k**4:
         max_rounds += 1
@@ -154,94 +234,9 @@ def chang_cover(
     if t is None:
         raise InvariantError("covering iteration exceeded its termination bound")
 
-    checks: list[BoundCheck] = []
-    predicted = p_sets[0].size * math.prod(s.size for s in s_sets)
-    checks.append(
-        BoundCheck.make(
-            "cover_growth_products",
-            p_sets[t].size == predicted,
-            p_sets[t].size,
-            predicted,
-        )
-    )
-    envelope = iterated_sumset(a, t + 2, 2)
-    checks.append(
-        BoundCheck.make(
-            "cover_iterate_envelope",
-            p_sets[t].is_subset(envelope),
-            p_sets[t].size,
-            envelope.size,
-        )
-    )
-    checks.append(
-        BoundCheck.make(
-            "cover_iterate_size",
-            p_sets[t].size <= k ** (t + 4) * a.size,
-            p_sets[t].size,
-            k ** (t + 4) * a.size,
-        )
-    )
-    checks.append(
-        BoundCheck.make(
-            "cover_termination",
-            eta * Fraction(2) ** t <= k**4,
-            eta * Fraction(2) ** t,
-            k**4,
-        )
-    )
-
-    gens = list(cp.generators)
-    bounds = [(lo - hi, hi - lo) for lo, hi in cp.bounds]
-    for s_i in s_sets:
-        for e in s_i.elements():
-            gens.append(e)
-            bounds.append((-1, 1))
-    for e in r_sets[t].elements():
-        gens.append(e)
-        bounds.append((-1, 1))
-    q = CosetProgression(
-        spec=a.spec,
-        base=a.spec.zero(),
-        generators=tuple(gens),
-        bounds=tuple(bounds),
-        subgroup=cp.subgroup,
-        proper=False,
-    )
-    q_realized = materialize(q, cap)
-    q = CosetProgression(
-        spec=q.spec,
-        base=q.base,
-        generators=q.generators,
-        bounds=q.bounds,
-        subgroup=q.subgroup,
-        proper=q_realized.size == q.formal_size,
-    )
-
-    containment = a.is_subset(q_realized)
-    checks.append(
-        BoundCheck.make("cover_containment", containment, a.size, q_realized.size)
-    )
-    dim_bound = cover_input.dimension + 2 * mk * (t + 1)
-    checks.append(
-        BoundCheck.make("cover_dimension", q.dimension <= dim_bound, q.dimension, dim_bound)
-    )
-    checks.append(
-        _cover_size_check(
-            "cover_size", q_realized.size, cover_input.dimension, k**4 / eta,
-            5 * k, a.size,
-        )
-    )
-    for check in checks:
+    q = assemble_q(cover_input.progression, s_sets, r_sets[t])
+    trace = cover_trace(cover_input, r_sets, s_sets, p_sets, q, cap)
+    for check in trace.checks:
         if check.failed:
             raise InvariantError(f"guaranteed covering property failed: {check.line()}")
-    return CoverTrace(
-        input=cover_input,
-        mk=mk,
-        t=t,
-        r_sets=tuple(r_sets),
-        s_sets=tuple(s_sets),
-        p_sets=tuple(p_sets),
-        q=q,
-        q_materialized=q_realized,
-        checks=tuple(checks),
-    )
+    return trace

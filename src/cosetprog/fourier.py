@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import BoundCheck
 from .errors import DomainError, StructureError
 from .groups import Character, GroupElement, GroupSpec, _frozen
 from .sumsets import DoublingReport, GroupSet, doubling
@@ -417,7 +418,7 @@ class BohrSpec:
 
 @dataclass(frozen=True, eq=False)
 class BogolyubovReport:
-    """Spectral localization of 2A-2A: a Bohr description plus bound records."""
+    """Spectral localization of 2A-2A: a Bohr description plus its bound checks."""
 
     doubling: DoublingReport
     alpha: Fraction
@@ -427,11 +428,58 @@ class BogolyubovReport:
     bohr: BohrSpec
     l4_sum: float
     l4_lower: float
-    l4_ok: bool
     dim_bound: float
-    dim_ok: bool
     radius_lower: float
-    radius_ok: bool
+    checks: tuple[BoundCheck, ...]
+
+
+def bogolyubov_threshold(
+    spectrum: Spectrum, k: Fraction, tol: float = DEFAULT_TOLERANCE
+) -> SpecThresholdSet:
+    """The threshold set at rho = 1/(2 sqrt K)."""
+    return spec_threshold(spectrum, 1.0 / (2.0 * math.sqrt(float(k))), tol)
+
+
+def bogolyubov_report(
+    dbl: DoublingReport,
+    spectrum: Spectrum,
+    tset: SpecThresholdSet,
+    phi: Sequence[Character],
+    tol: float = DEFAULT_TOLERANCE,
+    log_base: float = math.e,
+) -> BogolyubovReport:
+    """The radius 1/(6 |Phi|) for a Phi chosen inside ``tset``, and the
+    dimension, radius and fourth-moment checks; none of them raises."""
+    k = float(dbl.k)
+    alpha = spectrum.density
+    d = len(phi)
+    bohr = BohrSpec(spectrum.spec, tuple(phi), Fraction(1, 6 * max(d, 1)))
+    l4_sum = float(np.sum(spectrum.magnitudes**4))
+    l4_lower = float(alpha) ** 3 / k
+    logterm = 0.0 if alpha >= 1 else math.log(1 / float(alpha), log_base)
+    dim_bound = 8.0 * k * logterm
+    radius_lower = 0.0 if logterm == 0 else 1.0 / (48.0 * k * logterm)
+    checks = (
+        BoundCheck.make("spectral_dimension", d <= dim_bound + tol * max(1.0, dim_bound),
+                        d, dim_bound),
+        BoundCheck.make("spectral_radius", float(bohr.rho) >= radius_lower * (1 - tol),
+                        float(bohr.rho), radius_lower),
+        BoundCheck.make("fourth_moment_lower", l4_sum >= l4_lower * (1 - tol),
+                        l4_sum, l4_lower),
+    )
+    return BogolyubovReport(
+        doubling=dbl,
+        alpha=alpha,
+        threshold_rho=tset.rho,
+        gamma_raw=tset,
+        phi=bohr.chars,
+        bohr=bohr,
+        l4_sum=l4_sum,
+        l4_lower=l4_lower,
+        dim_bound=dim_bound,
+        radius_lower=radius_lower,
+        checks=checks,
+    )
 
 
 def bogolyubov_bohr(
@@ -443,45 +491,16 @@ def bogolyubov_bohr(
 ) -> BogolyubovReport:
     """Build the Bohr description whose set is guaranteed to land in 2A-2A.
 
-    Thresholds the spectrum at 1/(2 sqrt K), keeps a greedy maximal
-    dissociated subset Phi, and shrinks the radius to 1/(6 |Phi|).  An empty
-    Phi means the Bohr set is the whole group.  The containment itself is
-    exact and is re-verified by callers; this function records the
-    dimension/radius bounds and the fourth-moment lower bound.
+    Thresholds the spectrum at 1/(2 sqrt K) and keeps a greedy maximal
+    dissociated subset Phi; ``bogolyubov_report`` derives the rest.  An
+    empty Phi means the Bohr set is the whole group.  The containment
+    itself is exact and is re-verified by callers.
     """
     if not a:
         raise DomainError("the empty set has no Bohr localization")
     dbl = doubling(a)
     if doubling_k is not None and doubling_k != dbl.k:
         raise DomainError("supplied doubling constant does not match the set")
-    k = dbl.k
     spectrum = indicator_transform(a, cap)
-    alpha = spectrum.density
-    rho = 1.0 / (2.0 * math.sqrt(float(k)))
-    tset = spec_threshold(spectrum, rho, tol)
-    phi = max_dissociated(tset)
-    d = len(phi)
-    bohr = BohrSpec(a.spec, phi, Fraction(1, 6 * max(d, 1)))
-    l4_sum = float(np.sum(spectrum.magnitudes**4))
-    l4_lower = float(alpha) ** 3 / float(k)
-    l4_ok = l4_sum >= l4_lower * (1 - tol)
-    logterm = 0.0 if alpha >= 1 else math.log(1 / float(alpha), log_base)
-    dim_bound = 8.0 * float(k) * logterm
-    dim_ok = d <= dim_bound + tol * max(1.0, dim_bound)
-    radius_lower = 0.0 if logterm == 0 else 1.0 / (48.0 * float(k) * logterm)
-    radius_ok = float(bohr.rho) >= radius_lower * (1 - tol)
-    return BogolyubovReport(
-        doubling=dbl,
-        alpha=alpha,
-        threshold_rho=rho,
-        gamma_raw=tset,
-        phi=phi,
-        bohr=bohr,
-        l4_sum=l4_sum,
-        l4_lower=l4_lower,
-        l4_ok=l4_ok,
-        dim_bound=dim_bound,
-        dim_ok=dim_ok,
-        radius_lower=radius_lower,
-        radius_ok=radius_ok,
-    )
+    tset = bogolyubov_threshold(spectrum, dbl.k, tol)
+    return bogolyubov_report(dbl, spectrum, tset, max_dissociated(tset), tol, log_base)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -227,48 +228,51 @@ def shrink_model_step(
 
 @dataclass(frozen=True, eq=False)
 class ModelTrace:
-    """A verified chain of shrink steps with its composite map."""
+    """A chain of shrink steps with the densities it reaches."""
 
     s: int
     initial_set: GroupSet
     stages: tuple[ModelStage, ...]
     final_set: GroupSet
-    composite: FreimanMap
     density_initial: Fraction
     density_final: Fraction
     prop_density_bound: float
-    meets_density_bound: bool
 
     @property
     def is_identity(self) -> bool:
         return not self.stages
 
+    @cached_property
+    def composite(self) -> FreimanMap:
+        composite = FreimanMap.identity(self.initial_set, self.s)
+        for stage in self.stages:
+            composite = compose(stage.map, composite)
+        return composite
 
-def _assemble_trace(
+
+def model_trace(
     s: int, initial: GroupSet, stages: Sequence[ModelStage], k: Fraction
 ) -> ModelTrace:
-    current = initial
-    composite = FreimanMap.identity(initial, s)
-    for stage in stages:
-        composite = compose(stage.map, composite)
-        current = stage.set_after
-    if stages:
-        report = is_freiman_iso(composite, s)
-        if not report.ok:
-            raise InvariantError("composite map failed s-isomorphism check")
-    bound = math.exp(-10.0 * float(k) ** 2 * math.log(10.0 * s * float(k)))
-    density_final = Fraction(current.size, current.spec.cardinality)
+    """The final set and densities of a chain, and the density bound for K."""
+    final = stages[-1].set_after if stages else initial
     return ModelTrace(
         s=s,
         initial_set=initial,
         stages=tuple(stages),
-        final_set=current,
-        composite=composite,
+        final_set=final,
         density_initial=Fraction(initial.size, initial.spec.cardinality),
-        density_final=density_final,
-        prop_density_bound=bound,
-        meets_density_bound=float(density_final) >= bound,
+        density_final=Fraction(final.size, final.spec.cardinality),
+        prop_density_bound=math.exp(-10.0 * float(k) ** 2 * math.log(10.0 * s * float(k))),
     )
+
+
+def _assemble_trace(
+    s: int, initial: GroupSet, stages: Sequence[ModelStage], k: Fraction
+) -> ModelTrace:
+    trace = model_trace(s, initial, stages, k)
+    if stages and not is_freiman_iso(trace.composite, s).ok:
+        raise InvariantError("composite map failed s-isomorphism check")
+    return trace
 
 
 def minimize_model(

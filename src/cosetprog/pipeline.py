@@ -3,47 +3,48 @@
 A run produces a PipelineCertificate: every intermediate object (model
 trace, spectral data, minima, progressions, covering rounds) plus one
 named pass/fail line per bound.  The certificate is self-contained: the
-verifier re-checks containments, properness, isomorphisms and inequalities
-from the stored objects alone and never re-runs the searches that chose
-them.  Serialization is deterministic, so identical input and config give
+verifier checks the search choices for the properties their searches
+guarantee, and re-derives every check and derived value from them with
+the same functions the run used, never re-running a search.
+Serialization is deterministic, so identical input and config give
 byte-identical certificates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .bohr import (
+    BohrExtraction,
     CosetProgression,
     MinimaReport,
     bohr_set,
+    extraction_checks,
     materialize,
+    minima_frame,
     progression_from_bohr,
+    progression_from_minima,
+    whole_group_extraction,
 )
-from .checks import BoundCheck
-from .covering import CoverInput, CoverTrace, chang_cover
+from .checks import BoundCheck, _fmt, parse_scalar
+from .covering import CoverInput, CoverTrace, assemble_q, chang_cover, cover_trace
 from .errors import DomainError, InvariantError
 from .fourier import (
+    BogolyubovReport,
     BohrSpec,
     _Cube,
     bogolyubov_bohr,
+    bogolyubov_report,
+    bogolyubov_threshold,
     indicator_transform,
-    spec_threshold,
 )
-from .freiman import FreimanMap, compose, induced_difference_iso, is_freiman_iso, transport_progression
-from .groups import (
-    DEFAULT_ENUMERATION_CAP,
-    Character,
-    GroupSpec,
-    Subgroup,
-    kernel_of_characters,
-    subgroup_closure,
-)
-from .models import ModelStage, ModelTrace, _assemble_trace, minimize_model
+from .freiman import FreimanMap, induced_difference_iso, is_freiman_iso, transport_progression
+from .groups import DEFAULT_ENUMERATION_CAP, Character, Subgroup, subgroup_closure
+from .models import ModelStage, ModelTrace, minimize_model, model_trace
 from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, sumset
 from .textio import (
     fmt_float,
@@ -80,7 +81,7 @@ class PipelineConfig:
 class PipelineCertificate:
     config: PipelineConfig
     input_set: GroupSet
-    doubling_report: object
+    doubling_report: DoublingReport
     model: ModelTrace
     alpha: Fraction
     threshold_rho: float
@@ -97,21 +98,11 @@ class PipelineCertificate:
     progression: CosetProgression
     cover: CoverTrace
     checks: tuple[BoundCheck, ...]
-    summary: tuple[tuple[str, str], ...]
+    summary: tuple[tuple[str, int | Fraction | float], ...]
 
     @property
     def all_passed(self) -> bool:
         return not any(c.failed for c in self.checks)
-
-
-def _full_subgroup(spec: GroupSpec) -> Subgroup:
-    gens = []
-    for i, n in enumerate(spec.orders):
-        if n > 1:
-            coords = [0] * spec.rank
-            coords[i] = 1
-            gens.append(spec.element(coords))
-    return Subgroup(spec, tuple(gens), np.arange(spec.cardinality, dtype=np.int64))
 
 
 def run_pipeline(
@@ -120,11 +111,10 @@ def run_pipeline(
     """Doubling, model, spectral localization, extraction, transport, cover."""
     if not a:
         raise DomainError("the pipeline needs a nonempty input set")
-    checks: list[BoundCheck] = []
     dbl = doubling(a)
 
     if config.skip_model:
-        trace = _assemble_trace(config.s, a, [], dbl.k)
+        trace = model_trace(config.s, a, [], dbl.k)
     else:
         trace = minimize_model(
             a, config.s, config.target_density, config.delta, config.cap
@@ -134,88 +124,75 @@ def run_pipeline(
     bog = bogolyubov_bohr(
         a1, cap=config.cap, tol=config.tolerance, log_base=config.log_base
     )
-    checks.append(
-        BoundCheck.make("spectral_dimension", bog.dim_ok, len(bog.phi), bog.dim_bound)
-    )
-    checks.append(
-        BoundCheck.make(
-            "spectral_radius", bog.radius_ok, float(bog.bohr.rho), bog.radius_lower
-        )
-    )
-    checks.append(
-        BoundCheck.make("fourth_moment_lower", bog.l4_ok, bog.l4_sum, bog.l4_lower)
-    )
-
-    bset = bohr_set(bog.bohr, config.cap)
-    d22_model = iterated_sumset(a1, 2, 2)
-    bohr_ok = bset.is_subset(d22_model)
-    checks.append(
-        BoundCheck.make("bohr_containment", bohr_ok, bset.size, d22_model.size)
-    )
-    if not bohr_ok:
+    bohr_check = bohr_containment(bog.bohr, a1, config.cap)
+    if bohr_check.failed:
         raise InvariantError("Bohr set escaped 2A-2A in the model group")
 
     if bog.bohr.dimension == 0:
-        minima = None
-        spec1 = a1.spec
-        cp_model = CosetProgression(
-            spec=spec1,
-            base=spec1.zero(),
-            generators=(),
-            bounds=(),
-            subgroup=_full_subgroup(spec1),
-            proper=True,
-        )
-        checks.append(
-            BoundCheck.make(
-                "extraction_whole_group", True, spec1.cardinality, spec1.cardinality
-            )
-        )
+        extraction = whole_group_extraction(bog.bohr)
     else:
         extraction = progression_from_bohr(bog.bohr, config.cap)
-        minima = extraction.minima
-        cp_model = extraction.progression
-        checks.extend(extraction.checks)
 
     if trace.is_identity:
         transport = None
-        cp = cp_model
+        cp = extraction.progression
     else:
-        zeta = induced_difference_iso(trace.composite.inverse())
-        cp = transport_progression(zeta, cp_model, assume_verified=True)
-        transport = zeta
-        checks.append(
-            BoundCheck.make(
-                "transport_dimension",
-                cp.dimension == cp_model.dimension,
-                cp.dimension,
-                cp_model.dimension,
-            )
-        )
-        size = materialize(cp, config.cap).size
-        size_model = materialize(cp_model, config.cap).size
-        checks.append(BoundCheck.make("transport_size", size == size_model, size, size_model))
+        transport = induced_difference_iso(trace.composite.inverse())
+        cp = transport_progression(transport, extraction.progression, assume_verified=True)
 
-    cover_input = CoverInput.build(a, cp, config.cap)
-    cover = chang_cover(cover_input, config.cap)
-    checks.extend(cover.checks)
+    cover = chang_cover(CoverInput.build(a, cp, config.cap), config.cap)
+    return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, transport, cp, cover)
 
-    k = dbl.k
-    kf = float(k)
-    ref_dim = 2.0**9 * kf**3 * math.log(kf + 2, config.log_base)
-    ref_exp = 2.0**14 * kf**3 * math.log(kf + 2, config.log_base) ** 2
-    final_size = cover.q_materialized.size
-    summary = (
-        ("final-dimension", str(cover.q.dimension)),
-        ("final-size", str(final_size)),
-        ("input-size", str(a.size)),
-        ("size-ratio", fmt_fraction(Fraction(final_size, a.size))),
-        ("doubling", fmt_fraction(k)),
-        ("model-group-size", str(a1.spec.cardinality)),
-        ("model-density", fmt_fraction(trace.density_final)),
-        ("reference-dimension-bound", fmt_float(ref_dim)),
-        ("reference-size-exponent", fmt_float(ref_exp)),
+
+def bohr_containment(bohr: BohrSpec, a1: GroupSet, cap: int) -> BoundCheck:
+    """The Bohr set of ``bohr`` inside 2A' - 2A' for the model set A'."""
+    bset = bohr_set(bohr, cap)
+    d22 = iterated_sumset(a1, 2, 2)
+    return BoundCheck.make("bohr_containment", bset.is_subset(d22), bset.size, d22.size)
+
+
+def _summary(
+    a: GroupSet, dbl: DoublingReport, trace: ModelTrace, cover: CoverTrace, log_base: float
+) -> tuple[tuple[str, int | Fraction | float], ...]:
+    kf = float(dbl.k)
+    return (
+        ("final-dimension", cover.q.dimension),
+        ("final-size", cover.q_size),
+        ("input-size", a.size),
+        ("size-ratio", Fraction(cover.q_size, a.size)),
+        ("doubling", dbl.k),
+        ("model-group-size", trace.final_set.spec.cardinality),
+        ("model-density", trace.density_final),
+        ("reference-dimension-bound", 2.0**9 * kf**3 * math.log(kf + 2, log_base)),
+        ("reference-size-exponent", 2.0**14 * kf**3 * math.log(kf + 2, log_base) ** 2),
     )
+
+
+def _certificate(
+    config: PipelineConfig,
+    a: GroupSet,
+    dbl: DoublingReport,
+    trace: ModelTrace,
+    bog: BogolyubovReport,
+    bohr_check: BoundCheck,
+    extraction: BohrExtraction,
+    transport: FreimanMap | None,
+    cp: CosetProgression,
+    cover: CoverTrace,
+) -> PipelineCertificate:
+    """The certificate of one run: its objects, every check and the summary.
+
+    A transported progression keeps the model's dimension and size.
+    """
+    moved = ()
+    if transport is not None:
+        cp_model = extraction.progression
+        size, size_model = (materialize(p, config.cap).size for p in (cp, cp_model))
+        moved = (
+            BoundCheck.make("transport_dimension", cp.dimension == cp_model.dimension,
+                            cp.dimension, cp_model.dimension),
+            BoundCheck.make("transport_size", size == size_model, size, size_model),
+        )
     return PipelineCertificate(
         config=config,
         input_set=a,
@@ -230,13 +207,13 @@ def run_pipeline(
         l4_lower=bog.l4_lower,
         dim_bound=bog.dim_bound,
         radius_lower=bog.radius_lower,
-        minima=minima,
-        progression_model=cp_model,
+        minima=extraction.minima,
+        progression_model=extraction.progression,
         transport=transport,
         progression=cp,
         cover=cover,
-        checks=tuple(checks),
-        summary=summary,
+        checks=(*bog.checks, bohr_check, *extraction.checks, *moved, *cover.checks),
+        summary=_summary(a, dbl, trace, cover, config.log_base),
     )
 
 
@@ -343,14 +320,14 @@ def write_certificate(cert: PipelineCertificate) -> str:
         _section(out, f"r{i}", group_set_lines(r))
     for i, s in enumerate(cover.s_sets):
         _section(out, f"s{i}", group_set_lines(s))
-    for i, p in enumerate(cover.p_sets):
-        out.append(f"p-size {i} {p.size}")
+    for i, size in enumerate(cover.p_sizes):
+        out.append(f"p-size {i} {size}")
     _section(out, "q", progression_lines(cover.q))
-    out.append(f"q-size {cover.q_materialized.size}")
+    out.append(f"q-size {cover.q_size}")
     out.append("end cover")
 
     _section(out, "checks", [check.line() for check in cert.checks])
-    _section(out, "summary", [f"{key} {value}" for key, value in cert.summary])
+    _section(out, "summary", [f"{key} {_fmt(value)}" for key, value in cert.summary])
     return "\n".join(out) + "\n"
 
 
@@ -410,7 +387,22 @@ def _parse_blocks(rows: list[list[str]]) -> _Block:
     return root
 
 
+def _numbered(block: _Block, prefix: str) -> list[_Block]:
+    """The subsections prefix0, prefix1, ... up to the first one missing."""
+    found = []
+    while (child := block.maybe_child(f"{prefix}{len(found)}")) is not None:
+        found.append(child)
+    return found
+
+
 def read_certificate(text: str) -> PipelineCertificate:
+    """Parse a certificate; ``verify_certificate`` judges what it says.
+
+    The reader computes only the set of the covered progression P + H (a
+    CoverInput holds it) and checks only shape: a section missing or out
+    of place, a count that contradicts the sections it counts, or a
+    subgroup size that contradicts its generators is a DomainError.
+    """
     rows = strip_lines(text)
     if not rows or " ".join(rows[0]) != CERT_HEADER:
         raise DomainError("not a certificate file")
@@ -467,21 +459,18 @@ def read_certificate(text: str) -> PipelineCertificate:
                 translation=translation,
             )
         )
+    identity = "0" if stages else "1"
+    if parse_int(model_b.value("stages")) != len(stages) or model_b.value("identity") != identity:
+        raise DomainError(f"the model section does not hold {len(stages)} stage(s)")
     final_set = parse_group_set(model_b.child("model-set").lines)
-    s = config.s
-    composite = FreimanMap.identity(input_set, s)
-    for stage in stages:
-        composite = compose(stage.map, composite)
     trace = ModelTrace(
-        s=s,
+        s=config.s,
         initial_set=input_set,
         stages=tuple(stages),
         final_set=final_set,
-        composite=composite,
         density_initial=parse_fraction(model_b.value("density-initial")),
         density_final=parse_fraction(model_b.value("density-final")),
         prop_density_bound=parse_float(model_b.value("density-bound")),
-        meets_density_bound=True,
     )
 
     bog_b = root.child("bogolyubov")
@@ -496,14 +485,21 @@ def read_certificate(text: str) -> PipelineCertificate:
 
     minima = None
     min_b = root.maybe_child("minima")
+    if (min_b is None) != (not phi_chars):
+        raise DomainError("a minima section goes with a nonempty phi, and only then")
     if min_b is not None:
         stripped = tuple(
             spec1.character(parse_ints(line[1:]))
             for line in min_b.child("stripped").lines
         )
-        sub_gens = [
-            spec1.element(parse_ints(line[1:])) for line in min_b.child("subgroup").lines
-        ]
+        subgroup = subgroup_closure(
+            spec1,
+            [spec1.element(parse_ints(line[1:])) for line in min_b.child("subgroup").lines],
+        )
+        if parse_int(min_b.value("subgroup-size")) != subgroup.order:
+            raise DomainError(
+                f"subgroup-size contradicts the generators, which give {subgroup.order}"
+            )
         lambdas, vectors, preimages = [], [], []
         for line in min_b.lines:
             if line[0] != "minimum":
@@ -515,6 +511,8 @@ def read_certificate(text: str) -> PipelineCertificate:
                 )
             pi = line.index("preimage")
             lambdas.append(parse_fraction(line[1]))
+            if lambdas[-1] <= 0:
+                raise DomainError(f"a successive minimum must be positive: {' '.join(line)}")
             vectors.append(tuple(parse_fraction(t) for t in line[3:pi]))
             preimages.append(spec1.element(parse_ints(line[pi + 1 :])))
         minima = MinimaReport(
@@ -525,7 +523,7 @@ def read_certificate(text: str) -> PipelineCertificate:
             lambdas=tuple(lambdas),
             vectors=tuple(vectors),
             preimages=tuple(preimages),
-            subgroup=subgroup_closure(spec1, sub_gens),
+            subgroup=subgroup,
             det=parse_fraction(min_b.value("det")),
         )
 
@@ -537,41 +535,18 @@ def read_certificate(text: str) -> PipelineCertificate:
     cp = parse_progression(root.child("progression").lines)
 
     cover_b = root.child("cover")
-    mk = parse_int(cover_b.value("mk"))
-    t = parse_int(cover_b.value("t"))
-    eta = parse_fraction(cover_b.value("eta"))
-    r_sets = []
-    s_sets = []
-    i = 0
-    while cover_b.maybe_child(f"r{i}") is not None:
-        r_sets.append(parse_group_set(cover_b.child(f"r{i}").lines))
-        i += 1
-    i = 0
-    while cover_b.maybe_child(f"s{i}") is not None:
-        s_sets.append(parse_group_set(cover_b.child(f"s{i}").lines))
-        i += 1
-    p_sizes = {}
+    r_sets = [parse_group_set(b.lines) for b in _numbered(cover_b, "r")]
+    s_sets = [parse_group_set(b.lines) for b in _numbered(cover_b, "s")]
+    if len(r_sets) != len(s_sets) + 1:
+        raise DomainError("a cover needs one more r section than s sections")
+    p_sizes = []
     for line in cover_b.lines:
         if line[0] == "p-size":
-            if len(line) != 3:
-                raise DomainError(f"p-size line must read 'p-size i n': {' '.join(line)}")
-            p_sizes[parse_int(line[1])] = parse_int(line[2])
-    q_prog = parse_progression(cover_b.child("q").lines)
-    parse_int(cover_b.value("q-size"))  # read for its form only; verify recomputes |Q+H|
-
-    realized = materialize(cp, config.cap)
-    cover_input = CoverInput(
-        set=input_set,
-        progression=cp,
-        realized=realized,
-        eta=eta,
-        dimension=cp.dimension,
-        doubling=dbl,
-    )
-    p_sets = [realized]
-    for i in range(t):
-        p_sets.append(sumset(p_sets[i], s_sets[i]))
-    q_realized = materialize(q_prog, config.cap)
+            if len(line) != 3 or parse_int(line[1]) != len(p_sizes):
+                raise DomainError(
+                    f"p-size lines must read 'p-size i n' for i = 0, 1, ...: {' '.join(line)}"
+                )
+            p_sizes.append(parse_int(line[2]))
     checks = []
     for line in root.child("checks").lines:
         if line[0] == "check":
@@ -579,23 +554,31 @@ def read_certificate(text: str) -> PipelineCertificate:
                 raise DomainError(
                     f"check line must read 'check name status lhs rhs': {' '.join(line)}"
                 )
-            checks.append(BoundCheck(*line[1:]))
+            checks.append(BoundCheck(*line[1:3], parse_scalar(line[3]), parse_scalar(line[4])))
+    summary = []
+    for line in root.child("summary").lines:
+        if len(line) != 2:
+            raise DomainError(f"summary line must read 'key value': {' '.join(line)}")
+        summary.append((line[0], parse_scalar(line[1])))
     cover = CoverTrace(
-        input=cover_input,
-        mk=mk,
-        t=t,
+        input=CoverInput(
+            set=input_set,
+            progression=cp,
+            realized=materialize(cp, config.cap),
+            eta=parse_fraction(cover_b.value("eta")),
+            dimension=cp.dimension,
+            doubling=dbl,
+        ),
+        mk=parse_int(cover_b.value("mk")),
+        t=parse_int(cover_b.value("t")),
         r_sets=tuple(r_sets),
         s_sets=tuple(s_sets),
-        p_sets=tuple(p_sets),
-        q=q_prog,
-        q_materialized=q_realized,
+        p_sizes=tuple(p_sizes),
+        q=parse_progression(cover_b.child("q").lines),
+        q_size=parse_int(cover_b.value("q-size")),
         checks=tuple(c for c in checks if c.name.startswith("cover_")),
     )
-    summary = tuple(
-        (line[0], " ".join(line[1:])) for line in root.child("summary").lines
-    )
-    stored_p_sizes = tuple(p_sizes.get(i, -1) for i in range(t + 1))
-    cert = PipelineCertificate(
+    return PipelineCertificate(
         config=config,
         input_set=input_set,
         doubling_report=dbl,
@@ -615,10 +598,8 @@ def read_certificate(text: str) -> PipelineCertificate:
         progression=cp,
         cover=cover,
         checks=tuple(checks),
-        summary=summary,
+        summary=tuple(summary),
     )
-    object.__setattr__(cert, "_stored_p_sizes", stored_p_sizes)
-    return cert
 
 
 # --- verification -----------------------------------------------------------
@@ -644,12 +625,15 @@ class VerificationReport:
 
 
 def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
-    """Re-check every stored claim without re-running any search.
+    """Re-check a certificate without re-running any search.
 
-    Containments, properness counts and isomorphisms are recomputed from
-    the stored objects; maximality and greedy choices are checked as
-    properties (nothing is re-searched).  All failures are collected, not
-    short-circuited.
+    The search choices (stage maps, Phi, the minima, the transport map,
+    the translates R_i and S_i) are checked for the properties their
+    searches guarantee.  Everything else is re-derived from them by the
+    builders' own functions: each check becomes one entry under its own
+    name, evaluated on the stored objects, and each stored value that
+    differs from its derivation is one ``stored_value`` entry.  Failures
+    are collected, not short-circuited.
     """
     entries: list[VerificationEntry] = []
 
@@ -657,18 +641,9 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         entries.append(VerificationEntry(name, bool(ok), detail))
 
     cfg = cert.config
-    tol = cfg.tolerance
+    cap = cfg.cap
     a = cert.input_set
-
     dbl = doubling(a)
-    add(
-        "doubling",
-        dbl.set_size == cert.doubling_report.set_size
-        and dbl.sumset_size == cert.doubling_report.sumset_size
-        and dbl.k == cert.doubling_report.k,
-        f"k={dbl.k}",
-    )
-    k = dbl.k
 
     # model chain
     current = a
@@ -682,29 +657,19 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         add(f"model_stage_{i}", stage_ok and iso.ok, stage.kind)
         chain_ok &= stage_ok and iso.ok
         current = stage.map.image()
-    add("model_final_set", current == cert.model.final_set)
-    if cert.model.stages:
-        comp = is_freiman_iso(cert.model.composite, cfg.s)
-        add("model_composite", comp.ok)
+    if cert.model.stages and chain_ok:
+        add("model_composite", is_freiman_iso(cert.model.composite, cfg.s).ok)
+    trace = model_trace(cfg.s, a, cert.model.stages, dbl.k)
     a1 = cert.model.final_set
 
-    # spectral stage
-    spectrum = indicator_transform(a1, cfg.cap)
-    add("spectrum_alpha", spectrum.density == cert.alpha, f"alpha={cert.alpha}")
-    rho_expected = 1.0 / (2.0 * math.sqrt(float(k)))
-    add(
-        "threshold_rho",
-        abs(cert.threshold_rho - rho_expected) <= tol * max(1.0, rho_expected),
-    )
-    tset = spec_threshold(spectrum, cert.threshold_rho, tol)
-    stored_raw = {g.coords for g, _ in cert.gamma_raw}
-    add(
-        "threshold_set",
-        stored_raw == {g.coords for g in tset.chars},
-        f"{len(stored_raw)} characters",
-    )
+    # spectral stage: Phi inside the threshold set, dissociated and maximal
+    spectrum = indicator_transform(a1, cap)
+    dbl1 = doubling(a1)
+    tset = bogolyubov_threshold(spectrum, dbl1.k, cfg.tolerance)
+    bog = bogolyubov_report(dbl1, spectrum, tset, cert.phi, cfg.tolerance, cfg.log_base)
     phi = cert.phi
-    add("phi_inside_raw", all(g.coords in stored_raw for g in phi))
+    raw = {g.coords for g in tset.chars}
+    add("phi_inside_raw", all(g.coords in raw for g in phi))
     cube = _Cube(a1.spec, phi)
     i = cube.first_inside
     add(
@@ -712,155 +677,130 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         i is None,
         "" if i is None else f"{phi[i]!r} in the cube of phi[:{i}], witness {cube.witness()}",
     )
-    outside = next((g for g, _ in cert.gamma_raw if g not in cube), None)
+    outside = next((g for g in tset.chars if g not in cube), None)
     add(
         "phi_maximal",
         outside is None,
         "" if outside is None else f"{outside!r} outside the cube of phi",
     )
-    d = len(phi)
-    add("bohr_radius_rule", cert.bohr_rho == Fraction(1, 6 * max(d, 1)))
-    l4 = float(np.sum(spectrum.magnitudes**4))
-    alpha_f = float(cert.alpha)
-    add("l4_bound", l4 >= alpha_f**3 / float(k) * (1 - tol), f"l4={l4:.6g}")
-    logterm = 0.0 if cert.alpha >= 1 else math.log(1 / alpha_f, cfg.log_base)
-    add("dim_bound", d <= 8 * float(k) * logterm + tol * max(1.0, 8 * float(k) * logterm))
+    bohr_check = bohr_containment(bog.bohr, a1, cap)
 
-    bspec = BohrSpec(a1.spec, phi, cert.bohr_rho)
-    bset = bohr_set(bspec, cfg.cap)
-    d22_model = iterated_sumset(a1, 2, 2)
-    add("bohr_containment", bset.is_subset(d22_model), f"|B|={bset.size}")
-
-    # extraction
-    cp1 = cert.progression_model
-    realized1 = materialize(cp1, cfg.cap)
+    # extraction: the minima's vectors, then P judged and re-derived
     if cert.minima is None:
-        add("extraction_whole_group", d == 0 and realized1.size == a1.spec.cardinality)
+        extraction = whole_group_extraction(bog.bohr)
     else:
         m = cert.minima
-        add("kernel_match", m.subgroup == kernel_of_characters(a1.spec, phi, cfg.cap))
+        minima = replace(
+            minima_frame(phi, cap), lambdas=m.lambdas, vectors=m.vectors, preimages=m.preimages
+        )
         vec_ok = True
         for lam, vec, pre in zip(m.lambdas, m.vectors, m.preimages):
-            if max(abs(v) for v in vec) > lam:
+            if len(vec) != minima.dimension or max(abs(v) for v in vec) > lam:
                 vec_ok = False
-            for gamma, v in zip(m.chars, vec):
-                diff = gamma.arg_fraction(pre) - v
-                if diff.denominator != 1:
+            for gamma, v in zip(minima.chars, vec):
+                if (gamma.arg_fraction(pre) - v).denominator != 1:
                     vec_ok = False
         add("minima_vectors", vec_ok)
-        add("minima_independent", m.vectors_independent())
-        add(
-            "minkowski",
-            m.minkowski_holds(),
-            f"prod={math.prod(m.lambdas, start=Fraction(1))} det={m.det}",
-        )
-        add("minima_chars", tuple(c.coords for c in m.chars) == tuple(c.coords for c in phi))
-        expect_pairs = []
-        for pre, lam in zip(m.preimages, m.lambdas):
-            lj = math.floor(cert.bohr_rho / (len(m.lambdas) * lam))
-            if lj >= 1:
-                expect_pairs.append((pre.coords, (-lj, lj)))
-        got_pairs = [
-            (g.coords, b) for g, b in zip(cp1.generators, cp1.bounds)
-        ]
-        add("extraction_bounds", got_pairs == expect_pairs)
-        add("extraction_proper", realized1.size == cp1.formal_size)
-        add("extraction_contained", realized1.is_subset(bset))
-        add(
-            "extraction_size",
-            realized1.size >= (cert.bohr_rho / d) ** d * a1.spec.cardinality,
-        )
+        add("minima_independent", minima.vectors_independent())
+        judged = extraction_checks(bog.bohr, minima, cert.progression_model, cap)
+        rule = progression_from_minima(bog.bohr, minima)
+        extraction = replace(judged, progression=replace(rule, proper=judged.progression.proper))
 
     # transport
+    add("transport_identity", (cert.transport is None) == cert.model.is_identity)
     if cert.transport is None:
-        add("transport_identity", cert.model.is_identity and cp1 is not None
-            and cert.progression.spec == cp1.spec)
+        cp = extraction.progression
     else:
         zeta = cert.transport
+        cp = cert.progression
         add("transport_iso", is_freiman_iso(zeta, 2).ok)
-        add("transport_domain", zeta.domain == d22_model)
-        realized0 = materialize(cert.progression, cfg.cap)
-        expected = GroupSet(zeta.target, zeta.apply_indices(realized1.indices))
-        add("transport_image", realized0 == expected)
-        add("transport_dimension", cert.progression.dimension == cp1.dimension)
-
-    # covering
-    cp0 = cert.progression
-    realized0 = materialize(cp0, cfg.cap)
-    d22 = iterated_sumset(a, 2, 2)
-    add("cover_input_proper", realized0.size == cp0.formal_size)
-    add("cover_input_contained", realized0.is_subset(d22))
-    cover = cert.cover
-    add("cover_eta", cover.input.eta == Fraction(realized0.size, a.size))
-    add("cover_mk", cover.mk == math.ceil(2 * k))
-    t = cover.t
-    add("cover_rounds", len(cover.r_sets) == t + 1 and len(cover.s_sets) == t)
-    p_current = realized0
-    stored_sizes = getattr(cert, "_stored_p_sizes", None)
-    for i in range(t + 1):
-        r_i = cover.r_sets[i]
-        union = sumset(p_current, r_i)
+        add("transport_domain", zeta.domain == iterated_sumset(a1, 2, 2))
+        source = materialize(cert.progression_model, cap)
         add(
-            f"cover_round_{i}_disjoint",
-            r_i.is_subset(a) and union.size == p_current.size * r_i.size,
+            "transport_image",
+            source.is_subset(zeta.domain)
+            and materialize(cp, cap)
+            == GroupSet(zeta.target, zeta.apply_indices(source.indices)),
         )
-        maximal_r = True
+
+    # covering rounds: each R_i maximal and disjoint, each S_i a batch of R_i
+    cover = cert.cover
+    cover_input = CoverInput.derive(a, cp, dbl, cap)
+    p_sets = [cover_input.realized]
+    add("cover_input_proper", cp.proper and p_sets[0].size == cp.formal_size)
+    add("cover_input_contained", p_sets[0].is_subset(iterated_sumset(a, 2, 2)))
+    t = len(cover.s_sets)
+    for i, r_i in enumerate(cover.r_sets):
+        p_current = p_sets[i]
+        union = sumset(p_current, r_i)
+        disjoint = r_i.is_subset(a) and union.size == p_current.size * r_i.size
+        add(f"cover_round_{i}_disjoint", disjoint)
         covered = np.zeros(a.spec.cardinality, dtype=bool)
         covered[union.indices] = True
-        for x in a.indices:
-            if r_i.contains_index(int(x)):
-                continue
-            translate = a.spec.add_scalar(p_current.indices, int(x))
-            if not covered[translate].any():
-                maximal_r = False
-                break
+        maximal_r = all(
+            r_i.contains_index(int(x))
+            or covered[a.spec.add_scalar(p_current.indices, int(x))].any()
+            for x in a.indices
+        )
         add(f"cover_round_{i}_maximal", maximal_r)
-        if stored_sizes is not None and i < len(stored_sizes):
-            add(f"cover_round_{i}_psize", stored_sizes[i] == p_current.size)
         if i < t:
             s_i = cover.s_sets[i]
             add(
                 f"cover_round_{i}_batch",
-                s_i.size == cover.mk and s_i.is_subset(r_i) and r_i.size > cover.mk,
+                s_i.size == cover_input.mk and s_i.is_subset(r_i) and r_i.size > cover_input.mk,
             )
-            p_next = sumset(p_current, s_i)
-            add(
-                f"cover_round_{i}_growth",
-                p_next.size == p_current.size * s_i.size,
-            )
-            p_current = p_next
-    add("cover_rt_small", cover.r_sets[t].size <= cover.mk)
-    envelope = iterated_sumset(a, t + 2, 2)
-    add("cover_envelope", p_current.is_subset(envelope))
-    add("cover_iterate_size", p_current.size <= k ** (t + 4) * a.size)
-    add("cover_termination", cover.input.eta * Fraction(2) ** t <= k**4)
+            p_sets.append(sumset(p_current, s_i))
+            add(f"cover_round_{i}_growth", p_sets[-1].size == p_current.size * s_i.size)
+    add("cover_rt_small", cover.r_sets[t].size <= cover_input.mk)
+    judged = cover_trace(cover_input, cover.r_sets, cover.s_sets, p_sets, cover.q, cap)
+    q = replace(assemble_q(cp, cover.s_sets, cover.r_sets[t]), proper=judged.q.proper)
 
-    # q assembly
-    q = cover.q
-    expect_gens = [g.coords for g in cp0.generators]
-    expect_bounds = [(lo - hi, hi - lo) for lo, hi in cp0.bounds]
-    for s_i in cover.s_sets:
-        for e in s_i.elements():
-            expect_gens.append(e.coords)
-            expect_bounds.append((-1, 1))
-    for e in cover.r_sets[t].elements():
-        expect_gens.append(e.coords)
-        expect_bounds.append((-1, 1))
-    add(
-        "cover_q_assembly",
-        [g.coords for g in q.generators] == expect_gens
-        and list(q.bounds) == expect_bounds
-        and q.subgroup == cp0.subgroup
-        and q.base.is_zero(),
+    derived = _certificate(
+        cfg, a, dbl, trace, bog, bohr_check, extraction, cert.transport, cp, replace(judged, q=q)
     )
-    q_realized = materialize(q, cfg.cap)
-    add("cover_q_size", q_realized.size == cover.q_materialized.size)
-    add("final_containment", a.is_subset(q_realized), f"|Q+H|={q_realized.size}")
-    dim_bound = cp0.dimension + 2 * cover.mk * (t + 1)
-    add("cover_dimension", q.dimension <= dim_bound)
-    ratio = k**4 / cover.input.eta
-    high = (1 << cp0.dimension) * ratio ** math.ceil(5 * k) * a.size
-    add("cover_size_bound", q_realized.size <= high, "inconclusive band allowed")
-
-    add("stored_checks", not any(c.failed for c in cert.checks))
+    for check in derived.checks:
+        add(check.name, not check.failed, f"{check.status} {_fmt(check.lhs)} {_fmt(check.rhs)}")
+    for path, stored, value in _stored_value_mismatches(cert, derived, cfg.tolerance):
+        add("stored_value", False, f"{path}: stored {_fmt(stored)}, derived {_fmt(value)}")
     return VerificationReport(tuple(entries))
+
+
+def _stored_value_mismatches(
+    stored: object, derived: object, tol: float
+) -> list[tuple[str, object, object]]:
+    """(field path, stored, derived) wherever the two certificates differ.
+
+    Dataclasses are compared field by field and tuples item by item, a
+    check labelled by its name and a summary line by its key; a float may
+    differ by ``tol`` relative, anything else must be equal.  A
+    pair of objects reached twice (a check in ``cover.checks`` and
+    ``checks``) is compared once.
+    """
+    out: list[tuple[str, object, object]] = []
+    seen: set[tuple[int, int]] = set()
+
+    def walk(path: str, want: object, got: object) -> None:
+        if isinstance(want, float) or isinstance(got, float):
+            if isinstance(want, (int, float, Fraction)) and isinstance(got, (int, float, Fraction)):
+                want_f, got_f = float(want), float(got)
+                if abs(want_f - got_f) <= tol * max(abs(want_f), abs(got_f)):
+                    return
+        elif want is got or want == got:
+            return
+        elif is_dataclass(want) and type(got) is type(want) and not isinstance(want, Subgroup):
+            if (id(want), id(got)) not in seen:
+                seen.add((id(want), id(got)))
+                for f in fields(want):
+                    walk(f"{path}.{f.name}", getattr(want, f.name), getattr(got, f.name))
+            return
+        elif isinstance(want, tuple) and isinstance(got, tuple) and len(want) == len(got):
+            for i, (w, g) in enumerate(zip(want, got)):
+                if isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str) and w[0] == g[0]:
+                    walk(f"{path}[{w[0]}]", w[1], g[1])  # a summary line
+                else:
+                    walk(f"{path}[{getattr(w, 'name', i)}]", w, g)
+            return
+        out.append((path.lstrip("."), want, got))
+
+    walk("", stored, derived)
+    return out

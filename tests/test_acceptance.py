@@ -363,12 +363,12 @@ def test_criterion_8_covering_campaign(covering_certificates):
         cover = cert.cover
         k = cover.input.doubling.k
         assert k <= 3
-        assert a.is_subset(cover.q_materialized)
+        assert a.is_subset(materialize(cover.q))
         assert cover.input.eta * Fraction(2) ** cover.t <= k**4
         assert cover.q.dimension <= cover.input.dimension + 2 * cover.mk * (cover.t + 1)
         for i in range(cover.t):
-            assert cover.p_sets[i + 1].size == cover.p_sets[i].size * cover.s_sets[i].size
-        assert cover.p_sets[cover.t].size <= k ** (cover.t + 4) * a.size
+            assert cover.p_sizes[i + 1] == cover.p_sizes[i] * cover.s_sets[i].size
+        assert cover.p_sizes[cover.t] <= k ** (cover.t + 4) * a.size
     _report(8, "covering-campaign", True, "200 pipeline-fed cases")
 
 

@@ -66,7 +66,7 @@ def test_cover_subgroup_case():
     trace = chang_cover(CoverInput.build(h_set, cp))
     assert trace.t == 0
     assert trace.r_sets[0].size == 1
-    assert h_set.is_subset(trace.q_materialized)
+    assert h_set.is_subset(materialize(trace.q))
     assert trace.q.dimension <= 1
     assert trace.all_passed
 
@@ -81,7 +81,7 @@ def test_cover_interval_single_round():
     trace = chang_cover(CoverInput.build(a, cp))
     assert trace.t == 0
     assert trace.r_sets[0].size == 1
-    assert a.is_subset(trace.q_materialized)
+    assert a.is_subset(materialize(trace.q))
     assert trace.all_passed
 
 
@@ -104,9 +104,9 @@ def test_cover_growth_and_envelope_checks_recorded():
     assert trace.all_passed
     # exact growth at every recorded step
     for i in range(trace.t):
-        assert trace.p_sets[i + 1].size == trace.p_sets[i].size * trace.s_sets[i].size
+        assert trace.p_sizes[i + 1] == trace.p_sizes[i] * trace.s_sets[i].size
     k = trace.input.doubling.k
-    assert Fraction(trace.p_sets[trace.t].size) <= k ** (trace.t + 4) * a.size
+    assert Fraction(trace.p_sizes[trace.t]) <= k ** (trace.t + 4) * a.size
     assert trace.input.eta * Fraction(2) ** trace.t <= k**4
 
 
@@ -118,4 +118,4 @@ def test_cover_termination_bound_base_two():
     trace = chang_cover(CoverInput.build(a, cp))
     k = trace.input.doubling.k
     assert 2 ** trace.t <= float(k**4 / trace.input.eta)
-    assert a.is_subset(trace.q_materialized)
+    assert a.is_subset(materialize(trace.q))

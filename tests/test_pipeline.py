@@ -6,6 +6,7 @@ import pytest
 from cosetprog import (
     GroupSet,
     GroupSpec,
+    materialize,
     read_certificate,
     run_pipeline,
     verify_certificate,
@@ -33,7 +34,7 @@ def test_subgroup_certificate():
     cert = run_pipeline(h, PipelineConfig(skip_model=True))
     assert cert.all_passed
     assert cert.doubling_report.k == 1
-    assert h.is_subset(cert.cover.q_materialized)
+    assert h.is_subset(materialize(cert.cover.q))
     assert int(dict(cert.summary)["final-dimension"]) <= 1
 
 
@@ -42,7 +43,7 @@ def test_interval_certificate_model_path():
     a = _interval(g, 10)
     cert = run_pipeline(a, PipelineConfig(s=8))
     assert cert.all_passed
-    assert a.is_subset(cert.cover.q_materialized)
+    assert a.is_subset(materialize(cert.cover.q))
     report = verify_certificate(read_certificate(write_certificate(cert)))
     assert report.ok, [e.name for e in report.failures()]
 
@@ -87,7 +88,7 @@ def test_verify_detects_containment_tamper():
         tampered.append(line)
     report = verify_certificate(read_certificate("\n".join(tampered) + "\n"))
     assert not report.ok
-    assert any(e.name == "final_containment" for e in report.failures())
+    assert any(e.name == "cover_containment" for e in report.failures())
 
 
 def test_verify_detects_minima_tamper():
@@ -109,7 +110,7 @@ def test_verify_detects_minima_tamper():
             lines.append(line)
     report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
     assert not report.ok
-    assert any(e.name == "minkowski" for e in report.failures())
+    assert any(e.name == "bohr_minkowski" for e in report.failures())
 
 
 def _phi_block(text):
@@ -252,6 +253,8 @@ CORRUPTIONS = {
     "minimum-without-markers": ("minimum ", _drop("vector", "preimage")),
     "elem-extra-coordinate": ("elem ", lambda line: line + " 2"),
     "pair-extra-coordinate": ("pair ", lambda line: line.replace(" -> ", " 7 -> ")),
+    "subgroup-size": ("subgroup-size ", lambda line: f"subgroup-size {int(line.split()[1]) + 1}"),
+    "minimum-zero": ("minimum ", lambda line: "minimum 0 " + line.split(" ", 2)[2]),
 }
 
 
@@ -272,6 +275,112 @@ def test_cli_verify_malformed_certificate_exit_two(
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _bump(position):
+    """Change the token at ``position``: an integer or fraction numerator
+    grows by one, a float doubles."""
+
+    def corrupt(line):
+        tokens = line.split()
+        num, slash, den = tokens[position].partition("/")
+        if slash or num.lstrip("-").isdigit():
+            tokens[position] = f"{int(num) + 1}{slash}{den}"
+        else:
+            tokens[position] = repr(2 * float(num))
+        return " ".join(tokens)
+
+    return corrupt
+
+
+def _flip_flag(line):
+    key, value = line.split()
+    return f"{key} {1 - int(value)}"
+
+
+# (innermost section, first key in it, corruption, field path named by verify)
+TAMPERS = {
+    "q-size": ("cover", "q-size", _bump(-1), "cover.q_size"),
+    "final-size": ("summary", "final-size", _bump(-1), "summary[final-size]"),
+    "size-ratio": ("summary", "size-ratio", _bump(-1), "summary[size-ratio]"),
+    "model-density": ("summary", "model-density", _bump(-1), "summary[model-density]"),
+    "det": ("minima", "det", _bump(-1), "minima.det"),
+    "denominator": ("minima", "denominator", _bump(-1), "minima.denominator"),
+    "check-lhs": ("checks", "check", _bump(3), "checks[spectral_dimension].lhs"),
+    "check-rhs": ("checks", "check", _bump(4), "checks[spectral_dimension].rhs"),
+    "q-proper": ("q", "proper", _flip_flag, "cover.q.proper"),
+    "density-bound": ("model", "density-bound", _bump(-1), "model.prop_density_bound"),
+    "density-final": ("model", "density-final", _bump(-1), "model.density_final"),
+    "l4-sum": ("bogolyubov", "l4-sum", _bump(-1), "l4_sum"),
+    "l4-lower": ("bogolyubov", "l4-lower", _bump(-1), "l4_lower"),
+    "dim-bound": ("bogolyubov", "dim-bound", _bump(-1), "dim_bound"),
+    "radius-lower": ("bogolyubov", "radius-lower", _bump(-1), "radius_lower"),
+    "gamma-raw-magnitude": ("gamma-raw", "char", _bump(-1), "gamma_raw[0][1]"),
+    "alpha": ("bogolyubov", "alpha", _bump(-1), "alpha"),
+    "mk": ("cover", "mk", _bump(-1), "cover.mk"),
+}
+
+
+def _tamper(text, section, key, corrupt):
+    lines = text.splitlines()
+    stack = []
+    for i, line in enumerate(lines):
+        if line.startswith("begin "):
+            stack.append(line[len("begin "):])
+        elif line.startswith("end "):
+            stack.pop()
+        elif stack and stack[-1] == section and line.split()[0] == key:
+            lines[i] = corrupt(line)
+            assert lines[i] != line
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"no {key!r} line in section {section!r}")
+
+
+@pytest.mark.parametrize(
+    "section, key, corrupt, path", TAMPERS.values(), ids=list(TAMPERS)
+)
+def test_verify_rejects_each_tampered_derived_field(
+    model_on_certificate, section, key, corrupt, path
+):
+    text = _tamper(model_on_certificate[1], section, key, corrupt)
+    report = verify_certificate(read_certificate(text))
+    assert not report.ok
+    details = [e.detail for e in report.failures() if e.name == "stored_value"]
+    assert any(d.startswith(f"{path}: stored ") for d in details), details
+
+
+def _f2_five_without_zero():
+    g = GroupSpec((2,) * 5)
+    return GroupSet(g, np.arange(1, g.cardinality, dtype=np.int64))
+
+
+@pytest.mark.parametrize("skip_model", [False, True])
+def test_verify_recomputes_a_failing_check(skip_model):
+    # Phi is empty, so the radius 1/6 falls below 1/(48 K log(1/alpha))
+    cert = run_pipeline(_f2_five_without_zero(), PipelineConfig(skip_model=skip_model))
+    assert [c.name for c in cert.checks if c.failed] == ["spectral_radius"]
+    text = write_certificate(cert)
+    flipped = text.replace("check spectral_radius fail", "check spectral_radius pass")
+    assert flipped != text
+    for tampered in (text, flipped):
+        failed = {e.name for e in verify_certificate(read_certificate(tampered)).failures()}
+        assert "spectral_radius" in failed
+
+
+def test_cli_bohr_prints_every_check_it_judges(tmp_path, capsys):
+    from cosetprog.cli import main
+    from cosetprog.textio import write_group_set
+
+    set_file = tmp_path / "a.txt"
+    set_file.write_text(write_group_set(_f2_five_without_zero()))
+    assert main(["bohr", str(set_file)]) == 1
+    out = capsys.readouterr().out
+    assert "check spectral_radius fail " in out
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("check ")] == [
+        "spectral_dimension",
+        "spectral_radius",
+        "fourth_moment_lower",
+    ]
 
 
 def _sections(text):
@@ -387,3 +496,14 @@ def test_certificates_ignore_transform_noise(monkeypatch):
     assert len(clean) == len(perturbed) == 84
     changed = [i for i, (t, u) in enumerate(zip(clean, perturbed)) if t != u]
     assert all(_same_but_last_printed_digit(clean[i], perturbed[i]) for i in changed)
+
+    # Under the exact transform, verify re-derives every stored check, and
+    # fails a certificate only on the checks it records as failing (a Z/27
+    # set fails spectral_radius with Phi empty); no stored value differs.
+    monkeypatch.undo()
+    for text in clean + perturbed:
+        report = verify_certificate(read_certificate(text))
+        checks = [line.split() for line in text.splitlines() if line.startswith("check ")]
+        assert {c[1] for c in checks} <= {e.name for e in report.entries}
+        failed = {e.name: e.detail for e in report.failures()}
+        assert set(failed) == {c[1] for c in checks if c[2] == "fail"}, failed
