@@ -379,15 +379,16 @@ def extraction_checks(
     spec_b: BohrSpec,
     minima: MinimaReport,
     cp: CosetProgression,
+    bset: GroupSet,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BohrExtraction:
     """Set the proper flag of ``cp`` and check Minkowski's second theorem,
-    containment in the Bohr set, properness by counting and the exact size
-    lower bound (rho/d)^d |G|; a failing check is returned, never raised."""
+    containment in the Bohr set ``bset`` of ``spec_b``, properness by
+    counting and the exact size lower bound (rho/d)^d |G|; a failing check
+    is returned, never raised."""
     rho = spec_b.rho
     d = minima.dimension
     realized = materialize(cp, cap)
-    bset = bohr_set(spec_b, cap)
     proper = realized.size == cp.formal_size
     size_lower = (rho / d) ** d * spec_b.spec.cardinality
     checks = (
@@ -417,11 +418,12 @@ def whole_group_extraction(spec_b: BohrSpec) -> BohrExtraction:
 
 
 def progression_from_bohr(
-    spec_b: BohrSpec, cap: int = DEFAULT_ENUMERATION_CAP
+    spec_b: BohrSpec, cap: int = DEFAULT_ENUMERATION_CAP, bset: GroupSet | None = None
 ) -> BohrExtraction:
     """Extract a proper coset progression P + H inside B(Gamma, rho).
 
-    Every extraction check is a guarantee: a failure raises InvariantError.
+    ``bset`` is the Bohr set, built here unless the caller has it.  Every
+    extraction check is a guarantee: a failure raises InvariantError.
     """
     rho = spec_b.rho
     if not Fraction(0) < rho < Fraction(1, 4):
@@ -429,8 +431,10 @@ def progression_from_bohr(
     if not spec_b.chars:
         raise DomainError("extraction requires at least one character")
     minima = successive_minima(spec_b.chars, cap)
+    if bset is None:
+        bset = bohr_set(spec_b, cap)
     extraction = extraction_checks(
-        spec_b, minima, progression_from_minima(spec_b, minima), cap
+        spec_b, minima, progression_from_minima(spec_b, minima), bset, cap
     )
     for check in extraction.checks:
         if not check.passed:

@@ -59,14 +59,20 @@ class CoverInput:
         a: GroupSet,
         cp: CosetProgression,
         cap: int = DEFAULT_ENUMERATION_CAP,
+        d22: GroupSet | None = None,
     ) -> "CoverInput":
-        """The input for ``chang_cover``: cp must be proper and inside 2A - 2A."""
+        """The input for ``chang_cover``: cp must be proper and inside 2A - 2A.
+
+        ``d22`` is 2A - 2A, built here unless the caller has it.
+        """
         if not a:
             raise DomainError("cannot cover the empty set")
         cover_input = cls.derive(a, cp, doubling(a), cap)
         if cover_input.realized.size != cp.formal_size:
             raise DomainError("progression is not proper")
-        if not cover_input.realized.is_subset(iterated_sumset(a, 2, 2)):
+        if d22 is None:
+            d22 = iterated_sumset(a, 2, 2)
+        if not cover_input.realized.is_subset(d22):
             raise DomainError("progression is not contained in 2A - 2A")
         return cover_input
 

@@ -505,15 +505,10 @@ class CyclicDecomposition:
 
 
 def _max_order_element(spec: GroupSpec, indices: np.ndarray) -> GroupElement:
-    best: GroupElement | None = None
-    best_order = 0
-    for idx in indices:
-        e = spec.element_at(int(idx))
-        q = e.order()
-        if q > best_order:
-            best, best_order = e, q
-    assert best is not None
-    return best
+    """The first element of largest order among ``indices``."""
+    orders = spec._orders_arr
+    element_orders = np.lcm.reduce(orders // np.gcd(spec.decode(indices), orders), axis=1)
+    return spec.element_at(int(indices[int(np.argmax(element_orders))]))
 
 
 def _first_primitive_character(g: GroupElement) -> Character:
@@ -555,17 +550,13 @@ def subgroup_decomposition(
         nums = split.arg_numerators(spec.decode(rem))
         rem = rem[nums == 0]
     model_spec = GroupSpec(tuple(orders) or (1,))
-    to_model: dict[int, int] = {}
-    from_model: dict[int, int] = {}
-    for combo in _cartesian(*(range(m) for m in orders or (1,))):
-        point = spec.zero()
-        for a, g in zip(combo, gens):
-            point = point + a * g
-        midx = model_spec.index_of(combo if orders else (0,))
-        if point.index in to_model:
-            raise InvariantError("cyclic decomposition is not a direct sum")
-        to_model[point.index] = midx
-        from_model[midx] = point.index
+    combos = model_spec.decode(np.arange(model_spec.cardinality, dtype=np.int64))
+    gen_coords = np.array([g.coords for g in gens] or [spec.zero().coords], dtype=np.int64)
+    points = spec.encode(combos @ gen_coords).tolist()
+    to_model = dict(zip(points, range(len(points))))
+    if len(to_model) != len(points):
+        raise InvariantError("cyclic decomposition is not a direct sum")
+    from_model = dict(enumerate(points))
     if len(to_model) != subgroup.order:
         raise InvariantError("cyclic decomposition does not cover the subgroup")
     return CyclicDecomposition(

@@ -1,8 +1,10 @@
 """Constructive model finding: shrink a set into a smaller group.
 
 Each shrink step locates a character on which the difference set
-concentrates, reads off an interval containing the image of the set, and
-rebuilds the set inside ker(psi) x Z/(q-1).  Every emitted map is verified
+concentrates, reads off an interval [b, b+l] containing the image of the
+set, and rebuilds the set inside ker(psi) x Z/(s*l+1), the smallest cyclic
+factor that keeps s-fold sums apart, so a chain takes one step per
+concentrating character.  Every emitted map is verified
 mechanically as a Freiman s-isomorphism; nothing is trusted from the
 construction.  The search is a direct exhaustive spectrum scan, which at
 this scale is stronger than the existential guarantee it replaces; the
@@ -83,6 +85,11 @@ def _min_enclosing_arc(values: np.ndarray, q: int) -> tuple[int, int]:
     return min(starts), q - max_gap
 
 
+def _magnitude_floor(alpha_d: float, kappa: Fraction, delta: Fraction) -> float:
+    """The least |1_D^(gamma)| of a qualifying gamma (find_concentrating_character)."""
+    return alpha_d * ((1 - float(kappa)) * math.cos(math.pi * float(delta)) - float(kappa))
+
+
 def find_concentrating_character(
     a: GroupSet,
     delta: Fraction,
@@ -96,6 +103,19 @@ def find_concentrating_character(
     arc no longer than that window.  Returns the first hit in scan order,
     or None.  Magnitude ties (see fourier._magnitude_order) go to the lower
     index.
+
+    Only characters above a magnitude floor can qualify.  Condition (i)
+    puts at least (1-kappa)|D| points of D's image in an arc of angle less
+    than 2 pi delta; turned so the arc is centred on 1, each of them has
+    real part above cos(pi delta), and each of the at most kappa|D| others
+    at least -1.  So a qualifying gamma has
+
+        |1_D^(gamma)| >= alpha_D ((1 - kappa) cos(pi delta) - kappa),
+
+    alpha_D = |D|/|G|, about alpha_D/2 for kappa <= 1/4 and delta <= 1/20.
+    Characters below the floor (less 1e-9 alpha_D for the transform's
+    rounding) are dropped from the scan, which leaves the first hit as it
+    is and spares the final scan, which finds nothing, most of the group.
     """
     if not a:
         raise DomainError("cannot analyze the empty set")
@@ -108,7 +128,10 @@ def find_concentrating_character(
     params = step_params(0, delta, dbl.k, Fraction(d_set.size, spec.cardinality))
     spectrum = indicator_transform(d_set, cap)
     mags = spectrum.magnitudes
-    ranked = (_magnitude_order(mags[1:], float(spectrum.density)) + 1).tolist()
+    alpha_d = float(spectrum.density)
+    floor = _magnitude_floor(alpha_d, params.kappa, delta) - 1e-9 * alpha_d
+    ranked = _magnitude_order(mags[1:], alpha_d) + 1
+    ranked = ranked[mags[ranked] >= floor].tolist()
     allowed_out = params.kappa * d_set.size
     d_coords = d_set.coords()
     a_coords = a.coords()
@@ -168,13 +191,17 @@ def shrink_model_step(
     interval: tuple[int, int],
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ModelStage:
-    """Rebuild A inside ker(psi) x Z/(q-1) and verify the s-isomorphism.
+    """Rebuild A inside ker(psi) x Z/m, m = s*l + 1, and verify the s-isomorphism.
 
     The interval [b, b+l] must contain psi(A) and satisfy l < q/(4s).  The
     set is translated so the interval starts at 0; each element is written
-    h + lambda*z with z the first preimage of 1, and mapped to
-    (h, lambda mod q-1).  Verification failure raises InvariantError since
-    the construction guarantees an s-isomorphism.
+    h + lambda*z with z the first preimage of 1 and lambda in [0, l], and
+    mapped to (h, lambda mod m).  Sums of s lambdas lie in [0, s*l], and
+    s*l < m and s*l < q, so equal s-fold sums on either side match exactly:
+    the map is an s-isomorphism for every m > s*l, and m = s*l + 1 is the
+    smallest.  When m = 1 (l = 0, which a q = 2 character forces) the image
+    lies in the kernel alone.  Verification failure raises InvariantError
+    since the construction guarantees an s-isomorphism.
     """
     b, l = interval
     if q < 2:
@@ -200,16 +227,15 @@ def shrink_model_step(
     z_coords = np.array(spec.coords_of(z_idx), dtype=np.int64)
     decomp = subgroup_decomposition(kernel, cap)
     h_idx = spec.encode(spec.decode(shifted) - lam[:, None] * z_coords[None, :])
-    if q >= 3:
-        model_spec = GroupSpec(decomp.orders + (q - 1,))
-        images = [
-            decomp.to_model[int(h)] * (q - 1) + int(lv) % (q - 1)
-            for h, lv in zip(h_idx, lam)
-        ]
+    h_model = [decomp.to_model[h] for h in h_idx.tolist()]
+    m = s * l + 1
+    if m >= 2:
+        model_spec = GroupSpec(decomp.orders + (m,))
+        images = [h * m + lv for h, lv in zip(h_model, lam.tolist())]
     else:
         model_spec = decomp.spec
-        images = [decomp.to_model[int(h)] for h in h_idx]
-    table = {int(orig): img for orig, img in zip(a.indices, images)}
+        images = h_model
+    table = dict(zip(a.indices.tolist(), images))
     theta = FreimanMap(a, model_spec, table, s)
     report = is_freiman_iso(theta, s)
     if not report.ok:

@@ -35,7 +35,6 @@ from .covering import CoverInput, CoverTrace, assemble_q, chang_cover, cover_tra
 from .errors import DomainError, InvariantError
 from .fourier import (
     BogolyubovReport,
-    BohrSpec,
     _Cube,
     bogolyubov_bohr,
     bogolyubov_report,
@@ -124,14 +123,16 @@ def run_pipeline(
     bog = bogolyubov_bohr(
         a1, cap=config.cap, tol=config.tolerance, log_base=config.log_base
     )
-    bohr_check = bohr_containment(bog.bohr, a1, config.cap)
+    bset = bohr_set(bog.bohr, config.cap)
+    d22 = iterated_sumset(a1, 2, 2)
+    bohr_check = bohr_containment(bset, d22)
     if bohr_check.failed:
         raise InvariantError("Bohr set escaped 2A-2A in the model group")
 
     if bog.bohr.dimension == 0:
         extraction = whole_group_extraction(bog.bohr)
     else:
-        extraction = progression_from_bohr(bog.bohr, config.cap)
+        extraction = progression_from_bohr(bog.bohr, config.cap, bset)
 
     if trace.is_identity:
         transport = None
@@ -140,14 +141,13 @@ def run_pipeline(
         transport = induced_difference_iso(trace.composite.inverse())
         cp = transport_progression(transport, extraction.progression, assume_verified=True)
 
-    cover = chang_cover(CoverInput.build(a, cp, config.cap), config.cap)
+    cover_input = CoverInput.build(a, cp, config.cap, d22 if a1 == a else None)
+    cover = chang_cover(cover_input, config.cap)
     return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, transport, cp, cover)
 
 
-def bohr_containment(bohr: BohrSpec, a1: GroupSet, cap: int) -> BoundCheck:
-    """The Bohr set of ``bohr`` inside 2A' - 2A' for the model set A'."""
-    bset = bohr_set(bohr, cap)
-    d22 = iterated_sumset(a1, 2, 2)
+def bohr_containment(bset: GroupSet, d22: GroupSet) -> BoundCheck:
+    """The Bohr set ``bset`` inside ``d22`` = 2A' - 2A' for the model set A'."""
     return BoundCheck.make("bohr_containment", bset.is_subset(d22), bset.size, d22.size)
 
 
@@ -683,7 +683,9 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         outside is None,
         "" if outside is None else f"{outside!r} outside the cube of phi",
     )
-    bohr_check = bohr_containment(bog.bohr, a1, cap)
+    bset = bohr_set(bog.bohr, cap)
+    d22 = iterated_sumset(a1, 2, 2)
+    bohr_check = bohr_containment(bset, d22)
 
     # extraction: the minima's vectors, then P judged and re-derived
     if cert.minima is None:
@@ -702,7 +704,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
                     vec_ok = False
         add("minima_vectors", vec_ok)
         add("minima_independent", minima.vectors_independent())
-        judged = extraction_checks(bog.bohr, minima, cert.progression_model, cap)
+        judged = extraction_checks(bog.bohr, minima, cert.progression_model, bset, cap)
         rule = progression_from_minima(bog.bohr, minima)
         extraction = replace(judged, progression=replace(rule, proper=judged.progression.proper))
 
@@ -714,7 +716,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         zeta = cert.transport
         cp = cert.progression
         add("transport_iso", is_freiman_iso(zeta, 2).ok)
-        add("transport_domain", zeta.domain == iterated_sumset(a1, 2, 2))
+        add("transport_domain", zeta.domain == d22)
         source = materialize(cert.progression_model, cap)
         add(
             "transport_image",
@@ -728,7 +730,8 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     cover_input = CoverInput.derive(a, cp, dbl, cap)
     p_sets = [cover_input.realized]
     add("cover_input_proper", cp.proper and p_sets[0].size == cp.formal_size)
-    add("cover_input_contained", p_sets[0].is_subset(iterated_sumset(a, 2, 2)))
+    d22_input = d22 if a1 == a else iterated_sumset(a, 2, 2)
+    add("cover_input_contained", p_sets[0].is_subset(d22_input))
     t = len(cover.s_sets)
     for i, r_i in enumerate(cover.r_sets):
         p_current = p_sets[i]

@@ -69,6 +69,29 @@ def structured_sets(spec: GroupSpec, seed: int) -> list[GroupSet]:
     return out
 
 
+def zoo_sets() -> list[GroupSet]:
+    """A random, an interval and a random-in-interval set on each zoo shape."""
+    rng = Random(0)
+    out = []
+    for spec in SMALL_SPECS:
+        e0 = [0] * spec.rank
+        e0[0] = 1
+        for family in ("random", "interval", "random-in-interval"):
+            size = 1 + rng.randrange(min(spec.cardinality, 64))
+            draw = rng.randrange(1 << 30)
+            if family == "random":
+                out.append(gen_random(spec, size, draw))
+            elif family == "interval":
+                length = max(2, min(size, spec.orders[0]))
+                out.append(gen_progression(spec, [0] * spec.rank, [e0], [length]))
+            else:
+                span = min(spec.orders[0], max(4, 2 * size))
+                out.append(gen_random_in_progression(
+                    spec, [0] * spec.rank, [e0], [span], size, draw
+                ))
+    return out
+
+
 def campaign_sets(max_card: int, count: int, seed: int,
                   min_density: Fraction | None = None) -> list[GroupSet]:
     """Deterministic campaign of `count` sets over the small spec zoo."""

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from cosetprog import (
     subgroup_closure,
     subgroup_decomposition,
 )
-from cosetprog.groups import _first_primitive_character, reduce_generators
+from cosetprog.groups import _first_primitive_character, _max_order_element, reduce_generators
 
 from conftest import SMALL_SPECS
 
@@ -216,6 +217,29 @@ def test_subgroup_decomposition_direct_sum(orders, gens):
             mx = dec.spec.element_at(dec.to_model[x.index])
             my = dec.spec.element_at(dec.to_model[y.index])
             assert dec.to_model[(x + y).index] == (mx + my).index
+    # from_model[(a_1, ..., a_r)] is a_1 g_1 + ... + a_r g_r
+    for midx, idx in dec.from_model.items():
+        point = g.zero()
+        for a, gen in zip(dec.spec.coords_of(midx), dec.generators):
+            point = point + a * gen
+        assert idx == point.index
+
+
+def _max_order_by_loop(spec, indices):
+    best = None
+    for idx in indices:
+        e = spec.element_at(int(idx))
+        if best is None or e.order() > best.order():
+            best = e
+    return best
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_max_order_element_matches_loop(spec):
+    rng = Random(spec.cardinality)
+    for size in (1, 2, 5, spec.cardinality):
+        indices = np.array(sorted(rng.sample(range(spec.cardinality), size)), dtype=np.int64)
+        assert _max_order_element(spec, indices) == _max_order_by_loop(spec, indices)
 
 
 def test_homomorphism_validation():

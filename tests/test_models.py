@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,7 @@ import pytest
 
 from cosetprog import (
     DomainError,
+    FreimanMap,
     GroupSet,
     GroupSpec,
     doubling,
@@ -15,7 +17,11 @@ from cosetprog import (
     shrink_model_step,
     z_model,
 )
+from cosetprog import models
+from cosetprog.sumsets import difference_set
 from cosetprog.generators import gen_random, gen_random_in_progression
+
+from conftest import zoo_sets
 
 
 def _interval(spec, length):
@@ -50,7 +56,7 @@ def test_shrink_step_z1000():
     g = GroupSpec((1000,))
     a = _interval(g, 3)
     stage = shrink_model_step(a, 2, g.character((1,)), 1000, (0, 2))
-    assert stage.set_after.spec.orders == (999,)
+    assert stage.set_after.spec.orders == (5,)  # trivial kernel x Z/(s*l+1)
     assert sorted(e.coords[0] for e in stage.set_after.elements()) == [0, 1, 2]
     assert is_freiman_iso(stage.map, 2).ok
 
@@ -60,9 +66,22 @@ def test_shrink_step_kernel_only():
     sub = GroupSet.from_coords(g, [(0,), (4,), (8,)])
     gamma = g.character((3,))  # order 4, kernel {0,4,8}
     stage = shrink_model_step(sub, 2, gamma, 4, (0, 0))
-    assert stage.set_after.spec.cardinality == 3 * 3  # ker x Z/(q-1)
-    lam_coord = stage.set_after.spec.rank - 1
-    assert all(e.coords[lam_coord] == 0 for e in stage.set_after.elements())
+    assert stage.set_after.spec.orders == (3,)  # l = 0: the kernel alone
+    assert stage.set_after == GroupSet.full(stage.set_after.spec)
+    assert is_freiman_iso(stage.map, 2).ok
+
+
+@pytest.mark.parametrize("s, l", [(2, 1), (2, 3), (3, 2), (4, 1), (8, 2)])
+def test_shrink_step_modulus_is_tight(s, l):
+    g = GroupSpec((100,))
+    a = _interval(g, l + 1)
+    stage = shrink_model_step(a, s, g.character((1,)), 100, (0, l))
+    assert stage.set_after.spec.orders == (s * l + 1,)
+    for m, iso in ((s * l + 1, True), (s * l, False)):
+        # s copies of l and s copies of 0 agree mod s*l, not mod s*l + 1
+        table = {x: x % m for x in range(l + 1)}
+        theta = FreimanMap(a, GroupSpec((m,)), table, s)
+        assert is_freiman_iso(theta, s).ok is iso
 
 
 def test_shrink_step_q2_drops_factor():
@@ -200,3 +219,30 @@ def test_model_campaign_every_map_verified():
             assert len(set(residues)) == len(vals)
         cases += 1
     assert cases == 100
+
+
+def _candidate_key(cand):
+    if cand is None:
+        return None
+    return (cand.gamma, cand.q, cand.start, cand.length, cand.magnitude, cand.mass_window)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 21), Fraction(1, 32), Fraction(1, 64), Fraction(1, 4)])
+def test_magnitude_floor_keeps_the_full_scan_hit(delta, monkeypatch):
+    """On every set a model-on zoo chain meets, the scan above the magnitude
+    floor returns what the scan over every character returns, and each hit
+    of the full scan lies above the floor."""
+    sets = []
+    for a in zoo_sets():
+        trace = minimize_model(a, 8, delta=delta)
+        sets += [stage.set_before for stage in trace.stages] + [trace.final_set]
+    pruned = [find_concentrating_character(b, delta) for b in sets]
+    floor = models._magnitude_floor
+    monkeypatch.setattr(models, "_magnitude_floor", lambda *args: -math.inf)
+    full = [find_concentrating_character(b, delta) for b in sets]
+    assert [_candidate_key(c) for c in pruned] == [_candidate_key(c) for c in full]
+    assert any(c is None for c in full) and any(c is not None for c in full)
+    for b, cand in zip(sets, full):
+        if cand is not None:
+            alpha_d = difference_set(b).size / b.spec.cardinality
+            assert cand.magnitude >= floor(alpha_d, cand.params.kappa, delta)

@@ -1,5 +1,3 @@
-from random import Random
-
 import numpy as np
 import pytest
 
@@ -13,15 +11,10 @@ from cosetprog import (
     write_certificate,
 )
 from cosetprog import fourier, models
-from cosetprog.generators import (
-    gen_progression,
-    gen_random,
-    gen_random_in_progression,
-    gen_subgroup,
-)
+from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.pipeline import PipelineConfig
 
-from conftest import SMALL_SPECS
+from conftest import zoo_sets
 
 
 def _interval(spec, length):
@@ -434,30 +427,12 @@ def test_certificate_sections_use_the_file_formats(model_on_certificate):
 
 
 def _zoo_certificates():
-    """Certificates for random, interval and random-in-interval sets on each
-    zoo shape, with the model on and off."""
-    rng = Random(0)
-    texts = []
-    for spec in SMALL_SPECS:
-        e0 = [0] * spec.rank
-        e0[0] = 1
-        for family in ("random", "interval", "random-in-interval"):
-            size = 1 + rng.randrange(min(spec.cardinality, 64))
-            draw = rng.randrange(1 << 30)
-            if family == "random":
-                a = gen_random(spec, size, draw)
-            elif family == "interval":
-                length = max(2, min(size, spec.orders[0]))
-                a = gen_progression(spec, [0] * spec.rank, [e0], [length])
-            else:
-                span = min(spec.orders[0], max(4, 2 * size))
-                a = gen_random_in_progression(
-                    spec, [0] * spec.rank, [e0], [span], size, draw
-                )
-            for skip_model in (False, True):
-                config = PipelineConfig(skip_model=skip_model)
-                texts.append(write_certificate(run_pipeline(a, config)))
-    return texts
+    """Certificates for every zoo set, with the model on and off."""
+    return [
+        write_certificate(run_pipeline(a, PipelineConfig(skip_model=skip_model)))
+        for a in zoo_sets()
+        for skip_model in (False, True)
+    ]
 
 
 def _same_but_last_printed_digit(text, other):
@@ -507,3 +482,24 @@ def test_certificates_ignore_transform_noise(monkeypatch):
         assert {c[1] for c in checks} <= {e.name for e in report.entries}
         failed = {e.name: e.detail for e in report.failures()}
         assert set(failed) == {c[1] for c in checks if c[2] == "fail"}, failed
+
+
+def test_model_on_zoo_chains_take_one_stage_per_character():
+    """Each model-on zoo chain uses a new character at every stage and shrinks
+    the group at every stage; each certificate round-trips and verifies,
+    failing only where it records a failing check (a Z/27 set fails
+    spectral_radius with Phi empty)."""
+    stored_failures = []
+    for a in zoo_sets():
+        cert = run_pipeline(a)
+        stages = cert.model.stages
+        assert len(stages) <= len({stage.gamma.coords for stage in stages})
+        sizes = [a.spec.cardinality] + [stage.set_after.spec.cardinality for stage in stages]
+        assert all(before > after for before, after in zip(sizes, sizes[1:]))
+        text = write_certificate(cert)
+        assert write_certificate(read_certificate(text)) == text
+        report = verify_certificate(read_certificate(text))
+        failed = {c.name for c in cert.checks if c.failed}
+        assert {e.name for e in report.failures()} == failed
+        stored_failures += sorted(failed)
+    assert stored_failures == ["spectral_radius"]
