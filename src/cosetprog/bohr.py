@@ -4,8 +4,12 @@ The lattice attached to a Bohr description B(Gamma, rho) is
 Lambda = phi(G) + Z^d, where phi maps x to the vector of centered
 fractional arguments of the characters.  All minima computations are
 exact: arguments are rationals over the common denominator lcm(ord(gamma_j)),
-and candidate vectors are enumerated exhaustively (every minimum is at
-most 1 because the integer unit vectors lie in the unit cube).
+and every minimum is at most 1 because the integer unit vectors lie in the
+unit cube.  The minima come from one greedy scan by norm, in two stages:
+the centered lifts of norm below 1/2 first, and only if they span less
+than rank d the shifted lifts and unit vectors, all of norm at least 1/2.
+Since nothing else has norm below 1/2, the two stages pick exactly what a
+scan of the whole candidate table would (see ``successive_minima``).
 """
 
 from __future__ import annotations
@@ -90,39 +94,38 @@ class MinimaReport:
         return width - len(_integer_nullspace(self.vectors, width)) == len(self.vectors)
 
 
+def _orthogonal_part(basis: list[list[int]], row: Sequence[int]) -> list[list[int]]:
+    """Integer basis of the vectors in span(basis) orthogonal to ``row``.
+
+    One fraction-free elimination step: with a pivot p, p.row != 0, each
+    other basis vector b becomes (p.row) b - (b.row) p, divided by its
+    content.  These are independent, orthogonal to ``row`` and one fewer,
+    so they span the whole orthogonal part; ``basis`` comes back unchanged
+    when ``row`` is already orthogonal to it.
+    """
+    dots = [sum(b * r for b, r in zip(vec, row)) for vec in basis]
+    pivot = next((i for i, t in enumerate(dots) if t), None)
+    if pivot is None:
+        return basis
+    p, tp = basis[pivot], dots[pivot]
+    out = []
+    for i, (vec, t) in enumerate(zip(basis, dots)):
+        if i != pivot:
+            comb = [tp * v - t * w for v, w in zip(vec, p)]
+            g = math.gcd(*comb)
+            out.append([c // g for c in comb])
+    return out
+
+
 def _integer_nullspace(
     rows: Sequence[Sequence[int | Fraction]], width: int
 ) -> list[list[int]]:
-    """Integer basis of the right null space of a rational matrix."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * p for v, p in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    basis: list[list[int]] = []
-    free_cols = [c for c in range(width) if c not in pivots]
-    for free in free_cols:
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -m[r][free]
-        den = math.lcm(*(f.denominator for f in vec))
-        basis.append([int(f * den) for f in vec])
+    """Integer basis of the right null space of a rational matrix: the unit
+    vectors, cut down to the part orthogonal to each row in turn."""
+    basis = [[int(i == j) for j in range(width)] for i in range(width)]
+    for row in rows:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        basis = _orthogonal_part(basis, [int(Fraction(v) * den) for v in row])
     return basis
 
 
@@ -149,6 +152,78 @@ def minima_frame(
     )
 
 
+def _extend_independent(
+    chosen: list[tuple[np.ndarray, int, int]],
+    null: list[list[int]],
+    rows: np.ndarray,
+    norms: np.ndarray,
+    preim: np.ndarray,
+    m_den: int,
+) -> list[list[int]]:
+    """Append to ``chosen`` each candidate, in the given order, that is
+    rationally independent of those chosen before it, until rank d.
+
+    ``null`` is an integer basis of the null space of the chosen rows, so
+    a row is independent exactly when some basis vector has a nonzero dot
+    with it; the updated basis is returned.  Rows before a pick were
+    dependent on the smaller set chosen when they were passed, so each
+    search resumes just after the last pick.
+    """
+    d = len(chosen) + len(null)  # rank plus nullity
+    start = 0
+    while len(chosen) < d and start < len(rows):
+        if not null:
+            raise InvariantError("null space vanished before reaching rank d")
+        peak = max(abs(v) for vec in null for v in vec)
+        exact = peak * m_den * d < (1 << 62)
+        nmat = np.array(null, dtype=np.int64 if exact else object).T
+        rest = rows[start:]
+        dots = rest @ nmat if exact else rest.astype(object) @ nmat
+        hits = np.flatnonzero(np.any(dots != 0, axis=1))
+        if not len(hits):
+            break
+        pick = start + int(hits[0])
+        row = rows[pick]
+        chosen.append((row, int(norms[pick]), int(preim[pick])))
+        null = _orthogonal_part(null, [int(v) for v in row])
+        start = pick + 1
+    return null
+
+
+def _shifted_lifts(
+    table: np.ndarray, m_den: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate of max-norm in [1/2, 1], ordered by (norm, preimage,
+    shift pattern): the centered row of each distinct nonzero image with
+    every subset of its nonzero coordinates moved by one toward the other
+    sign, and the unit vectors (preimage 0, after every pattern).  A row's
+    preimage is its first index."""
+    d = table.shape[1]
+    rows, first = np.unique(table, axis=0, return_index=True)
+    nonzero_rows = ~np.all(rows == 0, axis=1)
+    rows, preim = rows[nonzero_rows], first[nonzero_rows].astype(np.int64)
+    alt = np.where(rows > 0, rows - m_den, rows + m_den)
+    cand_rows = [np.eye(d, dtype=np.int64) * m_den]
+    cand_pre = [np.zeros(d, dtype=np.int64)]
+    cand_sel = [np.arange(d, dtype=np.int64) + (1 << d)]
+    for bits in range(1 << d):
+        sel = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
+        valid = ~np.any(sel[None, :] & (rows == 0), axis=1)
+        cand_rows.append(np.where(sel[None, :], alt, rows)[valid])
+        cand_pre.append(preim[valid])
+        cand_sel.append(np.full(int(valid.sum()), bits, dtype=np.int64))
+    all_rows = np.concatenate(cand_rows)
+    all_pre = np.concatenate(cand_pre)
+    all_sel = np.concatenate(cand_sel)
+    norms = np.abs(all_rows).max(axis=1)
+    keep = 2 * norms >= m_den
+    all_rows, all_pre, all_sel, norms = (
+        all_rows[keep], all_pre[keep], all_sel[keep], norms[keep]
+    )
+    order = np.lexsort((all_sel, all_pre, norms))
+    return all_rows[order], norms[order], all_pre[order]
+
+
 def successive_minima(
     characters: Sequence[Character],
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -159,6 +234,17 @@ def successive_minima(
     shifts keeping every coordinate within max-norm 1, plus the unit
     vectors; vectors are taken in order of (norm, preimage, shift pattern)
     and kept when rationally independent of those already chosen.
+
+    The scan is lazy and picks exactly what that full order picks.  Every
+    shifted lift and every unit vector has norm at least 1/2, so the
+    centered rows of norm below 1/2 come first; the fast path scans them
+    for every x in G in (norm, index) order.  A repeated row has the same
+    norm and a larger index than its first occurrence, so it is reached
+    when it is already dependent, and every pick is its row's first
+    preimage.  Only when these rows span less than rank d (order-2
+    characters, whose nonzero coordinates are all exactly 1/2, force
+    this) is the table of shifted lifts built, and the same scan goes on
+    over its candidates of norm at least 1/2.
     """
     chars = list(characters)
     if not chars:
@@ -170,6 +256,10 @@ def successive_minima(
     frame = minima_frame(chars, cap)
     kept, subgroup, m_den = frame.chars, frame.subgroup, frame.denominator
     d = len(kept)
+    if (spec.cardinality // subgroup.order - 1) << d > _CANDIDATE_BUDGET:
+        raise ResourceLimitError(
+            f"minima candidate enumeration too large in dimension {d}"
+        )
 
     coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
     cols = []
@@ -179,82 +269,29 @@ def successive_minima(
         cols.append(np.where(2 * t > m_den, t - m_den, t))  # centered (-1/2, 1/2]
     table = np.stack(cols, axis=1)
 
-    rows, first = np.unique(table, axis=0, return_index=True)
-    preim = first.astype(np.int64)
-    nonzero_rows = ~np.all(rows == 0, axis=1)
-    rows, preim = rows[nonzero_rows], preim[nonzero_rows]
-    if len(rows) + 1 != spec.cardinality // subgroup.order:
+    # x -> table[x] is a homomorphism into (Z/m_den)^d with kernel H, so
+    # the image has |G:H| rows exactly when |H| rows are zero
+    norms = np.abs(table).max(axis=1)
+    if int(np.count_nonzero(norms == 0)) != subgroup.order:
         raise InvariantError("image size does not match the kernel index")
-    if len(rows) << d > _CANDIDATE_BUDGET:
-        raise ResourceLimitError(
-            f"minima candidate enumeration too large in dimension {d}"
-        )
 
-    # expand each row by the sign selections that keep max-norm <= 1
-    cand_rows: list[np.ndarray] = []
-    cand_pre: list[np.ndarray] = []
-    cand_sel: list[np.ndarray] = []
-    alt = np.where(rows > 0, rows - m_den, rows + m_den)
-    for bits in range(1 << d):
-        sel = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
-        if len(rows):
-            valid = ~np.any(sel[None, :] & (rows == 0), axis=1)
-            chosen = np.where(sel[None, :], alt, rows)[valid]
-            cand_rows.append(chosen)
-            cand_pre.append(preim[valid])
-            cand_sel.append(np.full(valid.sum(), bits, dtype=np.int64))
-    unit_rows = np.eye(d, dtype=np.int64) * m_den
-    cand_rows.append(unit_rows)
-    cand_pre.append(np.zeros(d, dtype=np.int64))
-    cand_sel.append(np.arange(d, dtype=np.int64) + (1 << d))
-    all_rows = np.concatenate(cand_rows)
-    all_pre = np.concatenate(cand_pre)
-    all_sel = np.concatenate(cand_sel)
-
-    norms = np.abs(all_rows).max(axis=1)
-    order = np.lexsort((all_sel, all_pre, norms))
-    all_rows, all_pre, all_sel, norms = (
-        all_rows[order],
-        all_pre[order],
-        all_sel[order],
-        norms[order],
-    )
-
-    chosen_rows: list[list[int]] = []
-    lambdas: list[Fraction] = []
-    vectors: list[tuple[Fraction, ...]] = []
-    preimages: list[GroupElement] = []
-    available = np.ones(len(all_rows), dtype=bool)
-    while len(chosen_rows) < d:
-        if not chosen_rows:
-            independent = available
-        else:
-            basis = _integer_nullspace(chosen_rows, d)
-            if not basis:
-                raise InvariantError("null space vanished before reaching rank d")
-            peak = max(abs(v) for row in basis for v in row) or 1
-            if peak * m_den * d < (1 << 62):
-                nmat = np.array(basis, dtype=np.int64).T
-                dots = all_rows @ nmat
-            else:
-                nmat = np.array(basis, dtype=object).T
-                dots = all_rows.astype(object) @ nmat
-            independent = available & np.any(dots != 0, axis=1)
-        hits = np.nonzero(independent)[0]
-        if not len(hits):
-            raise InvariantError("candidate enumeration cannot reach rank d")
-        pick = int(hits[0])
-        available[pick] = False
-        chosen_rows.append([int(v) for v in all_rows[pick]])
-        lambdas.append(Fraction(int(norms[pick]), m_den))
-        vectors.append(tuple(Fraction(int(v), m_den) for v in all_rows[pick]))
-        preimages.append(spec.element_at(int(all_pre[pick])))
+    short = np.flatnonzero((norms > 0) & (2 * norms < m_den))
+    short = short[np.argsort(norms[short], kind="stable")]
+    chosen: list[tuple[np.ndarray, int, int]] = []
+    null = _integer_nullspace([], d)
+    null = _extend_independent(chosen, null, table[short], norms[short], short, m_den)
+    if len(chosen) < d:
+        _extend_independent(chosen, null, *_shifted_lifts(table, m_den), m_den)
+    if len(chosen) < d:
+        raise InvariantError("candidate enumeration cannot reach rank d")
 
     return replace(
         frame,
-        lambdas=tuple(lambdas),
-        vectors=tuple(vectors),
-        preimages=tuple(preimages),
+        lambdas=tuple(Fraction(norm, m_den) for _, norm, _ in chosen),
+        vectors=tuple(
+            tuple(Fraction(int(v), m_den) for v in row) for row, _, _ in chosen
+        ),
+        preimages=tuple(spec.element_at(pre) for _, _, pre in chosen),
     )
 
 

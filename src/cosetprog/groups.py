@@ -417,21 +417,24 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.spec})"
 
 
+def _extend_closure(spec: GroupSpec, mask: np.ndarray, g: int) -> int:
+    """Grow the subgroup C marked in ``mask`` (over all of G) to
+    C + <g> = C + {0, g, ..., (r-1)g}, r the least k >= 1 with kg in C;
+    returns the new order."""
+    coords = spec.coords_of(g)
+    steps = np.arange(_tuple_order(coords, spec.orders) + 1, dtype=np.int64)
+    multiples = spec.encode(steps[:, None] * np.array(coords, dtype=np.int64))
+    r = 1 + int(np.argmax(mask[multiples[1:]]))  # the last multiple is 0
+    mask[spec.add_pairwise(np.flatnonzero(mask), multiples[:r]).ravel()] = True
+    return int(np.count_nonzero(mask))
+
+
 def _closure_indices(spec: GroupSpec, gen_indices: Sequence[int]) -> np.ndarray:
-    closed = {0}
-    frontier = [0]
-    gens = [int(g) for g in gen_indices]
-    while frontier:
-        current = np.array(frontier, dtype=np.int64)
-        new: set[int] = set()
-        for g in gens:
-            for idx in spec.add_scalar(current, g):
-                i = int(idx)
-                if i not in closed:
-                    closed.add(i)
-                    new.add(i)
-        frontier = list(new)
-    return np.array(sorted(closed), dtype=np.int64)
+    mask = np.zeros(spec.cardinality, dtype=bool)
+    mask[0] = True
+    for g in gen_indices:
+        _extend_closure(spec, mask, int(g))
+    return np.flatnonzero(mask)
 
 
 def subgroup_closure(
@@ -451,19 +454,17 @@ def subgroup_closure(
 
 
 def reduce_generators(subgroup: Subgroup) -> tuple[GroupElement, ...]:
-    """A small deterministic generating set, scanning elements in order."""
+    """A small deterministic generating set: repeatedly the least element
+    of the subgroup outside the closure of the generators so far."""
     spec = subgroup.spec
     gens: list[GroupElement] = []
-    have = np.array([0], dtype=np.int64)
-    for idx in subgroup.indices:
-        i = int(idx)
-        pos = int(np.searchsorted(have, i))
-        if pos < len(have) and int(have[pos]) == i:
-            continue
-        gens.append(spec.element_at(i))
-        have = _closure_indices(spec, [g.index for g in gens])
-        if len(have) == subgroup.order:
-            break
+    have = np.zeros(spec.cardinality, dtype=bool)
+    have[0] = True
+    order = 1
+    while order < subgroup.order:
+        rest = subgroup.indices[~have[subgroup.indices]]
+        gens.append(spec.element_at(int(rest[0])))
+        order = _extend_closure(spec, have, int(rest[0]))
     return tuple(gens)
 
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from random import Random
 
+import numpy as np
 import pytest
 
 from cosetprog import (
@@ -8,6 +10,7 @@ from cosetprog import (
     DomainError,
     GroupSet,
     GroupSpec,
+    ResourceLimitError,
     bohr_set,
     materialize,
     progression_from_bohr,
@@ -16,8 +19,10 @@ from cosetprog import (
     successive_minima,
     to_one_sided,
 )
+from cosetprog import bohr
+from cosetprog.bohr import _integer_nullspace, minima_frame
 
-from conftest import seeded_minima_cases
+from conftest import SMALL_SPECS, seeded_minima_cases
 
 
 def test_bohr_order_two_kernel():
@@ -91,6 +96,102 @@ def test_minima_campaign_minkowski_and_independence():
         assert all(l1 <= l2 for l1, l2 in zip(m.lambdas, m.lambdas[1:]))
         for lam, vec in zip(m.lambdas, m.vectors):
             assert max(abs(v) for v in vec) == lam
+
+
+def _echelon_insert(echelon, vec):
+    """Add ``vec`` to a list of (pivot column, row scaled to 1 there) in
+    row echelon form; False, and no change, when it is dependent."""
+    rest = [Fraction(v) for v in vec]
+    for col, row in echelon:
+        rest = [a - rest[col] * b for a, b in zip(rest, row)]
+    lead = next((c for c, v in enumerate(rest) if v), None)
+    if lead is not None:
+        echelon.append((lead, [v / rest[lead] for v in rest]))
+    return lead is not None
+
+
+def test_integer_nullspace_is_an_orthogonal_basis():
+    rng = Random(31)
+    for _ in range(300):
+        width = 1 + rng.randrange(6)
+        rows = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(width)]
+                for _ in range(rng.randrange(width + 1))]
+        if len(rows) >= 2:
+            rows.append([a - 3 * b for a, b in zip(rows[0], rows[1])])
+        basis = _integer_nullspace(rows, width)
+        assert all(sum(b * v for b, v in zip(vec, row)) == 0 for vec in basis for row in rows)
+        row_echelon, basis_echelon = [], []
+        rank = sum(_echelon_insert(row_echelon, row) for row in rows)
+        assert len(basis) == width - rank
+        assert all(_echelon_insert(basis_echelon, vec) for vec in basis)
+
+
+def _full_table_minima(chars):
+    """The whole candidate table sorted by (norm, preimage, shift pattern),
+    scanned greedily: (lambdas, vectors, preimage indices, |H|)."""
+    frame = minima_frame(chars)
+    spec, m_den, d = frame.spec, frame.denominator, frame.dimension
+    coords = spec.decode(np.arange(spec.cardinality))
+    t = np.stack([g.arg_numerators(coords) * (m_den // g.order()) for g in frame.chars], axis=1)
+    table = np.where(2 * t > m_den, t - m_den, t)
+    rows, first = np.unique(table, axis=0, return_index=True)
+    nonzero = ~np.all(rows == 0, axis=1)
+    rows, first = rows[nonzero], first[nonzero]
+    alt = np.where(rows > 0, rows - m_den, rows + m_den)
+    cands = [(m_den, 0, (1 << d) + j, tuple(m_den * (i == j) for i in range(d)))
+             for j in range(d)]
+    for bits in range(1 << d):
+        sel = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
+        for row, a, pre in zip(rows, alt, first):
+            if not np.any(sel & (row == 0)):
+                vec = tuple(int(v) for v in np.where(sel, a, row))
+                cands.append((max(map(abs, vec)), int(pre), bits, vec))
+    cands.sort()
+    picks, echelon = [], []
+    for norm, pre, _, vec in cands:
+        if len(picks) < d and _echelon_insert(echelon, vec):
+            picks.append((Fraction(norm, m_den), pre, vec))
+    return (
+        tuple(p[0] for p in picks),
+        tuple(tuple(Fraction(v, m_den) for v in p[2]) for p in picks),
+        tuple(p[1] for p in picks),
+        frame.subgroup.order,
+    )
+
+
+def test_lazy_minima_match_the_full_table(monkeypatch):
+    shapes = [s.orders for s in SMALL_SPECS] + [(2, 2, 2), (2,) * 7, (2, 2, 6)]
+    built = []
+    shifted_lifts = bohr._shifted_lifts
+    monkeypatch.setattr(bohr, "_shifted_lifts",
+                        lambda *a: built.append(1) or shifted_lifts(*a))
+    rng = Random(4242)
+    fallback = fast = 0
+    for case in range(320):
+        spec = GroupSpec(shapes[case % len(shapes)])
+        d = 1 + rng.randrange(min(4, spec.cardinality - 1))
+        chars = [spec.character_at(i)
+                 for i in rng.sample(range(1, spec.cardinality), d)]
+        built.clear()
+        m = successive_minima(chars)
+        ref = _full_table_minima(chars)
+        got = (m.lambdas, m.vectors, tuple(p.index for p in m.preimages), m.subgroup.order)
+        assert got == ref, (spec, chars)
+        # the shifted table is built exactly when rank d needs norm >= 1/2
+        assert bool(built) == (m.lambdas[-1] >= Fraction(1, 2)), (spec, chars)
+        fallback += bool(built)
+        fast += not built
+    assert fallback >= 50 and fast >= 50, (fallback, fast)
+
+
+def test_minima_budget_depends_on_index_and_dimension(monkeypatch):
+    g = GroupSpec((64,))
+    chars = [g.character((c,)) for c in (1, 3, 5)]
+    assert successive_minima(chars).dimension == 3
+    monkeypatch.setattr(bohr, "_CANDIDATE_BUDGET", (64 - 1) << 2)
+    with pytest.raises(ResourceLimitError, match="too large in dimension 3"):
+        successive_minima(chars)
+    assert successive_minima(chars[:2]).dimension == 2
 
 
 def test_extraction_z101_exact_window():

@@ -18,7 +18,12 @@ from cosetprog import (
     subgroup_closure,
     subgroup_decomposition,
 )
-from cosetprog.groups import _first_primitive_character, _max_order_element, reduce_generators
+from cosetprog.groups import (
+    _closure_indices,
+    _first_primitive_character,
+    _max_order_element,
+    reduce_generators,
+)
 
 from conftest import SMALL_SPECS
 
@@ -159,6 +164,44 @@ def test_reduce_generators_regenerates():
     sub = kernel_of_characters(g, [g.character((2, 2))])
     regen = subgroup_closure(g, reduce_generators(sub))
     assert regen == sub
+
+
+def _closure_by_set(spec, gen_indices):
+    closed, frontier = {0}, [0]
+    while frontier:
+        new = set()
+        for g in gen_indices:
+            for idx in spec.add_scalar(np.array(frontier), g):
+                if int(idx) not in closed:
+                    closed.add(int(idx))
+                    new.add(int(idx))
+        frontier = list(new)
+    return sorted(closed)
+
+
+def _reduce_generators_by_set(subgroup):
+    gens, have = [], {0}
+    for idx in subgroup.indices:
+        if len(have) == subgroup.order:
+            break
+        if int(idx) not in have:
+            gens.append(int(idx))
+            have = set(_closure_by_set(subgroup.spec, gens))
+    return gens
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_closure_matches_set_loop(spec):
+    rng = Random(spec.cardinality + 1)
+    for count in (0, 1, 1, 2, 2, 3):
+        gens = [rng.randrange(spec.cardinality) for _ in range(count)]
+        closed = _closure_indices(spec, gens)
+        assert closed.tolist() == _closure_by_set(spec, gens)
+        sub = subgroup_closure(spec, [spec.element_at(i) for i in gens])
+        assert [g.index for g in reduce_generators(sub)] == _reduce_generators_by_set(sub)
+    for ci in rng.sample(range(spec.cardinality), 4):
+        kernel = kernel_of_characters(spec, [spec.character_at(ci)])
+        assert [g.index for g in kernel.generators] == _reduce_generators_by_set(kernel)
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))

@@ -4,6 +4,7 @@ import pytest
 from cosetprog import (
     GroupSet,
     GroupSpec,
+    ResourceLimitError,
     materialize,
     read_certificate,
     run_pipeline,
@@ -49,6 +50,22 @@ def test_random_subset_z64():
     assert cert.all_passed
     report = verify_certificate(read_certificate(write_certificate(cert)))
     assert report.ok
+
+
+def test_minima_budget_outcome_on_long_cyclic_groups():
+    # a dense random subset of [0, 120) has minima dimension 7 in Z/2^14,
+    # which certifies, and 11 in Z/2^18, where (|G:H| - 1) 2^d exceeds
+    # the candidate budget before any candidate is scanned
+    config = PipelineConfig(skip_model=True)
+    a = gen_random_in_progression(GroupSpec((1 << 18,)), [0], [[1]], [120], 100, seed=4)
+    with pytest.raises(ResourceLimitError,
+                       match="^minima candidate enumeration too large in dimension 11$"):
+        run_pipeline(a, config)
+    a = gen_random_in_progression(GroupSpec((1 << 14,)), [0], [[1]], [120], 100, seed=0)
+    cert = run_pipeline(a, config)
+    assert cert.all_passed and cert.minima.dimension == 7
+    report = verify_certificate(read_certificate(write_certificate(cert)))
+    assert report.ok, [e.name for e in report.failures()]
 
 
 def test_round_trip_byte_identical():
