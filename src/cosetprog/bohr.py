@@ -49,7 +49,7 @@ def bohr_set(spec_b: BohrSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupSet:
         t = gamma.arg_numerators(coords)
         circ = np.minimum(t, q - t)
         mask &= circ * den <= num * q
-    return GroupSet(group, np.nonzero(mask)[0].astype(np.int64))
+    return GroupSet.from_mask(group, mask)
 
 
 def strip_redundant_characters(
@@ -341,14 +341,21 @@ class CosetProgression:
 def materialize(
     cp: CosetProgression, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> GroupSet:
-    """The underlying element set, built layer by layer with dedup."""
+    """The underlying element set: base + H, then one sumset per generator.
+
+    The multiples l*g depend on l mod ord(g) only, so at most ord(g) of them
+    are built.  Once the set is all of G it stays G, and the loop stops.
+    """
     spec = cp.spec
     spec.require_enumerable(cap)
     current = GroupSet(spec, spec.add_scalar(cp.subgroup.indices, cp.base.index))
     for g, (lo, hi) in zip(cp.generators, cp.bounds):
-        multiples = GroupSet.from_elements(
-            [spec.element([l * c for c in g.coords]) for l in range(lo, hi + 1)]
-        )
+        if current.size == spec.cardinality:
+            break
+        order = g.order()
+        start = lo % order
+        ls = np.arange(start, start + min(hi - lo + 1, order), dtype=np.int64)
+        multiples = GroupSet(spec, spec.encode(np.outer(ls, g.coords)))
         current = sumset(current, multiples)
     return current
 

@@ -139,17 +139,29 @@ def _cover_size_check(
 def assemble_q(
     cp: CosetProgression, s_sets: Sequence[GroupSet], r_last: GroupSet
 ) -> CosetProgression:
-    """Q: the difference ranges of P, then a {-1, 0, 1} range for every
-    element of S_0, ..., S_{t-1} and R_t; ``proper`` is left False."""
+    """Q: base r_0, the first element of R_t; the difference ranges of P; a
+    {-1, 0, 1} range for every element of S_0, ..., S_{t-1}; and a {0, 1}
+    range for r - r_0, for every other r in R_t.  ``proper`` is left False.
+
+    Maximality of R_t puts A inside R_t + P_t - P_t, and
+    P_t - P_t = (P - P) + H + (S_0 - S_0) + ... + (S_{t-1} - S_{t-1}), so
+    A lies in Q + H.
+    """
     gens = list(cp.generators)
     bounds = [(lo - hi, hi - lo) for lo, hi in cp.bounds]
-    for chosen in (*s_sets, r_last):
+    for chosen in s_sets:
         for e in chosen.elements():
             gens.append(e)
             bounds.append((-1, 1))
+    # R_t is nonempty when A is; a tampered certificate's empty R_t keeps
+    # base 0, so that verify reports the failing checks instead of raising
+    r_0, *rest = r_last.elements() or [cp.spec.zero()]
+    for r in rest:
+        gens.append(r - r_0)
+        bounds.append((0, 1))
     return CosetProgression(
         spec=cp.spec,
-        base=cp.spec.zero(),
+        base=r_0,
         generators=tuple(gens),
         bounds=tuple(bounds),
         subgroup=cp.subgroup,

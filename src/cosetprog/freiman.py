@@ -2,9 +2,15 @@
 
 The s-fold condition is checked through fibers of the induced map on sums:
 phi is an s-homomorphism iff every multiset of s elements with the same sum
-has the same image sum.  Fibers are built by a layered dynamic program over
-(partial sum, partial image sum) pairs, so an s = 8 check costs a few
-dense passes instead of |A|^8 tuple enumerations.
+has the same image sum.  A layered dynamic program adds one element per
+layer, so an s = 8 check costs a few dense passes instead of |A|^8 tuple
+enumerations.  A layer is the set of distinct (partial sum, partial image
+sum) pairs, sorted; a sum paired with two image sums is where the map fails.
+When the domain's sums are dense in G, the homomorphism check and the map
+induced on 2A - 2A keep a layer as an image array over G instead (the image
+sum of each reached partial sum, -1 elsewhere), so no layer is sorted: while
+no fiber has two image sums the array is the whole layer, and a scattered
+image that disagrees with it is the first failure.
 """
 
 from __future__ import annotations
@@ -17,9 +23,7 @@ import numpy as np
 from .bohr import CosetProgression, materialize
 from .errors import DomainError, StructureError
 from .groups import GroupElement, GroupSpec, subgroup_closure
-from .sumsets import GroupSet, iterated_sumset
-
-_PAIR_BUDGET = 1 << 22
+from .sumsets import GroupSet, iterated_sumset, mask_pays, pair_chunks
 
 
 class FreimanMap:
@@ -124,67 +128,108 @@ class HomReport:
     witness: FiberWitness | None
 
 
-def _layer_extend(
-    spec: GroupSpec,
-    tspec: GroupSpec,
-    sums: np.ndarray,
-    images: np.ndarray,
-    xs: np.ndarray,
-    us: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All deduplicated (sum + x, image + u) pairs over aligned (xs, us)."""
-    t_card = tspec.cardinality
-    step = max(1, _PAIR_BUDGET // max(len(xs), 1))
-    keys = []
-    for i in range(0, len(sums), step):
-        g2 = spec.add_pairwise(sums[i : i + step], xs)
-        u2 = tspec.add_pairwise(images[i : i + step], us)
-        keys.append(np.unique(g2.ravel() * t_card + u2.ravel()))
-    key = np.unique(np.concatenate(keys))
-    return key // t_card, key % t_card
-
-
-def _dp_pairs(
-    a: GroupSet,
-    phi: FreimanMap,
-    pos: int,
-    neg: int,
-    stop_on_violation: bool = False,
-) -> tuple[np.ndarray, np.ndarray, FiberWitness | None]:
-    """(sum, image-sum) pairs over all (pos, neg)-fold signed combinations."""
+def _signed_layers(
+    phi: FreimanMap, pos: int, neg: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(elements, images) of the domain, pos times as they are, then neg negated."""
     if pos + neg < 1:
         raise DomainError("at least one fold is required")
-    if not a.is_subset(phi.domain):
-        raise DomainError("set is not inside the map's domain")
-    spec, tspec = a.spec, phi.target
-    xs = a.indices
+    spec, tspec = phi.domain.spec, phi.target
+    xs = phi.domain.indices
     us = phi.apply_indices(xs)
-    nxs = spec.negate_indices(xs)
-    nus = tspec.negate_indices(us)
-    layers = [(xs, us)] * pos + [(nxs, nus)] * neg
+    negated = (spec.negate_indices(xs), tspec.negate_indices(us))
+    return [(xs, us)] * pos + [negated] * neg
+
+
+def _fiber_pairs(
+    phi: FreimanMap, pos: int, neg: int, stop_on_violation: bool = False
+) -> tuple[np.ndarray, np.ndarray, FiberWitness | None]:
+    """All distinct (sum, image-sum) pairs over the (pos, neg)-fold signed combinations.
+
+    With stop_on_violation the DP stops at the first layer where one sum has
+    two image sums, and returns with the pairs the smallest such sum and its
+    image sums, sorted.
+    """
+    spec, tspec = phi.domain.spec, phi.target
+    t_card = tspec.cardinality
+    layers = _signed_layers(phi, pos, neg)
     sums, images = layers[0]
-    key = np.unique(sums * tspec.cardinality + images)
-    sums, images = key // tspec.cardinality, key % tspec.cardinality
-    witness: FiberWitness | None = None
-    for depth, (lx, lu) in enumerate(layers[1:], start=2):
-        sums, images = _layer_extend(spec, tspec, sums, images, lx, lu)
-        if witness is None:
-            uniq, counts = np.unique(sums, return_counts=True)
-            bad = np.nonzero(counts > 1)[0]
-            if len(bad):
-                s = int(uniq[bad[0]])
-                imgs = tuple(int(u) for u in images[sums == s])
-                witness = FiberWitness(depth, s, imgs)
-                if stop_on_violation:
-                    return sums, images, witness
-    return sums, images, witness
+    for depth, (xs, us) in enumerate(layers[1:], start=2):
+        keys = [np.empty(0, dtype=np.int64)]  # an empty domain has no chunks
+        for rows in pair_chunks(len(sums), len(xs)):
+            g2 = spec.add_pairwise(sums[rows], xs)
+            u2 = tspec.add_pairwise(images[rows], us)
+            keys.append(np.unique(g2.ravel() * t_card + u2.ravel()))
+        key = np.unique(np.concatenate(keys))
+        sums, images = key // t_card, key % t_card
+        if stop_on_violation:
+            clash = np.flatnonzero(sums[1:] == sums[:-1])  # sorted by sum, then image
+            if len(clash):
+                s0 = int(sums[clash[0]])
+                fiber = tuple(int(u) for u in images[sums == s0])
+                return sums, images, FiberWitness(depth, s0, fiber)
+    return sums, images, None
+
+
+def _image_dp(
+    phi: FreimanMap, pos: int, neg: int
+) -> tuple[np.ndarray, FiberWitness | None]:
+    """The induced map on the (pos, neg)-fold signed sums, as an image array.
+
+    img[g] is the image sum of every combination with sum g, and -1 where g
+    is no such sum.  Each layer scatters img[g + x] = img[g] + phi(x) and
+    then reads it back; a pair that reads back another value shows a sum
+    with two image sums.  The DP stops at the first such layer and returns
+    the array built so far with the smallest violating sum and its distinct
+    image sums, sorted.
+    """
+    spec, tspec = phi.domain.spec, phi.target
+    layers = _signed_layers(phi, pos, neg)
+    img = np.full(spec.cardinality, -1, dtype=np.int64)
+    img[layers[0][0]] = layers[0][1]
+    for depth, (xs, us) in enumerate(layers[1:], start=2):
+        sums = np.flatnonzero(img >= 0)
+        images = img[sums]
+        nxt = np.full(spec.cardinality, -1, dtype=np.int64)
+        bad = np.zeros(spec.cardinality, dtype=bool)
+        for rows in pair_chunks(len(sums), len(xs)):
+            g2 = spec.add_pairwise(sums[rows], xs)
+            u2 = tspec.add_pairwise(images[rows], us)
+            prior = nxt[g2]  # what earlier chunks wrote
+            nxt[g2] = u2
+            bad[g2[((prior >= 0) & (prior != u2)) | (nxt[g2] != u2)]] = True
+        if bad.any():
+            s0 = int(np.argmax(bad))
+            back = img[spec.add_scalar(spec.negate_indices(xs), s0)]  # img[s0 - x]
+            hit = back >= 0
+            fiber = np.unique(tspec.add_aligned(back[hit], us[hit]))
+            return nxt, FiberWitness(depth, s0, tuple(int(u) for u in fiber))
+        img = nxt
+    return img, None
+
+
+def _induced_map(
+    phi: FreimanMap, pos: int, neg: int
+) -> tuple[np.ndarray, np.ndarray, FiberWitness | None]:
+    """(sums, image sums, witness) of the induced map on the (pos, neg)-fold sums.
+
+    Both DPs stop at the first layer with a violation and give the same
+    witness.  The image array costs O(|G|) a layer, the keyed pairs at least
+    |A|^2 a layer, so the array is used when |G| is small against
+    |A|^2 times the number of layers after the first.
+    """
+    if mask_pays(phi.domain.spec, (pos + neg - 1) * phi.domain.size**2):
+        img, witness = _image_dp(phi, pos, neg)
+        sums = np.flatnonzero(img >= 0)
+        return sums, img[sums], witness
+    return _fiber_pairs(phi, pos, neg, stop_on_violation=True)
 
 
 def s_fold_fibers(a: GroupSet, s: int, phi: FreimanMap) -> dict[int, frozenset[int]]:
     """Map each element of sA to the set of achieved image sums."""
     if s < 1:
         raise DomainError("fold count must be at least 1")
-    sums, images, _ = _dp_pairs(a, phi, s, 0)
+    sums, images, _ = _fiber_pairs(phi.restrict(a), s, 0)
     fibers: dict[int, set[int]] = {}
     for g, u in zip(sums, images):
         fibers.setdefault(int(g), set()).add(int(u))
@@ -195,7 +240,7 @@ def sum_difference_fibers(
     a: GroupSet, k: int, l: int, phi: FreimanMap
 ) -> dict[int, frozenset[int]]:
     """Fibers of the induced map on kA - lA."""
-    sums, images, _ = _dp_pairs(a, phi, k, l)
+    sums, images, _ = _fiber_pairs(phi.restrict(a), k, l)
     fibers: dict[int, set[int]] = {}
     for g, u in zip(sums, images):
         fibers.setdefault(int(g), set()).add(int(u))
@@ -206,7 +251,7 @@ def is_freiman_hom(phi: FreimanMap, s: int) -> HomReport:
     """Whether phi respects every equality of s-fold sums."""
     if s < 2:
         raise DomainError("the homomorphism condition needs s >= 2")
-    _, _, witness = _dp_pairs(phi.domain, phi, s, 0, stop_on_violation=True)
+    _, _, witness = _induced_map(phi, s, 0)
     return HomReport(witness is None, witness)
 
 
@@ -227,13 +272,13 @@ def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
     result is re-verified as a 2-isomorphism before being returned.
     """
     a = phi.domain
-    sums, images, witness = _dp_pairs(a, phi, 2, 2)
+    sums, images, witness = _induced_map(phi, 2, 2)
     if witness is not None:
         raise DomainError(
             f"map does not induce a function on 2A-2A (fiber of {witness.sum_index})"
         )
     domain = GroupSet(a.spec, sums)
-    table = {int(g): int(u) for g, u in zip(sums, images)}
+    table = dict(zip(sums.tolist(), images.tolist()))
     induced = FreimanMap(domain, phi.target, table, 2)
     if domain != iterated_sumset(a, 2, 2):
         raise DomainError("fiber domain does not equal 2A-2A")

@@ -44,7 +44,7 @@ from .fourier import (
 from .freiman import FreimanMap, induced_difference_iso, is_freiman_iso, transport_progression
 from .groups import DEFAULT_ENUMERATION_CAP, Character, Subgroup, subgroup_closure
 from .models import ModelStage, ModelTrace, minimize_model, model_trace
-from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, sumset
+from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 from .textio import (
     fmt_float,
     fmt_fraction,
@@ -740,11 +740,11 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         add(f"cover_round_{i}_disjoint", disjoint)
         covered = np.zeros(a.spec.cardinality, dtype=bool)
         covered[union.indices] = True
-        maximal_r = all(
-            r_i.contains_index(int(x))
-            or covered[a.spec.add_scalar(p_current.indices, int(x))].any()
-            for x in a.indices
-        )
+        maximal = np.isin(a.indices, r_i.indices)  # x in R_i, or P_i + x meets P_i + R_i
+        for rows in pair_chunks(a.size, p_current.size):
+            grid = a.spec.add_pairwise(a.indices[rows], p_current.indices)
+            maximal[rows] |= covered[grid].any(axis=1)
+        maximal_r = bool(maximal.all())
         add(f"cover_round_{i}_maximal", maximal_r)
         if i < t:
             s_i = cover.s_sets[i]

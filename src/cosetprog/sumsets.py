@@ -1,21 +1,25 @@
 """Exact sumset arithmetic: A+B, kA-lA, doubling constants.
 
-Sumsets are computed by (chunked) pairwise addition with deduplication,
-never by FFT, so every cardinality below is exact.
+A sumset is computed by pairwise addition in row chunks.  When the sums are
+dense in G (see ``mask_pays``) each chunk is marked in one boolean mask over
+G, whose nonzero positions are the result, already sorted and distinct;
+otherwise each chunk is deduplicated by sorting.  No FFT is involved, so
+every cardinality below is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .groups import GroupElement, GroupSpec, Subgroup, _frozen
+from .groups import DEFAULT_ENUMERATION_CAP, GroupElement, GroupSpec, Subgroup, _frozen
 
 _PAIR_BUDGET = 1 << 22
+_MASK_RATIO = 1024
 
 
 class GroupSet:
@@ -36,6 +40,19 @@ class GroupSet:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GroupSet is immutable")
+
+    @classmethod
+    def from_mask(cls, spec: GroupSpec, mask: np.ndarray) -> "GroupSet":
+        """The set {x : mask[x]} for a boolean mask over the whole group.
+
+        The nonzero positions are already sorted and distinct, so the
+        constructor's sort is skipped.
+        """
+        indices = np.flatnonzero(mask).astype(np.int64, copy=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "spec", spec)
+        object.__setattr__(out, "indices", _frozen(indices))
+        return out
 
     @classmethod
     def from_coords(cls, spec: GroupSpec, coords: Iterable[Sequence[int]]) -> "GroupSet":
@@ -95,7 +112,10 @@ class GroupSet:
 
     def is_subset(self, other: "GroupSet") -> bool:
         _require_same_spec(self, other)
-        return bool(np.isin(self.indices, other.indices).all())
+        if not self or not other:
+            return not self
+        pos = np.minimum(np.searchsorted(other.indices, self.indices), other.size - 1)
+        return bool((other.indices[pos] == self.indices).all())
 
     def translate(self, x: GroupElement) -> "GroupSet":
         if x.spec != self.spec:
@@ -122,18 +142,37 @@ def _require_same_spec(a: GroupSet, b: GroupSet) -> None:
         raise StructureError(f"sets live in different groups: {a.spec} vs {b.spec}")
 
 
+def pair_chunks(rows: int, cols: int) -> Iterator[slice]:
+    """Row slices of an (rows, cols) pairwise grid, each at most _PAIR_BUDGET sums."""
+    step = max(1, _PAIR_BUDGET // max(cols, 1))
+    for i in range(0, rows, step):
+        yield slice(i, i + step)
+
+
+def mask_pays(spec: GroupSpec, pairs: int) -> bool:
+    """Whether `pairs` sums are dense enough in G to be marked in an array over G.
+
+    The array costs O(|G|) to allocate and scan, sorting the sums
+    O(pairs log pairs); the array is used when G is enumerable and
+    |G| <= _MASK_RATIO * pairs.
+    """
+    return spec.cardinality <= min(DEFAULT_ENUMERATION_CAP, _MASK_RATIO * pairs)
+
+
 def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
     """{x + y : x in A, y in B}."""
     _require_same_spec(a, b)
     spec = a.spec
     if not a or not b:
         return GroupSet.empty(spec)
-    step = max(1, _PAIR_BUDGET // b.size)
-    chunks = []
-    for i in range(0, a.size, step):
-        grid = spec.add_pairwise(a.indices[i : i + step], b.indices)
-        chunks.append(np.unique(grid.ravel()))
-    return GroupSet(spec, np.concatenate(chunks))
+    chunks = pair_chunks(a.size, b.size)
+    if mask_pays(spec, a.size * b.size):
+        mask = np.zeros(spec.cardinality, dtype=bool)
+        for rows in chunks:
+            mask[spec.add_pairwise(a.indices[rows], b.indices)] = True
+        return GroupSet.from_mask(spec, mask)
+    sums = [np.unique(spec.add_pairwise(a.indices[rows], b.indices)) for rows in chunks]
+    return GroupSet(spec, np.concatenate(sums))
 
 
 def difference_set(a: GroupSet, b: GroupSet | None = None) -> GroupSet:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -266,3 +267,46 @@ def test_one_sided_conversion_preserves_set():
     converted = to_one_sided(cp)
     assert converted.bounds == ((0, 4),)
     assert materialize(converted) == materialize(cp)
+
+
+def _enumerate_progression(cp):
+    """Every base + h + sum l_j g_j, one coefficient tuple at a time."""
+    orders = cp.spec.orders
+    out = set()
+    for ls in itertools.product(*(range(lo, hi + 1) for lo, hi in cp.bounds)):
+        for h in cp.subgroup.indices:
+            acc = [b + c for b, c in zip(cp.base.coords, cp.spec.coords_of(int(h)))]
+            for l, g in zip(ls, cp.generators):
+                acc = [x + l * c for x, c in zip(acc, g.coords)]
+            out.add(tuple(x % n for x, n in zip(acc, orders)))
+    return out
+
+
+def test_materialize_matches_enumeration():
+    rng = Random(17)
+    cases = []
+    for spec in SMALL_SPECS[:10]:
+        for _ in range(4):
+            gens = tuple(spec.element_at(rng.randrange(spec.cardinality))
+                         for _ in range(rng.randrange(4)))
+            bounds = []
+            for _ in gens:
+                lo = rng.randrange(-6, 4)
+                bounds.append((lo, lo + rng.randrange(6)))
+            h = subgroup_closure(spec, [spec.element_at(rng.randrange(spec.cardinality))]
+                                 if rng.randrange(3) == 0 else [])
+            base = spec.element_at(rng.randrange(spec.cardinality))
+            cases.append(CosetProgression(spec, base, gens, tuple(bounds), h, False))
+    z16 = GroupSpec((16,))
+    trivial = subgroup_closure(z16, [])
+    # fills Z/16 with its first generator, before the second is added
+    cases.append(CosetProgression(z16, z16.element((5,)), (z16.element((3,)), z16.element((1,))),
+                                  ((-20, 3), (0, 2)), trivial, False))
+    # a coefficient far outside int64 reduces modulo the generator's order
+    cases.append(CosetProgression(z16, z16.zero(), (z16.element((2,)),),
+                                  ((-10**20, 3 - 10**20),), trivial, False))
+    for cp in cases:
+        got = materialize(cp)
+        assert np.all(np.diff(got.indices) > 0)
+        assert {tuple(int(c) for c in r) for r in got.coords()} == _enumerate_progression(cp)
+    assert materialize(cases[-2]) == GroupSet.full(z16)

@@ -19,7 +19,8 @@ from cosetprog import (
     sum_difference_fibers,
     transport_progression,
 )
-from cosetprog.freiman import compose
+from cosetprog import sumsets
+from cosetprog.freiman import FiberWitness, HomReport, _fiber_pairs, _image_dp, compose
 
 from conftest import oracle_freiman_hom
 
@@ -113,6 +114,87 @@ def test_hom_matches_bruteforce_oracle():
         assert is_freiman_hom(phi, s).ok == oracle_freiman_hom(phi, s)
         agreements += 1
     assert agreements == 500
+
+
+def _keyed_dp(phi, pos, neg):
+    """Reference: the DP over distinct (partial sum, partial image sum) keys.
+
+    Every layer sorts its pairs; the first layer where one sum has two image
+    sums gives the witness (that sum, smallest first, with its image sums).
+    """
+    spec, tspec = phi.domain.spec, phi.target
+    t_card = tspec.cardinality
+    xs = phi.domain.indices
+    us = phi.apply_indices(xs)
+    layers = [(xs, us)] * pos + [(spec.negate_indices(xs), tspec.negate_indices(us))] * neg
+    key = np.unique(layers[0][0] * t_card + layers[0][1])
+    for depth, (lx, lu) in enumerate(layers[1:], start=2):
+        sums, images = key // t_card, key % t_card
+        g2 = spec.add_pairwise(sums, lx).ravel()
+        u2 = tspec.add_pairwise(images, lu).ravel()
+        key = np.unique(g2 * t_card + u2)
+        sums, images = key // t_card, key % t_card
+        uniq, counts = np.unique(sums, return_counts=True)
+        bad = np.nonzero(counts > 1)[0]
+        if len(bad):
+            s0 = int(uniq[bad[0]])
+            return key, FiberWitness(depth, s0, tuple(int(u) for u in images[sums == s0]))
+    return key, None
+
+
+def _random_map(rng: Random) -> FreimanMap:
+    """A small map of one of four kinds: random, affine, perturbed affine, integer lift."""
+    shapes = [(16,), (27,), (30,), (2, 2, 2, 2), (2,) * 6, (4, 6), (2, 4, 8), (3, 9)]
+    spec = GroupSpec(shapes[rng.randrange(len(shapes))])
+    size = 1 + rng.randrange(min(8, spec.cardinality))
+    dom = sorted(rng.sample(range(spec.cardinality), size))
+    kind = rng.randrange(4)
+    if kind == 0:
+        tspec = GroupSpec(shapes[rng.randrange(len(shapes))])
+        table = {i: rng.randrange(tspec.cardinality) for i in dom}
+    elif kind == 3:
+        # coordinates read as integers and reduced mod m: a hom only without wraparound
+        tspec = GroupSpec((5 + rng.randrange(60),))
+        table = {i: sum(spec.coords_of(i)) % tspec.cardinality for i in dom}
+    else:
+        tspec = spec
+        c, t = rng.randrange(1, 8), rng.randrange(spec.cardinality)
+        table = {i: spec.add_scalar(spec.scale_indices(np.array([i]), c), t)[0] for i in dom}
+        if kind == 2:
+            table[dom[rng.randrange(size)]] = rng.randrange(spec.cardinality)
+    return FreimanMap(GroupSet(spec, np.array(dom, dtype=np.int64)), tspec, table)
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+def test_both_dps_match_the_keyed_reference(budget, monkeypatch):
+    if budget is not None:  # many row chunks per layer, so conflicts span chunks
+        monkeypatch.setattr(sumsets, "_PAIR_BUDGET", budget)
+    rng = Random(808)
+    outcomes = {True: 0, False: 0}
+    for _ in range(520):
+        phi = _random_map(rng)
+        s = (2, 3, 4, 8)[rng.randrange(4)]
+        _, want = _keyed_dp(phi, s, 0)
+        assert is_freiman_hom(phi, s) == HomReport(want is None, want)
+        assert _fiber_pairs(phi, s, 0, stop_on_violation=True)[2] == want
+        outcomes[want is None] += 1
+        key, want = _keyed_dp(phi, 2, 2)
+        img, got = _image_dp(phi, 2, 2)
+        sums, images, got_keyed = _fiber_pairs(phi, 2, 2, stop_on_violation=True)
+        assert got == got_keyed == want
+        if want is None:
+            t_card = phi.target.cardinality
+            assert np.array_equal(sums * t_card + images, key)
+            sums = np.flatnonzero(img >= 0)
+            assert np.array_equal(sums * t_card + img[sums], key)
+    assert min(outcomes.values()) >= 100
+
+
+def test_empty_map_is_a_hom_with_no_fibers():
+    spec = GroupSpec((8,))
+    phi = FreimanMap(GroupSet.empty(spec), spec, {})
+    assert is_freiman_hom(phi, 2) == HomReport(True, None)
+    assert s_fold_fibers(phi.domain, 3, phi) == {}
 
 
 def test_hom_is_hom_for_smaller_s():

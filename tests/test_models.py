@@ -178,6 +178,13 @@ def test_z_model_examples():
     )
 
 
+def test_z_model_of_a_wide_span():
+    # the host group Z/(4 * span + 5) is far above the enumeration cap
+    assert z_model([0, 10**9]).modulus == 3
+    assert z_model([0, 7, 10**9]).modulus == 9
+    assert z_model([0, 1, 3, 10**12]).modulus == 15
+
+
 def test_z_model_minimality_by_scan():
     values = [0, 1, 2, 10]
     report = z_model(values)

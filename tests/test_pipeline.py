@@ -68,6 +68,23 @@ def test_minima_budget_outcome_on_long_cyclic_groups():
     assert report.ok, [e.name for e in report.failures()]
 
 
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (6,), (8,), (3, 3)], ids=str)
+def test_every_subset_of_a_tiny_group_certifies(orders):
+    """Every nonempty subset, model on and off, certifies with every check
+    passed, verifies and round-trips byte for byte."""
+    spec = GroupSpec(orders)
+    for bits in range(1, 1 << spec.cardinality):
+        a = GroupSet(spec, np.flatnonzero([bits >> i & 1 for i in range(spec.cardinality)]))
+        for skip_model in (False, True):
+            where = f"{list(a.indices)} skip_model={skip_model}"
+            cert = run_pipeline(a, PipelineConfig(skip_model=skip_model))
+            assert cert.all_passed, where
+            text = write_certificate(cert)
+            back = read_certificate(text)
+            assert verify_certificate(back).ok, where
+            assert write_certificate(back) == text, where
+
+
 def test_round_trip_byte_identical():
     g = GroupSpec((128,))
     a = gen_random_in_progression(g, [0], [[1]], [20], 12, seed=9)
@@ -99,6 +116,15 @@ def test_verify_detects_containment_tamper():
     report = verify_certificate(read_certificate("\n".join(tampered) + "\n"))
     assert not report.ok
     assert any(e.name == "cover_containment" for e in report.failures())
+
+
+def test_verify_reports_an_emptied_last_translate_set():
+    a = GroupSet(GroupSpec((16,)), np.array([0, 1, 2, 5]))
+    lines = write_certificate(run_pipeline(a, PipelineConfig(skip_model=True))).splitlines()
+    start = lines.index("begin r0")
+    emptied = lines[: start + 2] + lines[lines.index("end r0", start):]  # keep the group line
+    report = verify_certificate(read_certificate("\n".join(emptied) + "\n"))
+    assert "cover_round_0_maximal" in {e.name for e in report.failures()}
 
 
 def test_verify_detects_minima_tamper():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetprog import (
     DomainError,
+    DoublingReport,
     GroupSet,
     GroupSpec,
     difference_set,
@@ -14,9 +16,18 @@ from cosetprog import (
     plunnecke_check,
     sumset,
 )
+from cosetprog import sumsets
 from cosetprog.generators import gen_random
 
-from conftest import oracle_iterated, oracle_sumset
+from conftest import SMALL_SPECS, oracle_iterated, oracle_sumset, structured_sets
+
+
+def _coord_set(s):
+    return {tuple(int(c) for c in r) for r in s.coords()}
+
+
+def _canonical(s):
+    return bool(np.all(np.diff(s.indices) > 0))
 
 
 def _interval(spec, lo, hi):
@@ -78,6 +89,13 @@ def test_doubling_counterexample_instance():
     assert report.doubling == Fraction(3, 2)
 
 
+def test_doubling_of_a_sparse_set_in_a_huge_group():
+    spec = GroupSpec((10**12,))
+    a = GroupSet(spec, np.array([0, 5, 10**12 - 1]))
+    assert doubling(a) == DoublingReport(3, 6, Fraction(2))
+    assert sumset(a, a) == GroupSet(spec, np.array([0, 4, 5, 10, 10**12 - 2, 10**12 - 1]))
+
+
 def test_doubling_empty_rejected():
     with pytest.raises(DomainError):
         doubling(GroupSet.empty(GroupSpec((4,))))
@@ -101,6 +119,38 @@ def test_sumset_matches_oracle_small():
         b = gen_random(spec, 4, seed + 100)
         got = {tuple(int(c) for c in r) for r in sumset(a, b).coords()}
         assert got == oracle_sumset(a, b)
+
+
+@pytest.mark.parametrize("mask_ratio", [None, 0], ids=["default", "sorted"])
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_sumset_and_iterated_match_oracle_on_zoo_shapes(spec, mask_ratio, monkeypatch):
+    if mask_ratio is not None:  # no group is small enough for the mask
+        monkeypatch.setattr(sumsets, "_MASK_RATIO", mask_ratio)
+    empty, full = GroupSet.empty(spec), GroupSet.full(spec)
+    single = gen_random(spec, 1, 5)
+    small = gen_random(spec, min(5, spec.cardinality), 6)
+    pairs = [(empty, small), (small, empty), (empty, empty), (single, small),
+             (small, single), (full, single), (small, full)]
+    pairs += [(x, x) for x in structured_sets(spec, 3)]
+    for a, b in pairs:
+        got = sumset(a, b)
+        assert _canonical(got) and _coord_set(got) == oracle_sumset(a, b)
+    folds = [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (0, 3)]
+    for x in (empty, single, small):
+        for k, l in folds:
+            got = iterated_sumset(x, k, l)
+            assert _canonical(got) and _coord_set(got) == oracle_iterated(x, k, l)
+    assert iterated_sumset(full, 2, 1) == full
+
+
+def test_is_subset_matches_set_inclusion():
+    spec = GroupSpec((6, 4))
+    sets = [GroupSet.empty(spec), GroupSet.full(spec)]
+    sets += [gen_random(spec, size, seed) for seed in range(8) for size in (1, 3, 12)]
+    sets += [sumset(x, y) for x, y in zip(sets[2:], sets[3:])]
+    for a in sets:
+        for b in sets:
+            assert a.is_subset(b) == (_coord_set(a) <= _coord_set(b))
 
 
 @pytest.mark.parametrize("orders", [(16,), (4, 4), (2, 2, 2, 2)])
