@@ -37,8 +37,14 @@ def parse_int(token: str) -> int:
 
 def parse_fraction(token: str) -> Fraction:
     num, _, den = token.partition("/")
+    return _fraction(token, num, den)
+
+
+def _fraction(token: str, num: str, den: str) -> Fraction:
+    if not den:
+        return Fraction(parse_int(num))
     try:
-        return Fraction(parse_int(num), parse_int(den or "1"))
+        return Fraction(parse_int(num), parse_int(den))
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in {token!r}") from None
 
@@ -54,7 +60,7 @@ def parse_scalar(token: str) -> Fraction | float:
     """A rational token (``p`` or ``p/q``) as a Fraction, any other as a float."""
     num, _, den = token.partition("/")
     if num.lstrip("-").isdigit() and (not den or den.isdigit()):
-        return parse_fraction(token)
+        return _fraction(token, num, den)
     return parse_float(token)
 
 

@@ -10,7 +10,7 @@ forces termination; every step of that argument is checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,35 +20,43 @@ from .bohr import CosetProgression, materialize
 from .checks import BoundCheck
 from .errors import DomainError, InvariantError
 from .groups import DEFAULT_ENUMERATION_CAP
-from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, sumset
+from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 
 
 def greedy_disjoint_translates(a: GroupSet, p: GroupSet) -> GroupSet:
     """Maximal subset R of A with {P + x : x in R} pairwise disjoint.
 
     A is scanned in canonical order; every rejected element collides with
-    an earlier translate, so the result is maximal by construction.
+    an earlier translate, so the result is maximal by construction.  The
+    translates P + x are built a ``pair_chunks`` block of rows of A + P at
+    a time.
     """
     if not p:
         raise DomainError("translates of the empty set are not useful")
     spec = a.spec
     covered = np.zeros(spec.cardinality, dtype=bool)
     keep: list[int] = []
-    for x in a.indices:
-        translate = spec.add_scalar(p.indices, int(x))
-        if not covered[translate].any():
-            keep.append(int(x))
-            covered[translate] = True
+    for rows in pair_chunks(a.size, p.size):
+        block = spec.add_pairwise(a.indices[rows], p.indices)
+        for x, translate in zip(a.indices[rows].tolist(), block):
+            if not covered[translate].any():
+                keep.append(x)
+                covered[translate] = True
     return GroupSet(spec, np.array(keep, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class CoverInput:
-    """A set together with a progression P + H and its realized set."""
+    """A set together with a progression P + H and its realized set.
+
+    A certificate does not hold the realized set: one read from text has
+    ``realized`` None, and ``compare=False`` keeps it out of the stored-value
+    comparison.
+    """
 
     set: GroupSet
     progression: CosetProgression
-    realized: GroupSet
+    realized: GroupSet | None = field(compare=False)
     eta: Fraction
     dimension: int
     doubling: DoublingReport

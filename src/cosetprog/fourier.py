@@ -449,7 +449,13 @@ def bogolyubov_report(
     log_base: float = math.e,
 ) -> BogolyubovReport:
     """The radius 1/(6 |Phi|) for a Phi chosen inside ``tset``, and the
-    dimension, radius and fourth-moment checks; none of them raises."""
+    dimension, radius and fourth-moment checks; none of them raises.
+
+    An empty Phi gives the Bohr set G whatever the radius, so its radius
+    lower bound is 0 and the radius check is vacuous.  For a nonempty Phi
+    the radius 1/(6 d) is at least 1/(48 K log(1/alpha)) = 1/(6 dim_bound)
+    exactly when d <= dim_bound, the dimension check.
+    """
     k = float(dbl.k)
     alpha = spectrum.density
     d = len(phi)
@@ -458,7 +464,7 @@ def bogolyubov_report(
     l4_lower = float(alpha) ** 3 / k
     logterm = 0.0 if alpha >= 1 else math.log(1 / float(alpha), log_base)
     dim_bound = 8.0 * k * logterm
-    radius_lower = 0.0 if logterm == 0 else 1.0 / (48.0 * k * logterm)
+    radius_lower = 0.0 if logterm == 0 or d == 0 else 1.0 / (48.0 * k * logterm)
     checks = (
         BoundCheck.make("spectral_dimension", d <= dim_bound + tol * max(1.0, dim_bound),
                         d, dim_bound),

@@ -104,6 +104,14 @@ class GroupSpec:
     def character_at(self, index: int) -> "Character":
         return Character(self, self.coords_of(index))
 
+    def elements_of_rows(self, coords: np.ndarray) -> tuple["GroupElement", ...]:
+        """One element per coordinate row of an (m, rank) array, reduced here."""
+        return _of_rows(GroupElement, self, coords)
+
+    def characters_of_rows(self, coords: np.ndarray) -> tuple["Character", ...]:
+        """One character per coordinate row of an (m, rank) array, reduced here."""
+        return _of_rows(Character, self, coords)
+
     # --- vectorized index arithmetic -------------------------------------
 
     def decode(self, indices: np.ndarray) -> np.ndarray:
@@ -111,20 +119,32 @@ class GroupSpec:
         idx = np.asarray(indices, dtype=np.int64)
         return (idx[:, None] // self._weights[None, :]) % self._orders_arr[None, :]
 
+    def reduce_rows(self, coords: np.ndarray) -> np.ndarray:
+        """Coordinate rows (m, k) reduced into [0, n_i)."""
+        return np.asarray(coords, dtype=np.int64) % self._orders_arr[None, :]
+
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Coordinate rows (m, k) -> indices (m,)."""
-        c = np.asarray(coords, dtype=np.int64) % self._orders_arr[None, :]
-        return c @ self._weights
+        return self.reduce_rows(coords) @ self._weights
 
     def add_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All sums of one index from `a` with one from `b`, as an (m, n) grid."""
+        """All sums of one index from `a` with one from `b`, as an (m, n) grid.
+
+        Each coordinate's sums are one grid, reduced and weighted in place,
+        so at most two grids are alive at once.
+        """
         ca = self.decode(np.asarray(a, dtype=np.int64))
         cb = self.decode(np.asarray(b, dtype=np.int64))
-        out = np.zeros((len(ca), len(cb)), dtype=np.int64)
-        for i in range(self.rank):
-            out += ((ca[:, i : i + 1] + cb[None, :, i]) % self.orders[i]) * int(
-                self._weights[i]
-            )
+        out = None
+        for i, (n, w) in enumerate(zip(self.orders, self._weights.tolist())):
+            grid = ca[:, i : i + 1] + cb[None, :, i]
+            grid %= n
+            if w != 1:
+                grid *= w
+            if out is None:
+                out = grid
+            else:
+                out += grid
         return out
 
     def add_aligned(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,6 +176,23 @@ class GroupSpec:
         return " x ".join(f"Z/{n}" for n in self.orders)
 
 
+def _of_rows(kind: type, spec: GroupSpec, coords: np.ndarray) -> tuple:
+    """``kind`` objects (elements or characters) of coordinate rows.  The rows
+    are reduced into [0, n_i) here, which is all ``__post_init__`` checks, so
+    each object is built without it."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.ndim != 2 or coords.shape[1] != spec.rank:
+        raise StructureError(f"expected rows of {spec.rank} coordinates, got shape {coords.shape}")
+    out = []
+    for row in map(tuple, spec.reduce_rows(coords).tolist()):
+        obj = object.__new__(kind)
+        attrs = obj.__dict__  # frozen: set the fields without __setattr__
+        attrs["spec"] = spec
+        attrs["coords"] = row
+        out.append(obj)
+    return tuple(out)
+
+
 def _tuple_order(coords: Sequence[int], orders: Sequence[int]) -> int:
     """Order of a coordinate vector in the product of cyclic groups."""
     q = 1
@@ -172,13 +209,15 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) != self.spec.rank:
+        orders = self.spec.orders
+        if len(self.coords) != len(orders):
             raise StructureError(
                 f"element has {len(self.coords)} coordinates, group has rank "
-                f"{self.spec.rank}"
+                f"{len(orders)}"
             )
-        if any(not 0 <= c < n for c, n in zip(self.coords, self.spec.orders)):
-            raise StructureError(f"coordinates {self.coords} out of range")
+        for c, n in zip(self.coords, orders):
+            if not 0 <= c < n:
+                raise StructureError(f"coordinates {self.coords} out of range")
 
     @property
     def index(self) -> int:
@@ -227,13 +266,15 @@ class Character:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) != self.spec.rank:
+        orders = self.spec.orders
+        if len(self.coords) != len(orders):
             raise StructureError(
                 f"character has {len(self.coords)} coordinates, group has rank "
-                f"{self.spec.rank}"
+                f"{len(orders)}"
             )
-        if any(not 0 <= c < n for c, n in zip(self.coords, self.spec.orders)):
-            raise StructureError(f"coordinates {self.coords} out of range")
+        for c, n in zip(self.coords, orders):
+            if not 0 <= c < n:
+                raise StructureError(f"coordinates {self.coords} out of range")
 
     @property
     def index(self) -> int:
@@ -424,7 +465,7 @@ def _extend_closure(spec: GroupSpec, mask: np.ndarray, g: int) -> int:
     coords = spec.coords_of(g)
     steps = np.arange(_tuple_order(coords, spec.orders) + 1, dtype=np.int64)
     multiples = spec.encode(steps[:, None] * np.array(coords, dtype=np.int64))
-    r = 1 + int(np.argmax(mask[multiples[1:]]))  # the last multiple is 0
+    r = 1 + int(mask[multiples[1:]].argmax())  # the last multiple is 0
     mask[spec.add_pairwise(np.flatnonzero(mask), multiples[:r]).ravel()] = True
     return int(np.count_nonzero(mask))
 
@@ -433,7 +474,8 @@ def _closure_indices(spec: GroupSpec, gen_indices: Sequence[int]) -> np.ndarray:
     mask = np.zeros(spec.cardinality, dtype=bool)
     mask[0] = True
     for g in gen_indices:
-        _extend_closure(spec, mask, int(g))
+        if not mask[g]:  # a generator already in the closure adds nothing
+            _extend_closure(spec, mask, int(g))
     return np.flatnonzero(mask)
 
 

@@ -13,8 +13,11 @@ byte-identical certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
+from functools import cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,16 +45,20 @@ from .fourier import (
     indicator_transform,
 )
 from .freiman import FreimanMap, induced_difference_iso, is_freiman_iso, transport_progression
-from .groups import DEFAULT_ENUMERATION_CAP, Character, Subgroup, subgroup_closure
+from .groups import DEFAULT_ENUMERATION_CAP, Character, GroupElement, GroupSpec, Subgroup
 from .models import ModelStage, ModelTrace, minimize_model, model_trace
 from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 from .textio import (
+    Shapes,
+    character_rows,
+    element_rows,
     fmt_float,
     fmt_fraction,
     freiman_map_lines,
     group_set_lines,
     join_ints,
     parse_float,
+    parse_floats,
     parse_fraction,
     parse_freiman_map,
     parse_group_set,
@@ -334,11 +341,17 @@ def write_certificate(cert: PipelineCertificate) -> str:
 # --- parsing ----------------------------------------------------------------
 
 
-@dataclass
 class _Block:
-    name: str
-    lines: list[list[str]] = field(default_factory=list)
-    children: list["_Block"] = field(default_factory=list)
+    """A certificate section: its own lines, its subsections, and the first
+    line of each key, indexed on the first lookup."""
+
+    __slots__ = ("name", "lines", "children", "_keys")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.lines: list[list[str]] = []
+        self.children: list[_Block] = []
+        self._keys: dict[str, list[str]] | None = None
 
     def child(self, name: str) -> "_Block":
         block = self.maybe_child(name)
@@ -354,15 +367,17 @@ class _Block:
 
     def kv(self, key: str, count: int | None = None) -> list[str]:
         """The tokens after ``key``; exactly ``count`` of them if given."""
-        for line in self.lines:
-            if line[0] == key:
-                if count is not None and len(line) - 1 != count:
-                    raise DomainError(
-                        f"key {key!r} in section {self.name!r} needs {count} "
-                        f"value(s), got {len(line) - 1}"
-                    )
-                return line[1:]
-        raise DomainError(f"section {self.name!r} is missing key {key!r}")
+        if self._keys is None:
+            self._keys = {line[0]: line for line in reversed(self.lines)}
+        line = self._keys.get(key)
+        if line is None:
+            raise DomainError(f"section {self.name!r} is missing key {key!r}")
+        if count is not None and len(line) - 1 != count:
+            raise DomainError(
+                f"key {key!r} in section {self.name!r} needs {count} "
+                f"value(s), got {len(line) - 1}"
+            )
+        return line[1:]
 
     def value(self, key: str) -> str:
         return self.kv(key, 1)[0]
@@ -371,17 +386,20 @@ class _Block:
 def _parse_blocks(rows: list[list[str]]) -> _Block:
     root = _Block("root")
     stack = [root]
-    for row in rows:
+    start = 0
+    for i in [i for i, row in enumerate(rows) if row[0] in ("begin", "end")]:
+        stack[-1].lines += rows[start:i]  # the rows since the last begin or end
+        start = i + 1
+        row = rows[i]
         if row[0] == "begin":
             block = _Block(" ".join(row[1:]))
             stack[-1].children.append(block)
             stack.append(block)
-        elif row[0] == "end":
+        else:
             if len(stack) == 1 or stack[-1].name != " ".join(row[1:]):
                 raise DomainError(f"unbalanced section end: {' '.join(row)}")
             stack.pop()
-        else:
-            stack[-1].lines.append(row)
+    stack[-1].lines += rows[start:]
     if len(stack) != 1:
         raise DomainError(f"unterminated section {stack[-1].name!r}")
     return root
@@ -398,15 +416,18 @@ def _numbered(block: _Block, prefix: str) -> list[_Block]:
 def read_certificate(text: str) -> PipelineCertificate:
     """Parse a certificate; ``verify_certificate`` judges what it says.
 
-    The reader computes only the set of the covered progression P + H (a
-    CoverInput holds it) and checks only shape: a section missing or out
-    of place, a count that contradicts the sections it counts, or a
-    subgroup size that contradicts its generators is a DomainError.
+    The reader checks only shape: a section missing or out of place, a
+    count that contradicts the sections it counts, or a subgroup size that
+    contradicts its generators is a DomainError.  It reads a block of rows
+    at a time and does no set arithmetic: the covered set P + H is not in
+    the text, so the cover input's ``realized`` is left None.  Each group
+    and each subgroup the text names is built once.
     """
     rows = strip_lines(text)
     if not rows or " ".join(rows[0]) != CERT_HEADER:
         raise DomainError("not a certificate file")
     root = _parse_blocks(rows[1:])
+    shapes = Shapes()
 
     cfg = root.child("config")
     log_token = cfg.value("log-base")
@@ -421,7 +442,7 @@ def read_certificate(text: str) -> PipelineCertificate:
         delta=None if delta_token == "none" else parse_fraction(delta_token),
     )
 
-    input_set = parse_group_set(root.child("input").lines)
+    input_set = parse_group_set(root.child("input").lines, shapes)
 
     dbl_b = root.child("doubling")
     dbl = DoublingReport(
@@ -436,7 +457,7 @@ def read_certificate(text: str) -> PipelineCertificate:
         if sb.name != "stage":
             continue
         kind = sb.value("kind")
-        phi = parse_freiman_map(sb.child("map").lines)
+        phi = parse_freiman_map(sb.child("map").lines, shapes)
         gamma = None
         q = None
         interval = None
@@ -462,7 +483,7 @@ def read_certificate(text: str) -> PipelineCertificate:
     identity = "0" if stages else "1"
     if parse_int(model_b.value("stages")) != len(stages) or model_b.value("identity") != identity:
         raise DomainError(f"the model section does not hold {len(stages)} stage(s)")
-    final_set = parse_group_set(model_b.child("model-set").lines)
+    final_set = parse_group_set(model_b.child("model-set").lines, shapes)
     trace = ModelTrace(
         s=config.s,
         initial_set=input_set,
@@ -475,27 +496,19 @@ def read_certificate(text: str) -> PipelineCertificate:
 
     bog_b = root.child("bogolyubov")
     spec1 = final_set.spec
+    raw_rows = bog_b.child("gamma-raw").lines
     gamma_raw = tuple(
-        (spec1.character(parse_ints(line[1:-1])), parse_float(line[-1]))
-        for line in bog_b.child("gamma-raw").lines
+        zip(character_rows(spec1, raw_rows, 1, -1), parse_floats([row[-1] for row in raw_rows]))
     )
-    phi_chars = tuple(
-        spec1.character(parse_ints(line[1:])) for line in bog_b.child("phi").lines
-    )
+    phi_chars = character_rows(spec1, bog_b.child("phi").lines)
 
     minima = None
     min_b = root.maybe_child("minima")
     if (min_b is None) != (not phi_chars):
         raise DomainError("a minima section goes with a nonempty phi, and only then")
     if min_b is not None:
-        stripped = tuple(
-            spec1.character(parse_ints(line[1:]))
-            for line in min_b.child("stripped").lines
-        )
-        subgroup = subgroup_closure(
-            spec1,
-            [spec1.element(parse_ints(line[1:])) for line in min_b.child("subgroup").lines],
-        )
+        stripped = character_rows(spec1, min_b.child("stripped").lines)
+        subgroup = shapes.subgroup(spec1, element_rows(spec1, min_b.child("subgroup").lines))
         if parse_int(min_b.value("subgroup-size")) != subgroup.order:
             raise DomainError(
                 f"subgroup-size contradicts the generators, which give {subgroup.order}"
@@ -513,7 +526,7 @@ def read_certificate(text: str) -> PipelineCertificate:
             lambdas.append(parse_fraction(line[1]))
             if lambdas[-1] <= 0:
                 raise DomainError(f"a successive minimum must be positive: {' '.join(line)}")
-            vectors.append(tuple(parse_fraction(t) for t in line[3:pi]))
+            vectors.append(tuple(map(parse_fraction, line[3:pi])))
             preimages.append(spec1.element(parse_ints(line[pi + 1 :])))
         minima = MinimaReport(
             spec=spec1,
@@ -527,16 +540,16 @@ def read_certificate(text: str) -> PipelineCertificate:
             det=parse_fraction(min_b.value("det")),
         )
 
-    cp_model = parse_progression(root.child("progression-model").lines)
+    cp_model = parse_progression(root.child("progression-model").lines, shapes)
     tr_b = root.child("transport")
     transport = None
     if tr_b.value("identity") == "0":
-        transport = parse_freiman_map(tr_b.child("map").lines)
-    cp = parse_progression(root.child("progression").lines)
+        transport = parse_freiman_map(tr_b.child("map").lines, shapes)
+    cp = parse_progression(root.child("progression").lines, shapes)
 
     cover_b = root.child("cover")
-    r_sets = [parse_group_set(b.lines) for b in _numbered(cover_b, "r")]
-    s_sets = [parse_group_set(b.lines) for b in _numbered(cover_b, "s")]
+    r_sets = [parse_group_set(b.lines, shapes) for b in _numbered(cover_b, "r")]
+    s_sets = [parse_group_set(b.lines, shapes) for b in _numbered(cover_b, "s")]
     if len(r_sets) != len(s_sets) + 1:
         raise DomainError("a cover needs one more r section than s sections")
     p_sizes = []
@@ -564,7 +577,7 @@ def read_certificate(text: str) -> PipelineCertificate:
         input=CoverInput(
             set=input_set,
             progression=cp,
-            realized=materialize(cp, config.cap),
+            realized=None,
             eta=parse_fraction(cover_b.value("eta")),
             dimension=cp.dimension,
             doubling=dbl,
@@ -574,7 +587,7 @@ def read_certificate(text: str) -> PipelineCertificate:
         r_sets=tuple(r_sets),
         s_sets=tuple(s_sets),
         p_sizes=tuple(p_sizes),
-        q=parse_progression(cover_b.child("q").lines),
+        q=parse_progression(cover_b.child("q").lines, shapes),
         q_size=parse_int(cover_b.value("q-size")),
         checks=tuple(c for c in checks if c.name.startswith("cover_")),
     )
@@ -768,42 +781,95 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     return VerificationReport(tuple(entries))
 
 
+# the types of values that hold no float, compared by == alone
+_EXACT = frozenset({bool, int, str, Fraction, Character, GroupElement, GroupSpec})
+
+
+@cache
+def _compared_values(kind: type) -> Callable[[object], tuple] | None:
+    """The values of the fields ``_stored_value_mismatches`` compares one by
+    one, for a dataclass whose fields it walks; None for a type it compares
+    by == alone.  Cached per type."""
+    if kind in _EXACT or kind is Subgroup or not is_dataclass(kind):
+        return None
+    names = [f.name for f in fields(kind) if f.compare]
+    if len(names) == 1:
+        return lambda obj: (getattr(obj, names[0]),)
+    return attrgetter(*names)
+
+
 def _stored_value_mismatches(
     stored: object, derived: object, tol: float
 ) -> list[tuple[str, object, object]]:
     """(field path, stored, derived) wherever the two certificates differ.
 
-    Dataclasses are compared field by field and tuples item by item, a
-    check labelled by its name and a summary line by its key; a float may
-    differ by ``tol`` relative, anything else must be equal.  A
-    pair of objects reached twice (a check in ``cover.checks`` and
-    ``checks``) is compared once.
+    Dataclasses are compared field by field (except fields with
+    ``compare=False``, which the text does not hold) and tuples item by item,
+    a check labelled by its name and a summary line by its key; a float may
+    differ by ``tol`` relative, anything else must be equal.  A tuple whose
+    items share one type is compared in one step: characters or integers by
+    ==, floats by the tolerance, pairs column by column.
+    ``same`` decides a value without naming anything, so a certificate whose
+    values all match costs one comparison per stored field; the walk goes
+    below a value only where ``same`` finds a difference, to name it.  A pair
+    of objects reached twice (a check in ``cover.checks`` and ``checks``) is
+    reported once.
     """
     out: list[tuple[str, object, object]] = []
     seen: set[tuple[int, int]] = set()
 
-    def walk(path: str, want: object, got: object) -> None:
+    def close(w: float, g: float) -> bool:
+        return abs(w - g) <= tol * max(abs(w), abs(g))
+
+    def same(want: object, got: object) -> bool:
+        if want is got:
+            return True
+        kind = type(want)
+        if kind in _EXACT and type(got) in _EXACT:
+            return want == got
         if isinstance(want, float) or isinstance(got, float):
-            if isinstance(want, (int, float, Fraction)) and isinstance(got, (int, float, Fraction)):
-                want_f, got_f = float(want), float(got)
-                if abs(want_f - got_f) <= tol * max(abs(want_f), abs(got_f)):
-                    return
-        elif want is got or want == got:
+            return (
+                (kind is Fraction or isinstance(want, (int, float)))
+                and (type(got) is Fraction or isinstance(got, (int, float)))
+                and close(float(want), float(got))
+            )
+        if kind is tuple:
+            if type(got) is not tuple or len(want) != len(got):
+                return False
+            both = want + got
+            kinds = set(map(type, both))
+            if len(kinds) == 1:  # one step for a tuple of one type
+                first = kinds.pop()
+                if first in _EXACT:
+                    return want == got
+                if first is float:
+                    return all(map(close, want, got))
+                if first is tuple and set(map(len, both)) == {2}:
+                    return all(map(same, zip(*want), zip(*got)))  # column by column
+            return all(map(same, want, got))
+        values = _compared_values(kind) if kind is type(got) else None
+        if values is None:
+            return want == got
+        return all(map(same, values(want), values(got)))
+
+    def walk(path: str, want: object, got: object) -> None:
+        if same(want, got):
             return
-        elif is_dataclass(want) and type(got) is type(want) and not isinstance(want, Subgroup):
-            if (id(want), id(got)) not in seen:
-                seen.add((id(want), id(got)))
-                for f in fields(want):
-                    walk(f"{path}.{f.name}", getattr(want, f.name), getattr(got, f.name))
-            return
-        elif isinstance(want, tuple) and isinstance(got, tuple) and len(want) == len(got):
+        kind = type(want)
+        if kind is tuple and type(got) is tuple and len(want) == len(got):
             for i, (w, g) in enumerate(zip(want, got)):
                 if isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str) and w[0] == g[0]:
                     walk(f"{path}[{w[0]}]", w[1], g[1])  # a summary line
                 else:
                     walk(f"{path}[{getattr(w, 'name', i)}]", w, g)
-            return
-        out.append((path.lstrip("."), want, got))
+        elif kind is type(got) and is_dataclass(kind) and kind is not Subgroup:
+            if (id(want), id(got)) not in seen:
+                seen.add((id(want), id(got)))
+                for f in fields(kind):
+                    if f.compare:
+                        walk(f"{path}.{f.name}", getattr(want, f.name), getattr(got, f.name))
+        else:
+            out.append((path.lstrip("."), want, got))
 
     walk("", stored, derived)
     return out

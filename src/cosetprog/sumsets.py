@@ -32,8 +32,13 @@ class GroupSet:
     __slots__ = ("spec", "indices")
 
     def __init__(self, spec: GroupSpec, indices: np.ndarray):
-        arr = np.unique(np.asarray(indices, dtype=np.int64))
-        if len(arr) and (arr[0] < 0 or arr[-1] >= spec.cardinality):
+        arr = np.array(indices, dtype=np.int64).ravel()
+        arr.sort()
+        if len(arr) > 1:
+            repeated = arr[1:] == arr[:-1]
+            if np.count_nonzero(repeated):
+                arr = arr[np.concatenate(([True], ~repeated))]
+        if len(arr) and (int(arr[0]) < 0 or int(arr[-1]) >= spec.cardinality):
             raise StructureError("element index out of range for the group")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "indices", _frozen(arr))
@@ -56,8 +61,14 @@ class GroupSet:
 
     @classmethod
     def from_coords(cls, spec: GroupSpec, coords: Iterable[Sequence[int]]) -> "GroupSet":
-        rows = [spec.index_of(c) for c in coords]
-        return cls(spec, np.array(rows, dtype=np.int64))
+        """The set of the given coordinate rows, reduced into G: one ``encode``
+        over an (m, rank) array."""
+        rows = np.asarray(coords if isinstance(coords, np.ndarray) else list(coords), dtype=np.int64)
+        if rows.size == 0:
+            rows = rows.reshape(0, spec.rank)
+        if rows.ndim != 2 or rows.shape[1] != spec.rank:
+            raise StructureError(f"expected rows of {spec.rank} coordinates, got shape {rows.shape}")
+        return cls(spec, spec.encode(rows))
 
     @classmethod
     def from_elements(cls, elements: Iterable[GroupElement]) -> "GroupSet":
@@ -114,7 +125,7 @@ class GroupSet:
         _require_same_spec(self, other)
         if not self or not other:
             return not self
-        pos = np.minimum(np.searchsorted(other.indices, self.indices), other.size - 1)
+        pos = np.minimum(other.indices.searchsorted(self.indices), other.size - 1)
         return bool((other.indices[pos] == self.indices).all())
 
     def translate(self, x: GroupElement) -> "GroupSet":

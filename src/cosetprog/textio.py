@@ -8,7 +8,9 @@ objects produce byte-identical text.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,28 +19,43 @@ from .bohr import CosetProgression
 # The scalar tokens are defined in the leaf module ``checks`` (``bohr`` imports
 # it, and this module imports ``bohr``) and re-exported here with the formats.
 from .checks import fmt_float, fmt_fraction, parse_float, parse_fraction, parse_int
-from .errors import DomainError
+from .errors import DomainError, StructureError
 from .freiman import FreimanMap
-from .groups import GroupElement, GroupSpec, subgroup_closure
+from .groups import Character, GroupElement, GroupSpec, Subgroup, subgroup_closure
 from .sumsets import GroupSet
 
 
 def strip_lines(text: str) -> list[list[str]]:
     """Tokenized non-empty lines with comments removed."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    return rows
+    if "#" in text:
+        lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    else:
+        lines = map(str.split, text.splitlines())
+    return [row for row in lines if row]
 
 
 def join_ints(values) -> str:
     return " ".join(str(int(v)) for v in values)
 
 
-def parse_ints(tokens: list[str]) -> tuple[int, ...]:
-    return tuple(parse_int(t) for t in tokens)
+def parse_ints(tokens: Sequence[str]) -> tuple[int, ...]:
+    """Every token as an integer, exactly as ``parse_int`` reads one."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        for t in tokens:
+            parse_int(t)  # raises the DomainError naming the first bad token
+        raise
+
+
+def parse_floats(tokens: Sequence[str]) -> tuple[float, ...]:
+    """Every token as a float, exactly as ``parse_float`` reads one."""
+    try:
+        return tuple(map(float, tokens))
+    except ValueError:
+        for t in tokens:
+            parse_float(t)
+        raise
 
 
 def _value(row: list[str]) -> str:
@@ -48,31 +65,115 @@ def _value(row: list[str]) -> str:
     return row[1]
 
 
+# --- blocks ----------------------------------------------------------------
+#
+# A block is a run of rows of one kind (the ``elem`` lines of a set, the
+# ``pair`` lines of a map, the ``char`` lines of a certificate section).  Its
+# keywords and arities are checked row by row, then all of its integer tokens
+# are converted in one go.
+
+
+class Shapes:
+    """The groups and subgroups named by one text, each built once.
+
+    A certificate names the same group in many sections and the same
+    subgroup H in several progressions; reading them through one Shapes
+    gives one GroupSpec per orders tuple, so its cached weights are computed
+    once, and one Subgroup per (group, generators) pair, so each closure is
+    built once.  A Shapes lives as long as one read.
+    """
+
+    def __init__(self) -> None:
+        self._specs: dict[tuple[int, ...], GroupSpec] = {}
+        self._subgroups: dict[tuple, Subgroup] = {}
+
+    def spec(self, tokens: Sequence[str]) -> GroupSpec:
+        orders = parse_ints(tokens)
+        spec = self._specs.get(orders)
+        if spec is None:
+            spec = GroupSpec(orders)
+            if spec.cardinality >= 1 << 63:  # no element index fits an int64
+                spec.require_enumerable()
+            self._specs[orders] = spec
+        return spec
+
+    def subgroup(self, spec: GroupSpec, generators: Sequence[GroupElement]) -> Subgroup:
+        key = (spec.orders, tuple(g.coords for g in generators))
+        sub = self._subgroups.get(key)
+        if sub is None:
+            sub = self._subgroups[key] = subgroup_closure(spec, generators)
+        return sub
+
+
+def _int_rows(spec: GroupSpec, tokens: Sequence[str]) -> np.ndarray:
+    """Integer tokens, rank(G) of them per row, as one (m, rank) array, not
+    yet reduced into G."""
+    values = parse_ints(tokens)
+    try:
+        coords = np.array(values, dtype=np.int64)
+    except OverflowError:  # a coordinate beyond int64 still reads modulo its order
+        k = spec.rank
+        coords = np.array([v % spec.orders[i % k] for i, v in enumerate(values)], dtype=np.int64)
+    return coords.reshape(-1, spec.rank)
+
+
+def _coordinate_rows(
+    spec: GroupSpec, rows: Sequence[list[str]], start: int, stop: int | None
+) -> np.ndarray:
+    """The tokens ``row[start:stop]`` of every row as one (m, rank) array.  A
+    row with the wrong number of coordinates is a StructureError, as in
+    ``GroupSpec.reduce``."""
+    k = spec.rank
+    pieces = list(map(itemgetter(slice(start, stop)), rows))
+    if set(map(len, pieces)) != {k}:
+        for piece in pieces:  # the first bad row, met as a row-at-a-time reader meets it
+            parse_ints(piece)
+            if len(piece) != k:
+                raise StructureError(f"expected {k} coordinates, got {len(piece)}")
+    return _int_rows(spec, list(chain.from_iterable(pieces)))
+
+
+def element_rows(
+    spec: GroupSpec, rows: Sequence[list[str]], start: int = 1, stop: int | None = None
+) -> tuple[GroupElement, ...]:
+    return spec.elements_of_rows(_coordinate_rows(spec, rows, start, stop)) if rows else ()
+
+
+def character_rows(
+    spec: GroupSpec, rows: Sequence[list[str]], start: int = 1, stop: int | None = None
+) -> tuple[Character, ...]:
+    return spec.characters_of_rows(_coordinate_rows(spec, rows, start, stop)) if rows else ()
+
+
 # --- sets -----------------------------------------------------------------
 #
 # Each format has a line-level writer (``*_lines``) and a row-level parser
 # (``parse_*``) over ``strip_lines`` rows; certificates embed the same lines
-# in their ``begin``/``end`` sections.
+# in their ``begin``/``end`` sections.  A parser given a Shapes shares its
+# groups and subgroups with the rest of the text.
 
 
 def group_set_lines(a: GroupSet) -> list[str]:
     return ["group " + join_ints(a.spec.orders)] + [
-        "elem " + join_ints(row) for row in a.coords()
+        "elem " + " ".join(map(str, row)) for row in a.coords().tolist()
     ]
 
 
-def parse_group_set(rows: list[list[str]]) -> GroupSet:
+def parse_group_set(rows: list[list[str]], shapes: Shapes | None = None) -> GroupSet:
     if not rows or rows[0][0] != "group":
         raise DomainError("a set must start with a 'group' line")
-    spec = GroupSpec(parse_ints(rows[0][1:]))
-    coords = []
-    for row in rows[1:]:
-        if row[0] != "elem":
-            raise DomainError(f"unexpected line in set: {' '.join(row)}")
-        if len(row) - 1 != spec.rank:
-            raise DomainError("element arity does not match the group")
-        coords.append(parse_ints(row[1:]))
-    return GroupSet.from_coords(spec, coords)
+    spec = (shapes or Shapes()).spec(rows[0][1:])
+    body = rows[1:]
+    width = 1 + spec.rank
+    if set(map(itemgetter(0), body)) - {"elem"} or set(map(len, body)) - {width}:
+        for row in body:
+            if row[0] != "elem":
+                raise DomainError(f"unexpected line in set: {' '.join(row)}")
+            if len(row) != width:
+                raise DomainError("element arity does not match the group")
+    tokens = list(chain.from_iterable(body))
+    del tokens[::width]  # the keywords
+    return GroupSet.from_coords(spec, _int_rows(spec, tokens))
 
 
 def write_group_set(a: GroupSet) -> str:
@@ -93,7 +194,7 @@ def read_int_set(text: str) -> list[int]:
     for row in rows:
         if row[0] == "intset":
             continue
-        values.extend(parse_int(t) for t in row)
+        values.extend(parse_ints(row))
     if not values:
         raise DomainError("integer set file holds no values")
     return sorted(set(values))
@@ -112,15 +213,17 @@ def progression_lines(cp: CosetProgression) -> list[str]:
     return lines
 
 
-def parse_progression(rows: list[list[str]]) -> CosetProgression:
+def parse_progression(rows: list[list[str]], shapes: Shapes | None = None) -> CosetProgression:
     if not rows or rows[0][0] != "group":
         raise DomainError("a progression must start with a 'group' line")
-    spec = GroupSpec(parse_ints(rows[0][1:]))
+    shapes = shapes or Shapes()
+    spec = shapes.spec(rows[0][1:])
     k = spec.rank
     base = spec.zero()
-    gens: list[GroupElement] = []
-    bounds: list[tuple[int, int]] = []
-    sub_gens: list[GroupElement] = []
+    # the coordinates of every gen and subgroup line, read as one block
+    gens: list[list[str]] = []
+    subs: list[list[str]] = []
+    bounds: list[str] = []
     proper = False
     mode = "body"
     for row in rows[1:]:
@@ -129,23 +232,24 @@ def parse_progression(rows: list[list[str]]) -> CosetProgression:
         elif row[0] == "gen":
             if len(row) != 1 + k + 2:
                 raise DomainError("gen line must hold coordinates plus lo hi")
-            gens.append(spec.element(parse_ints(row[1 : 1 + k])))
-            bounds.append((parse_int(row[1 + k]), parse_int(row[2 + k])))
+            gens.append(row[1 : 1 + k])
+            bounds += row[1 + k :]
         elif row[0] == "subgroup":
             mode = "subgroup"
         elif row[0] == "elem" and mode == "subgroup":
-            sub_gens.append(spec.element(parse_ints(row[1:])))
+            subs.append(row[1:])
         elif row[0] == "proper":
             proper = _value(row) == "1"
         else:
             raise DomainError(f"unexpected line in progression: {' '.join(row)}")
-    subgroup = subgroup_closure(spec, sub_gens)
+    lo_hi = parse_ints(bounds)
+    elements = element_rows(spec, gens + subs, 0)
     return CosetProgression(
         spec=spec,
         base=base,
-        generators=tuple(gens),
-        bounds=tuple(bounds),
-        subgroup=subgroup,
+        generators=elements[: len(gens)],
+        bounds=tuple(zip(lo_hi[::2], lo_hi[1::2])),
+        subgroup=shapes.subgroup(spec, elements[len(gens) :]),
         proper=proper,
     )
 
@@ -171,24 +275,23 @@ def freiman_map_lines(phi: FreimanMap) -> list[str]:
         "target " + join_ints(tgt.orders),
         f"order {phi.order}",
     ]
-    for i, j in phi.pairs():
-        lines.append(f"pair {join_ints(src.coords_of(i))} -> {join_ints(tgt.coords_of(j))}")
+    pairs = np.array(phi.pairs(), dtype=np.int64).reshape(-1, 2)
+    xs, ys = src.decode(pairs[:, 0]).tolist(), tgt.decode(pairs[:, 1]).tolist()
+    for x, y in zip(xs, ys):
+        lines.append(f"pair {' '.join(map(str, x))} -> {' '.join(map(str, y))}")
     return lines
 
 
-def parse_freiman_map(rows: list[list[str]]) -> FreimanMap:
+def parse_freiman_map(rows: list[list[str]], shapes: Shapes | None = None) -> FreimanMap:
+    shapes = shapes or Shapes()
     source: GroupSpec | None = None
     target: GroupSpec | None = None
     order = 2
-    table: dict[int, int] = {}
+    # pair lines in runs under one (source, target): a later source or target
+    # line does not change how the pairs above it read
+    runs: list[tuple[GroupSpec, GroupSpec, list[list[str]]]] = []
     for row in rows:
-        if row[0] == "source":
-            source = GroupSpec(parse_ints(row[1:]))
-        elif row[0] == "target":
-            target = GroupSpec(parse_ints(row[1:]))
-        elif row[0] == "order":
-            order = parse_int(_value(row))
-        elif row[0] == "pair":
+        if row[0] == "pair":
             if source is None or target is None:
                 raise DomainError("pair lines must follow source and target")
             arrow = 1 + source.rank
@@ -197,15 +300,33 @@ def parse_freiman_map(rows: list[list[str]]) -> FreimanMap:
                     f"pair line must read 'pair x.. -> y..' with {source.rank} and "
                     f"{target.rank} coordinates: {' '.join(row)}"
                 )
-            x = source.index_of(parse_ints(row[1:arrow]))
-            if x in table:
-                raise DomainError(f"second pair line for one domain element: {' '.join(row)}")
-            table[x] = target.index_of(parse_ints(row[arrow + 1 :]))
+            if not runs or runs[-1][0] is not source or runs[-1][1] is not target:
+                runs.append((source, target, []))
+            runs[-1][2].append(row)
+        elif row[0] == "source":
+            source = shapes.spec(row[1:])
+        elif row[0] == "target":
+            target = shapes.spec(row[1:])
+        elif row[0] == "order":
+            order = parse_int(_value(row))
         else:
             raise DomainError(f"unexpected line in map: {' '.join(row)}")
     if source is None or target is None:
         raise DomainError("a map must declare source and target groups")
-    domain = GroupSet(source, np.array(list(table), dtype=np.int64))
+    xs: list[int] = []
+    ys: list[int] = []
+    for src, tgt, run in runs:
+        arrow = 1 + src.rank
+        xs += src.encode(_coordinate_rows(src, run, 1, arrow)).tolist()
+        ys += tgt.encode(_coordinate_rows(tgt, run, arrow + 1, None)).tolist()
+    table = dict(zip(xs, ys))
+    if len(table) < len(xs):
+        seen: set[int] = set()
+        for x, row in zip(xs, (row for *_, run in runs for row in run)):
+            if x in seen:
+                raise DomainError(f"second pair line for one domain element: {' '.join(row)}")
+            seen.add(x)
+    domain = GroupSet(source, np.array(xs, dtype=np.int64))
     return FreimanMap(domain, target, table, order)
 
 

@@ -119,3 +119,28 @@ def test_cover_termination_bound_base_two():
     k = trace.input.doubling.k
     assert 2 ** trace.t <= float(k**4 / trace.input.eta)
     assert a.is_subset(materialize(trace.q))
+
+
+def _greedy_one_translate_at_a_time(a, p):
+    covered, keep = set(), []
+    for x in a.indices.tolist():
+        translate = set(a.spec.add_scalar(p.indices, x).tolist())
+        if not translate & covered:
+            keep.append(x)
+            covered |= translate
+    return keep
+
+
+@pytest.mark.parametrize("budget", [None, 7], ids=["one-block", "many-blocks"])
+def test_greedy_blocks_keep_the_one_at_a_time_choice(budget, monkeypatch):
+    from cosetprog import sumsets
+    from cosetprog.generators import gen_random
+
+    if budget is not None:  # a few rows of A + P per block
+        monkeypatch.setattr(sumsets, "_PAIR_BUDGET", budget)
+    for orders, size_a, size_p in [((64,), 30, 3), ((6, 6), 20, 4), ((2, 4, 8), 40, 5)]:
+        spec = GroupSpec(orders)
+        a = gen_random(spec, size_a, 1)
+        p = gen_random(spec, size_p, 2)
+        got = greedy_disjoint_translates(a, p)
+        assert got.indices.tolist() == _greedy_one_translate_at_a_time(a, p)

@@ -294,3 +294,28 @@ def test_homomorphism_validation():
     bad = Homomorphism(GroupSpec((3,)), h, ((1,),))
     with pytest.raises(DomainError):
         bad.validate()
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_rows_build_the_objects_the_constructors_build(spec):
+    rng = np.random.default_rng(spec.cardinality)
+    coords = rng.integers(-3 * max(spec.orders), 3 * max(spec.orders), (12, spec.rank))
+    elements = spec.elements_of_rows(coords)
+    characters = spec.characters_of_rows(coords)
+    assert elements == tuple(spec.element(row) for row in coords.tolist())
+    assert characters == tuple(spec.character(row) for row in coords.tolist())
+    assert [hash(x) for x in elements] == [hash(spec.element(row)) for row in coords.tolist()]
+    assert [x.index for x in elements] == spec.encode(coords).tolist()
+    assert spec.elements_of_rows(np.empty((0, spec.rank), dtype=np.int64)) == ()
+    with pytest.raises(StructureError):
+        spec.elements_of_rows(coords[:, :1] if spec.rank > 1 else coords.repeat(2, axis=1))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_add_pairwise_matches_elementwise_sums(spec):
+    rng = np.random.default_rng(spec.cardinality + 7)
+    a = rng.integers(0, spec.cardinality, 9)
+    b = rng.integers(0, spec.cardinality, 13)
+    expected = [[(spec.element_at(int(x)) + spec.element_at(int(y))).index for y in b] for x in a]
+    assert spec.add_pairwise(a, b).tolist() == expected
+    assert spec.add_pairwise(a[:0], b).shape == (0, len(b))

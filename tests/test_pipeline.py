@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from cosetprog import (
+    DomainError,
     GroupSet,
     GroupSpec,
     ResourceLimitError,
+    StructureError,
     materialize,
     read_certificate,
     run_pipeline,
@@ -14,6 +18,7 @@ from cosetprog import (
 from cosetprog import fourier, models
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.pipeline import PipelineConfig
+from cosetprog.textio import parse_int
 
 from conftest import zoo_sets
 
@@ -390,17 +395,40 @@ def _f2_five_without_zero():
     return GroupSet(g, np.arange(1, g.cardinality, dtype=np.int64))
 
 
+def _cut_q_ranges(text):
+    """Every generator of Q cut to the range {0}."""
+    lines, section = [], None
+    for line in text.splitlines():
+        if line.startswith(("begin ", "end ")):
+            section = line.split()[1] if line.startswith("begin ") else None
+        elif section == "q" and line.startswith("gen "):
+            line = " ".join(line.split()[:-2] + ["0", "0"])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("skip_model", [False, True])
 def test_verify_recomputes_a_failing_check(skip_model):
-    # Phi is empty, so the radius 1/6 falls below 1/(48 K log(1/alpha))
-    cert = run_pipeline(_f2_five_without_zero(), PipelineConfig(skip_model=skip_model))
-    assert [c.name for c in cert.checks if c.failed] == ["spectral_radius"]
-    text = write_certificate(cert)
-    flipped = text.replace("check spectral_radius fail", "check spectral_radius pass")
+    # with Q cut to its base, A no longer lies in Q + H: verify judges
+    # cover_containment on the stored objects, whatever its stored line says
+    cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=skip_model))
+    assert cert.all_passed
+    text = _cut_q_ranges(write_certificate(cert))
+    assert text != write_certificate(cert)
+    flipped = text.replace("check cover_containment pass", "check cover_containment fail")
     assert flipped != text
     for tampered in (text, flipped):
         failed = {e.name for e in verify_certificate(read_certificate(tampered)).failures()}
-        assert "spectral_radius" in failed
+        assert "cover_containment" in failed
+
+
+def test_spectral_radius_is_vacuous_for_an_empty_phi():
+    # F_2^5 minus 0 has an empty Phi, so its Bohr set is G whatever the radius;
+    # 1/(48 K log(1/alpha)) = 0.64 would exceed the radius 1/6 but is not asked
+    for skip_model in (False, True):
+        cert = run_pipeline(_f2_five_without_zero(), PipelineConfig(skip_model=skip_model))
+        assert cert.phi == () and cert.radius_lower == 0 and cert.all_passed
+        assert verify_certificate(read_certificate(write_certificate(cert))).ok
 
 
 def test_cli_bohr_prints_every_check_it_judges(tmp_path, capsys):
@@ -409,9 +437,9 @@ def test_cli_bohr_prints_every_check_it_judges(tmp_path, capsys):
 
     set_file = tmp_path / "a.txt"
     set_file.write_text(write_group_set(_f2_five_without_zero()))
-    assert main(["bohr", str(set_file)]) == 1
+    assert main(["bohr", str(set_file)]) == 0
     out = capsys.readouterr().out
-    assert "check spectral_radius fail " in out
+    assert "check spectral_radius pass 0.166666666667 0\n" in out
     assert [line.split()[1] for line in out.splitlines() if line.startswith("check ")] == [
         "spectral_dimension",
         "spectral_radius",
@@ -472,10 +500,16 @@ def test_certificate_sections_use_the_file_formats(model_on_certificate):
 def _zoo_certificates():
     """Certificates for every zoo set, with the model on and off."""
     return [
-        write_certificate(run_pipeline(a, PipelineConfig(skip_model=skip_model)))
+        run_pipeline(a, PipelineConfig(skip_model=skip_model))
         for a in zoo_sets()
         for skip_model in (False, True)
     ]
+
+
+@pytest.fixture(scope="module")
+def zoo_certificates():
+    """(certificate, text) for every zoo set, with the model on and off."""
+    return [(cert, write_certificate(cert)) for cert in _zoo_certificates()]
 
 
 def _same_but_last_printed_digit(text, other):
@@ -498,8 +532,8 @@ def _same_but_last_printed_digit(text, other):
     return True
 
 
-def test_certificates_ignore_transform_noise(monkeypatch):
-    clean = _zoo_certificates()
+def test_certificates_ignore_transform_noise(monkeypatch, zoo_certificates):
+    clean = [text for _, text in zoo_certificates]
     exact = fourier.indicator_transform
     rng = np.random.default_rng(14)
 
@@ -510,14 +544,14 @@ def test_certificates_ignore_transform_noise(monkeypatch):
 
     monkeypatch.setattr(fourier, "indicator_transform", noisy)
     monkeypatch.setattr(models, "indicator_transform", noisy)
-    perturbed = _zoo_certificates()
+    perturbed = [write_certificate(cert) for cert in _zoo_certificates()]
     assert len(clean) == len(perturbed) == 84
     changed = [i for i, (t, u) in enumerate(zip(clean, perturbed)) if t != u]
     assert all(_same_but_last_printed_digit(clean[i], perturbed[i]) for i in changed)
 
     # Under the exact transform, verify re-derives every stored check, and
-    # fails a certificate only on the checks it records as failing (a Z/27
-    # set fails spectral_radius with Phi empty); no stored value differs.
+    # fails a certificate only on the checks it records as failing (none of
+    # the zoo's does); no stored value differs.
     monkeypatch.undo()
     for text in clean + perturbed:
         report = verify_certificate(read_certificate(text))
@@ -527,22 +561,103 @@ def test_certificates_ignore_transform_noise(monkeypatch):
         assert set(failed) == {c[1] for c in checks if c[2] == "fail"}, failed
 
 
-def test_model_on_zoo_chains_take_one_stage_per_character():
+def test_model_on_zoo_chains_take_one_stage_per_character(zoo_certificates):
     """Each model-on zoo chain uses a new character at every stage and shrinks
-    the group at every stage; each certificate round-trips and verifies,
-    failing only where it records a failing check (a Z/27 set fails
-    spectral_radius with Phi empty)."""
+    the group at every stage; each certificate round-trips and verifies, and
+    none records a failing check."""
     stored_failures = []
-    for a in zoo_sets():
-        cert = run_pipeline(a)
+    for cert, text in zoo_certificates:
+        if cert.config.skip_model:
+            continue
         stages = cert.model.stages
         assert len(stages) <= len({stage.gamma.coords for stage in stages})
-        sizes = [a.spec.cardinality] + [stage.set_after.spec.cardinality for stage in stages]
+        sizes = [cert.input_set.spec.cardinality]
+        sizes += [stage.set_after.spec.cardinality for stage in stages]
         assert all(before > after for before, after in zip(sizes, sizes[1:]))
-        text = write_certificate(cert)
         assert write_certificate(read_certificate(text)) == text
         report = verify_certificate(read_certificate(text))
         failed = {c.name for c in cert.checks if c.failed}
         assert {e.name for e in report.failures()} == failed
         stored_failures += sorted(failed)
-    assert stored_failures == ["spectral_radius"]
+    assert stored_failures == []
+
+
+def _index_arrays(cert):
+    """The index arrays of every set, map and subgroup a certificate holds."""
+    sets = [cert.input_set, cert.model.final_set, *cert.cover.r_sets, *cert.cover.s_sets]
+    maps = [stage.map for stage in cert.model.stages]
+    sets += [s for stage in cert.model.stages for s in (stage.set_before, stage.set_after)]
+    if cert.transport is not None:
+        maps.append(cert.transport)
+    subgroups = [cp.subgroup for cp in (cert.progression_model, cert.progression, cert.cover.q)]
+    if cert.minima is not None:
+        subgroups.append(cert.minima.subgroup)
+    arrays = [s.indices for s in sets] + [h.indices for h in subgroups]
+    arrays += [a for phi in maps for a in (phi.domain.indices, phi.apply_indices(phi.domain.indices))]
+    return arrays
+
+
+def test_zoo_certificates_read_back_equal(zoo_certificates):
+    """Reading a written certificate gives back every stored value and the
+    same index arrays for each of its sets, maps and subgroups."""
+    from cosetprog.pipeline import _stored_value_mismatches
+
+    for cert, text in zoo_certificates:
+        back = read_certificate(text)
+        assert _stored_value_mismatches(back, cert, cert.config.tolerance) == []
+        got, want = _index_arrays(back), _index_arrays(cert)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# a token Python's int reads, or not; "" stands for a row with no coordinate
+PARITY_TOKENS = ["x", "1.5", "1e3", "+3", "-0", "1_000", "\u0663", "0x10", "12", "-7", ""]
+
+
+def _int_or_none(token):
+    try:
+        return parse_int(token)
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("token", PARITY_TOKENS, ids=repr)
+def test_rows_read_integer_tokens_as_int_does(token):
+    """An elem, a pair and a char row accept exactly the tokens parse_int
+    (Python's int) accepts, with the same value."""
+    from cosetprog.textio import read_freiman_map, read_group_set
+
+    value = _int_or_none(token)
+    n = 10007
+    read_elem = lambda: read_group_set(f"group {n}\nelem {token}\n").indices.tolist()
+    read_pair = lambda: read_freiman_map(
+        f"map\nsource {n}\ntarget {n}\norder 2\npair {token} -> {token}\n"
+    ).table
+    cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
+    lines, start, _ = _phi_block(write_certificate(cert))
+    lines[start + 1] = f"char {token}".rstrip()
+    read_char = lambda: read_certificate("\n".join(lines) + "\n").phi[0].coords
+    if value is not None:
+        assert read_elem() == [value % n]
+        assert read_pair() == {value % n: value % n}
+        assert read_char() == (value % 100,)
+    elif token:
+        for read in (read_elem, read_pair, read_char):
+            with pytest.raises(DomainError, match=re.escape(f"malformed integer token {token!r}")):
+                read()
+    else:
+        with pytest.raises(DomainError, match="^element arity does not match the group$"):
+            read_elem()
+        with pytest.raises(DomainError, match="^pair line must read "):
+            read_pair()
+        with pytest.raises(StructureError, match="^expected 1 coordinates, got 0$"):
+            read_char()
+
+
+@pytest.mark.parametrize("pairs", ["pair 9 -> 2\npair 1 -> 3", "pair -0 -> 1\npair 0 -> 3"])
+def test_map_rejects_a_domain_element_written_twice(pairs):
+    from cosetprog.textio import read_freiman_map
+
+    second = pairs.splitlines()[1]
+    with pytest.raises(DomainError, match=re.escape(f"second pair line for one domain element: {second}")):
+        read_freiman_map("map\nsource 8\ntarget 8\norder 2\n" + pairs + "\n")

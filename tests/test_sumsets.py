@@ -10,6 +10,7 @@ from cosetprog import (
     DoublingReport,
     GroupSet,
     GroupSpec,
+    StructureError,
     difference_set,
     doubling,
     iterated_sumset,
@@ -193,3 +194,21 @@ def test_difference_set_squared_bound(n, seed):
     a = gen_random(spec, 1 + seed % min(n, 12), seed)
     k = doubling(a).k
     assert difference_set(a).size <= k * k * a.size
+
+
+def test_from_coords_reads_rows_of_the_group_rank():
+    spec = GroupSpec((6, 4))
+    a = GroupSet.from_coords(spec, [(7, -1), (1, 3), (0, 0)])
+    assert a.indices.tolist() == [0, 7]
+    assert GroupSet.from_coords(spec, np.array([[1, 3], [1, 3]])) == GroupSet(spec, [7])
+    assert GroupSet.from_coords(spec, []) == GroupSet.empty(spec)
+    with pytest.raises(StructureError):
+        GroupSet.from_coords(spec, [(1,), (2,)])
+
+
+def test_group_set_sorts_and_drops_repeats_of_any_shape():
+    spec = GroupSpec((10,))
+    assert GroupSet(spec, [5, 1, 5, 9, 1]).indices.tolist() == [1, 5, 9]
+    assert GroupSet(spec, np.array([[3, 2], [2, 0]])).indices.tolist() == [0, 2, 3]
+    with pytest.raises(StructureError):
+        GroupSet(spec, [3, 10])
