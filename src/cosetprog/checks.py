@@ -41,10 +41,12 @@ def parse_fraction(token: str) -> Fraction:
 
 
 def _fraction(token: str, num: str, den: str) -> Fraction:
-    if not den:
-        return Fraction(parse_int(num))
     try:
-        return Fraction(parse_int(num), parse_int(den))
+        return Fraction(int(num)) if not den else Fraction(int(num), int(den))
+    except ValueError:
+        parse_int(num)  # raises the DomainError naming the bad part
+        parse_int(den)
+        raise
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in {token!r}") from None
 
