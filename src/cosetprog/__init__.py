@@ -15,8 +15,6 @@ from .groups import (
     GroupSpec,
     Homomorphism,
     Subgroup,
-    char_arg_fraction,
-    char_order,
     enumerate_group,
     hom_from_character,
     kernel_of_characters,
@@ -35,13 +33,13 @@ from .sumsets import (
 from .fourier import (
     BohrSpec,
     BogolyubovReport,
+    Cube,
     RieszFunction,
     SpecThresholdSet,
     Spectrum,
     bogolyubov_bohr,
     chang_bound_check,
     convolution_power_at,
-    cube_contains,
     dissociation_witness,
     indicator_transform,
     is_dissociated,
@@ -56,7 +54,6 @@ from .bohr import (
     bohr_set,
     materialize,
     progression_from_bohr,
-    properness_check,
     successive_minima,
     to_one_sided,
 )

@@ -333,10 +333,6 @@ class CosetProgression:
             hi - lo + 1 for lo, hi in self.bounds
         )
 
-    @property
-    def is_symmetric(self) -> bool:
-        return all(lo == -hi for lo, hi in self.bounds)
-
 
 def materialize(
     cp: CosetProgression, cap: int = DEFAULT_ENUMERATION_CAP
@@ -360,26 +356,12 @@ def materialize(
     return current
 
 
-def properness_check(
-    cp: CosetProgression, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """Proper iff every formal sum is distinct: count equals the formal size."""
-    return materialize(cp, cap).size == cp.formal_size
-
-
 def to_one_sided(cp: CosetProgression) -> CosetProgression:
     """Shift the base so every coefficient range starts at zero."""
     base = cp.base
     for g, (lo, _) in zip(cp.generators, cp.bounds):
-        base = base + cp.spec.element([lo * c for c in g.coords])
-    return CosetProgression(
-        spec=cp.spec,
-        base=base,
-        generators=cp.generators,
-        bounds=tuple((0, hi - lo) for lo, hi in cp.bounds),
-        subgroup=cp.subgroup,
-        proper=cp.proper,
-    )
+        base = base + lo * g
+    return replace(cp, base=base, bounds=tuple((0, hi - lo) for lo, hi in cp.bounds))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or resource error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .bohr import bohr_set
@@ -18,6 +17,7 @@ from .fourier import (
     max_dissociated,
     spec_threshold,
 )
+from .groups import DEFAULT_ENUMERATION_CAP
 from .generators import (
     FamilySpec,
     explore_multiple_cover_sumset,
@@ -95,9 +95,9 @@ def _cmd_bohr(args) -> int:
     print(f"dissociated {len(shown.phi)}")
     print(f"bohr-rho {fmt_fraction(shown.bohr.rho)}")
     print(f"bohr-size {bohr_set(shown.bohr, args.cap).size}")
-    for check in report.checks:
+    for check in shown.checks:
         print(check.line())
-    return 1 if any(c.failed for c in report.checks) else 0
+    return 1 if any(c.failed for c in shown.checks) else 0
 
 
 def _cmd_model(args) -> int:
@@ -226,6 +226,7 @@ def _cmd_explore(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = PipelineConfig()
     parser = argparse.ArgumentParser(
         prog="cosetprog",
         description="Structure certificates for small-doubling sets in finite abelian groups",
@@ -233,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap", type=int, default=1 << 20,
-                       help="enumeration cap (default 2^20)")
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                       help="enumeration cap (default %(default)s)")
 
     p = sub.add_parser("analyze", help="set size, sumset size, doubling constant")
     p.add_argument("set")
@@ -251,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("--rho", help="override the spectrum threshold (fraction)")
     p.add_argument("--log2", dest="log_base", action="store_const",
-                   const=2.0, default=math.e,
+                   const=2.0, default=defaults.log_base,
                    help="use log base 2 in bound formulas")
     common(p)
     p.set_defaults(func=_cmd_bohr)
 
     p = sub.add_parser("model", help="shrink the ambient group around the set")
     p.add_argument("set")
-    p.add_argument("--s", type=int, default=8)
+    p.add_argument("--s", type=int, default=defaults.s)
     p.add_argument("--target", default="1", help="stop at this density (fraction)")
     common(p)
     p.set_defaults(func=_cmd_model)
@@ -280,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="end-to-end run with certificate output")
     p.add_argument("set")
-    p.add_argument("--s", type=int, default=8)
+    p.add_argument("--s", type=int, default=defaults.s)
     p.add_argument("--skip-model", action="store_true")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=defaults.tolerance)
     p.add_argument("--log2", dest="log_base", action="store_const",
-                   const=2.0, default=math.e)
+                   const=2.0, default=defaults.log_base)
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=_cmd_pipeline)

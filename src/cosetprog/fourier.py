@@ -161,7 +161,7 @@ def spec_threshold(
     )
 
 
-class _Cube:
+class Cube:
     """cube(Phi) = {sum_j eps_j phi_j : eps in {-1,0,1}^d}, a mask over the dual group.
 
     Characters join one at a time, each doing mask |= (mask + phi) |
@@ -237,12 +237,7 @@ def is_dissociated(characters: Sequence[Character]) -> bool:
 def dissociation_witness(characters: Sequence[Character]) -> tuple[int, ...] | None:
     """A non-trivial vanishing pattern, or None if the set is dissociated."""
     chars = list(characters)
-    return _Cube(chars[0].spec, chars).witness() if chars else None
-
-
-def cube_contains(characters: Sequence[Character], gamma: Character) -> bool:
-    """Whether gamma lies in the cube of {-1,0,1}-combinations of the set."""
-    return gamma in _Cube(gamma.spec, characters)
+    return Cube(chars[0].spec, chars).witness() if chars else None
 
 
 _TIE_GAP = 1e-12
@@ -273,7 +268,7 @@ def max_dissociated(threshold_set: SpecThresholdSet) -> tuple[Character, ...]:
     necessarily of maximum cardinality.
     """
     mags = np.array(threshold_set.magnitudes, dtype=float)
-    cube = _Cube(threshold_set.spec)
+    cube = Cube(threshold_set.spec)
     for i in _magnitude_order(mags, float(threshold_set.alpha)).tolist():
         gamma = threshold_set.chars[i]
         if gamma not in cube:
@@ -490,7 +485,6 @@ def bogolyubov_report(
 
 def bogolyubov_bohr(
     a: GroupSet,
-    doubling_k: Fraction | None = None,
     cap: int | None = None,
     tol: float = DEFAULT_TOLERANCE,
     log_base: float = math.e,
@@ -505,8 +499,6 @@ def bogolyubov_bohr(
     if not a:
         raise DomainError("the empty set has no Bohr localization")
     dbl = doubling(a)
-    if doubling_k is not None and doubling_k != dbl.k:
-        raise DomainError("supplied doubling constant does not match the set")
     spectrum = indicator_transform(a, cap)
     tset = bogolyubov_threshold(spectrum, dbl.k, tol)
     return bogolyubov_report(dbl, spectrum, tset, max_dissociated(tset), tol, log_base)

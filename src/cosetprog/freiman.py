@@ -15,12 +15,12 @@ image that disagrees with it is the first failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .bohr import CosetProgression, materialize
+from .bohr import CosetProgression, materialize, to_one_sided
 from .errors import DomainError, StructureError
 from .groups import GroupElement, GroupSpec, subgroup_closure
 from .sumsets import GroupSet, iterated_sumset, mask_pays, pair_chunks
@@ -239,11 +239,7 @@ def s_fold_fibers(a: GroupSet, s: int, phi: FreimanMap) -> dict[int, frozenset[i
     """Map each element of sA to the set of achieved image sums."""
     if s < 1:
         raise DomainError("fold count must be at least 1")
-    sums, images, _ = _fiber_pairs(phi.restrict(a), s, 0)
-    fibers: dict[int, set[int]] = {}
-    for g, u in zip(sums, images):
-        fibers.setdefault(int(g), set()).add(int(u))
-    return {g: frozenset(us) for g, us in fibers.items()}
+    return sum_difference_fibers(a, s, 0, phi)
 
 
 def sum_difference_fibers(
@@ -298,39 +294,27 @@ def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
     return induced
 
 
-def transport_progression(
-    psi: FreimanMap,
-    cp: CosetProgression,
-    assume_verified: bool = False,
-) -> CosetProgression:
+def transport_progression(psi: FreimanMap, cp: CosetProgression) -> CosetProgression:
     """Push a proper coset progression through a 2-isomorphism.
 
     The image progression keeps the bounds; generators and subgroup are
-    transported relative to the base point.  Equality with the pointwise
-    image, properness, dimension, and cardinality are all verified.
+    transported relative to the base point.  The result is checked to equal
+    the pointwise image psi(P + H), to be proper and to keep the size, so a
+    map that carries P + H onto anything else is a DomainError; psi itself
+    is not re-checked as a 2-isomorphism.
     """
     if not cp.proper:
         raise DomainError("only proper progressions are transported")
     source = materialize(cp)
     if not source.is_subset(psi.domain):
         raise DomainError("progression is not inside the map's domain")
-    if not assume_verified:
-        report = is_freiman_iso(psi, 2)
-        if not report.ok:
-            raise DomainError("transport map is not a 2-isomorphism")
     tspec = psi.target
     base_img = psi(cp.base)
-    corner = cp.base
-    for g, (lo, _) in zip(cp.generators, cp.bounds):
-        corner = corner + cp.spec.element([lo * c for c in g.coords])
-    gens_img = []
-    for g, (lo, hi) in zip(cp.generators, cp.bounds):
-        if lo == hi:
-            gens_img.append(tspec.zero())
-            continue
-        p1 = corner
-        p2 = corner + g
-        gens_img.append(psi(p2) - psi(p1))
+    corner = to_one_sided(cp).base
+    gens_img = [
+        tspec.zero() if lo == hi else psi(corner + g) - psi(corner)
+        for g, (lo, hi) in zip(cp.generators, cp.bounds)
+    ]
     h_indices = []
     for h in cp.subgroup.indices:
         point = cp.base + cp.spec.element_at(int(h))
@@ -356,11 +340,4 @@ def transport_progression(
     proper = realized.size == image.formal_size
     if not proper or realized.size != source.size:
         raise DomainError("transport did not preserve properness and size")
-    return CosetProgression(
-        spec=tspec,
-        base=image.base,
-        generators=image.generators,
-        bounds=image.bounds,
-        subgroup=image.subgroup,
-        proper=True,
-    )
+    return replace(image, proper=True)

@@ -37,11 +37,6 @@ def gen_random(spec: GroupSpec, size: int, seed: int) -> GroupSet:
                                    dtype=np.int64))
 
 
-def gen_random_density(spec: GroupSpec, density: Fraction, seed: int) -> GroupSet:
-    size = max(1, round(density * spec.cardinality))
-    return gen_random(spec, int(size), seed)
-
-
 def gen_progression(
     spec: GroupSpec,
     base: Sequence[int],
@@ -189,15 +184,15 @@ class ExploreReport:
     evaluated: int
 
 
-def explore_multiple_cover_sumset(
-    p: int,
-    x_max: int,
-    seed: int = 0,
-    exhaustive_cap: int = 200_000,
-) -> ExploreReport:
+# the largest choice space searched exhaustively; the greedy descent raises
+# ResourceLimitError after 50 times as many trials
+_EXHAUSTIVE_CAP = 200_000
+
+
+def explore_multiple_cover_sumset(p: int, x_max: int, seed: int = 0) -> ExploreReport:
     """Minimize |S + S| over S = {lambda_p * p : p prime in [P, 2P)}.
 
-    Exhaustive when the choice space fits the cap, otherwise a seeded
+    Exhaustive when the choice space fits _EXHAUSTIVE_CAP, otherwise a seeded
     greedy descent with restarts; the search mode is recorded.  Purely
     exploratory.
     """
@@ -212,7 +207,7 @@ def explore_multiple_cover_sumset(
         return len({u + v for u in s for v in s})
 
     total = x_max ** len(primes)
-    if total <= exhaustive_cap:
+    if total <= _EXHAUSTIVE_CAP:
         best = None
         best_choice = None
         count = 0
@@ -243,7 +238,7 @@ def explore_multiple_cover_sumset(
                     trial = list(choice)
                     trial[i] = lam
                     count += 1
-                    if count > 50 * exhaustive_cap:
+                    if count > 50 * _EXHAUSTIVE_CAP:
                         raise ResourceLimitError("greedy exploration budget exhausted")
                     if sumset_size(trial) < sumset_size(choice):
                         choice = trial

@@ -226,9 +226,6 @@ class GroupElement:
     def order(self) -> int:
         return _tuple_order(self.coords, self.spec.orders)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def _require_same_spec(self, other: "GroupElement") -> None:
         if self.spec != other.spec:
             raise StructureError(
@@ -335,14 +332,6 @@ class Character:
 
     def __repr__(self) -> str:
         return f"chi({', '.join(map(str, self.coords))})"
-
-
-def char_arg_fraction(gamma: Character, x: GroupElement) -> Fraction:
-    return gamma.arg_fraction(x)
-
-
-def char_order(gamma: Character) -> int:
-    return gamma.order()
 
 
 @dataclass(frozen=True)

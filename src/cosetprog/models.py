@@ -7,8 +7,7 @@ factor that keeps s-fold sums apart, so a chain takes one step per
 concentrating character.  Every emitted map is verified
 mechanically as a Freiman s-isomorphism; nothing is trusted from the
 construction.  The search is a direct exhaustive spectrum scan, which at
-this scale is stronger than the existential guarantee it replaces; the
-predicted concentration quality is still recorded for comparison.
+this scale is stronger than the existential guarantee it replaces.
 """
 
 from __future__ import annotations
@@ -36,31 +35,9 @@ from .freiman import FreimanMap, compose, is_freiman_iso
 from .sumsets import GroupSet, difference_set, doubling, iterated_sumset
 
 
-@dataclass(frozen=True)
-class ModelStepParams:
-    """Parameters governing one shrink step (predictions are informational)."""
-
-    s: int
-    delta: Fraction
-    epsilon: Fraction
-    kappa: Fraction
-    eta_predicted: float
-
-
 def default_delta(s: int) -> Fraction:
     """Interval-length fraction: within (0, 1/20) and at most 1/(4s)."""
     return min(Fraction(1, 4 * s), Fraction(1, 21))
-
-
-def step_params(s: int, delta: Fraction, k: Fraction, d_density: Fraction) -> ModelStepParams:
-    epsilon = delta * delta / (k * k)
-    kappa = Fraction(1, 4) / (k * k)
-    if d_density >= 1 or d_density <= 0:
-        eta = 0.0
-    else:
-        a = float(d_density)
-        eta = 9.0 / float(k) ** 2 * a ** (1.0 / (2.0 * float(k) ** 2)) * math.log(1 / a)
-    return ModelStepParams(s, delta, epsilon, kappa, eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +48,7 @@ class ConcentrationCandidate:
     length: int
     magnitude: float
     mass_window: tuple[int, int]
-    params: ModelStepParams
+    kappa: Fraction  # the share of D's image allowed outside the window
 
 
 def _min_enclosing_arc(values: np.ndarray, q: int) -> tuple[int, int]:
@@ -123,16 +100,15 @@ def find_concentrating_character(
         raise DomainError("delta must lie in (0, 1/2)")
     spec = a.spec
     spec.require_enumerable(cap)
-    dbl = doubling(a)
+    kappa = Fraction(1, 4) / doubling(a).k ** 2
     d_set = difference_set(a)
-    params = step_params(0, delta, dbl.k, Fraction(d_set.size, spec.cardinality))
     spectrum = indicator_transform(d_set, cap)
     mags = spectrum.magnitudes
     alpha_d = float(spectrum.density)
-    floor = _magnitude_floor(alpha_d, params.kappa, delta) - 1e-9 * alpha_d
+    floor = _magnitude_floor(alpha_d, kappa, delta) - 1e-9 * alpha_d
     ranked = _magnitude_order(mags[1:], alpha_d) + 1
     ranked = ranked[mags[ranked] >= floor].tolist()
-    allowed_out = params.kappa * d_set.size
+    allowed_out = kappa * d_set.size
     d_coords = d_set.coords()
     a_coords = a.coords()
     for ci in ranked:
@@ -164,7 +140,7 @@ def find_concentrating_character(
             length=l_a,
             magnitude=float(mags[ci]),
             mass_window=(b_d, w_best - 1),
-            params=params,
+            kappa=kappa,
         )
     return None
 
@@ -174,13 +150,19 @@ class ModelStage:
     """One verified shrink step: set_before -> set_after via ``map``."""
 
     kind: str  # "spectral" or "quotient"
-    set_before: GroupSet
-    set_after: GroupSet
     map: FreimanMap
     gamma: Character | None = None
     q: int | None = None
     interval: tuple[int, int] | None = None
     translation: GroupElement | None = None
+
+    @property
+    def set_before(self) -> GroupSet:
+        return self.map.domain
+
+    @cached_property
+    def set_after(self) -> GroupSet:
+        return self.map.image()
 
 
 def shrink_model_step(
@@ -242,8 +224,6 @@ def shrink_model_step(
         raise InvariantError("constructed shrink map failed s-isomorphism check")
     return ModelStage(
         kind="spectral",
-        set_before=a,
-        set_after=theta.image(),
         map=theta,
         gamma=gamma,
         q=q,
@@ -389,12 +369,7 @@ def f2_shrink(a: GroupSet, cap: int = DEFAULT_ENUMERATION_CAP) -> ModelTrace:
         report = is_freiman_iso(phi, 2)
         if not report.ok:
             raise InvariantError("two-torsion quotient failed 2-isomorphism check")
-        stage = ModelStage(
-            kind="quotient",
-            set_before=current,
-            set_after=phi.image(),
-            map=phi,
-        )
+        stage = ModelStage(kind="quotient", map=phi)
         stages.append(stage)
         current = stage.set_after
     return _assemble_trace(2, a, stages, k)

@@ -38,7 +38,7 @@ from .covering import CoverInput, CoverTrace, assemble_q, chang_cover, cover_tra
 from .errors import DomainError, InvariantError
 from .fourier import (
     BogolyubovReport,
-    _Cube,
+    Cube,
     bogolyubov_bohr,
     bogolyubov_report,
     bogolyubov_threshold,
@@ -76,11 +76,9 @@ CERT_HEADER = "cosetprog-certificate v1"
 class PipelineConfig:
     s: int = 8
     skip_model: bool = False
-    delta: Fraction | None = None
     tolerance: float = 1e-9
     cap: int = DEFAULT_ENUMERATION_CAP
     log_base: float = math.e
-    target_density: Fraction = Fraction(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +120,7 @@ def run_pipeline(
     if config.skip_model:
         trace = model_trace(config.s, a, [], dbl.k)
     else:
-        trace = minimize_model(
-            a, config.s, config.target_density, config.delta, config.cap
-        )
+        trace = minimize_model(a, config.s, cap=config.cap)
     a1 = trace.final_set
 
     bog = bogolyubov_bohr(
@@ -146,7 +142,7 @@ def run_pipeline(
         cp = extraction.progression
     else:
         transport = induced_difference_iso(trace.composite.inverse())
-        cp = transport_progression(transport, extraction.progression, assume_verified=True)
+        cp = transport_progression(transport, extraction.progression)
 
     cover_input = CoverInput.build(a, cp, config.cap, d22 if a1 == a else None)
     cover = chang_cover(cover_input, config.cap)
@@ -242,8 +238,6 @@ def write_certificate(cert: PipelineCertificate) -> str:
     out.append(f"tolerance {fmt_float(c.tolerance)}")
     out.append(f"cap {c.cap}")
     out.append("log-base " + ("e" if c.log_base == math.e else fmt_float(c.log_base)))
-    out.append("target-density " + fmt_fraction(c.target_density))
-    out.append("delta " + ("none" if c.delta is None else fmt_fraction(c.delta)))
     out.append("end config")
 
     _section(out, "input", group_set_lines(cert.input_set))
@@ -416,9 +410,10 @@ def _numbered(block: _Block, prefix: str) -> list[_Block]:
 def read_certificate(text: str) -> PipelineCertificate:
     """Parse a certificate; ``verify_certificate`` judges what it says.
 
-    The reader checks only shape: a section missing or out of place, a
-    count that contradicts the sections it counts, or a subgroup size that
-    contradicts its generators is a DomainError.  It reads a block of rows
+    The reader checks only shape: a section missing or out of place, a row
+    with the wrong keyword or arity, a count that contradicts the sections
+    it counts, or a subgroup size that contradicts its generators is a
+    DomainError.  It reads a block of rows
     at a time and does no set arithmetic: the covered set P + H is not in
     the text, so the cover input's ``realized`` is left None.  Each group
     and each subgroup the text names is built once.
@@ -429,17 +424,14 @@ def read_certificate(text: str) -> PipelineCertificate:
     root = _parse_blocks(rows[1:])
     shapes = Shapes()
 
-    cfg = root.child("config")
+    cfg = root.child("config")  # other keys, such as an older certificate's, are not read
     log_token = cfg.value("log-base")
-    delta_token = cfg.value("delta")
     config = PipelineConfig(
         s=parse_int(cfg.value("s")),
         skip_model=cfg.value("skip-model") == "1",
         tolerance=parse_float(cfg.value("tolerance")),
         cap=parse_int(cfg.value("cap")),
         log_base=math.e if log_token == "e" else parse_float(log_token),
-        target_density=parse_fraction(cfg.value("target-density")),
-        delta=None if delta_token == "none" else parse_fraction(delta_token),
     )
 
     input_set = parse_group_set(root.child("input").lines, shapes)
@@ -469,16 +461,8 @@ def read_certificate(text: str) -> PipelineCertificate:
             interval = parse_ints(sb.kv("interval", 2))
             translation = spec_before.element(parse_ints(sb.kv("translation")))
         stages.append(
-            ModelStage(
-                kind=kind,
-                set_before=phi.domain,
-                set_after=phi.image(),
-                map=phi,
-                gamma=gamma,
-                q=q,
-                interval=interval,
-                translation=translation,
-            )
+            ModelStage(kind=kind, map=phi, gamma=gamma, q=q, interval=interval,
+                       translation=translation)
         )
     identity = "0" if stages else "1"
     if parse_int(model_b.value("stages")) != len(stages) or model_b.value("identity") != identity:
@@ -497,9 +481,8 @@ def read_certificate(text: str) -> PipelineCertificate:
     bog_b = root.child("bogolyubov")
     spec1 = final_set.spec
     raw_rows = bog_b.child("gamma-raw").lines
-    gamma_raw = tuple(
-        zip(character_rows(spec1, raw_rows, 1, -1), parse_floats([row[-1] for row in raw_rows]))
-    )
+    raw_chars = character_rows(spec1, raw_rows, valued=True)
+    gamma_raw = tuple(zip(raw_chars, parse_floats([row[-1] for row in raw_rows])))
     phi_chars = character_rows(spec1, bog_b.child("phi").lines)
 
     minima = None
@@ -669,7 +652,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         iso = is_freiman_iso(stage.map, cfg.s)
         add(f"model_stage_{i}", stage_ok and iso.ok, stage.kind)
         chain_ok &= stage_ok and iso.ok
-        current = stage.map.image()
+        current = stage.set_after
     if cert.model.stages and chain_ok:
         add("model_composite", is_freiman_iso(cert.model.composite, cfg.s).ok)
     trace = model_trace(cfg.s, a, cert.model.stages, dbl.k)
@@ -683,7 +666,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     phi = cert.phi
     raw = {g.coords for g in tset.chars}
     add("phi_inside_raw", all(g.coords in raw for g in phi))
-    cube = _Cube(a1.spec, phi)
+    cube = Cube(a1.spec, phi)
     i = cube.first_inside
     add(
         "phi_dissociated",

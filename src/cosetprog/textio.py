@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .bohr import CosetProgression
 # The scalar tokens are defined in the leaf module ``checks`` (``bohr`` imports
 # it, and this module imports ``bohr``) and re-exported here with the formats.
 from .checks import fmt_float, fmt_fraction, parse_float, parse_fraction, parse_int
-from .errors import DomainError, StructureError
+from .errors import DomainError
 from .freiman import FreimanMap
 from .groups import Character, GroupElement, GroupSpec, Subgroup, subgroup_closure
 from .sumsets import GroupSet
@@ -69,7 +69,7 @@ def _value(row: list[str]) -> str:
 #
 # A block is a run of rows of one kind (the ``elem`` lines of a set, the
 # ``pair`` lines of a map, the ``char`` lines of a certificate section).  Its
-# keywords and arities are checked row by row, then all of its integer tokens
+# keywords and arities are checked in one pass, then all of its integer tokens
 # are converted in one go.
 
 
@@ -120,29 +120,43 @@ def _int_rows(spec: GroupSpec, tokens: Sequence[str]) -> np.ndarray:
 def _coordinate_rows(
     spec: GroupSpec, rows: Sequence[list[str]], start: int, stop: int | None
 ) -> np.ndarray:
-    """The tokens ``row[start:stop]`` of every row as one (m, rank) array.  A
-    row with the wrong number of coordinates is a StructureError, as in
-    ``GroupSpec.reduce``."""
-    k = spec.rank
-    pieces = list(map(itemgetter(slice(start, stop)), rows))
-    if set(map(len, pieces)) != {k}:
-        for piece in pieces:  # the first bad row, met as a row-at-a-time reader meets it
-            parse_ints(piece)
-            if len(piece) != k:
-                raise StructureError(f"expected {k} coordinates, got {len(piece)}")
+    """The tokens ``row[start:stop]`` of every row, rank(G) of them as the
+    caller has checked, as one (m, rank) array."""
+    pieces = map(itemgetter(slice(start, stop)), rows)
     return _int_rows(spec, list(chain.from_iterable(pieces)))
 
 
-def element_rows(
-    spec: GroupSpec, rows: Sequence[list[str]], start: int = 1, stop: int | None = None
-) -> tuple[GroupElement, ...]:
-    return spec.elements_of_rows(_coordinate_rows(spec, rows, start, stop)) if rows else ()
+def _keyword_rows(
+    spec: GroupSpec, rows: Sequence[list[str]], keyword: str, valued: bool
+) -> np.ndarray:
+    """The coordinates of rows reading ``keyword`` and rank(G) integers (then
+    one value if ``valued``), as one (m, rank) array.  Keywords and lengths
+    are checked in one pass over the block; the first row that fails is
+    quoted in the DomainError."""
+    k = spec.rank
+    width = 1 + k + valued
+    if set(map(itemgetter(0), rows)) - {keyword} or set(map(len, rows)) - {width}:
+        for row in rows:
+            if row[0] != keyword or len(row) != width:
+                raise DomainError(
+                    f"expected {keyword!r} and {k} coordinate(s)"
+                    + (" and a value" if valued else "")
+                    + f": {' '.join(row)}"
+                )
+    return _coordinate_rows(spec, rows, 1, 1 + k)
+
+
+def element_rows(spec: GroupSpec, rows: Sequence[list[str]]) -> tuple[GroupElement, ...]:
+    """The elements of a block of ``elem`` rows."""
+    return spec.elements_of_rows(_keyword_rows(spec, rows, "elem", False)) if rows else ()
 
 
 def character_rows(
-    spec: GroupSpec, rows: Sequence[list[str]], start: int = 1, stop: int | None = None
+    spec: GroupSpec, rows: Sequence[list[str]], valued: bool = False
 ) -> tuple[Character, ...]:
-    return spec.characters_of_rows(_coordinate_rows(spec, rows, start, stop)) if rows else ()
+    """The characters of a block of ``char`` rows, each ending in a value if
+    ``valued``."""
+    return spec.characters_of_rows(_keyword_rows(spec, rows, "char", valued)) if rows else ()
 
 
 # --- sets -----------------------------------------------------------------
@@ -184,10 +198,6 @@ def read_group_set(text: str) -> GroupSet:
     return parse_group_set(strip_lines(text))
 
 
-def write_int_set(values: Iterable[int]) -> str:
-    return "\n".join(str(int(v)) for v in sorted(set(values))) + "\n"
-
-
 def read_int_set(text: str) -> list[int]:
     rows = strip_lines(text)
     values = []
@@ -220,9 +230,8 @@ def parse_progression(rows: list[list[str]], shapes: Shapes | None = None) -> Co
     spec = shapes.spec(rows[0][1:])
     k = spec.rank
     base = spec.zero()
-    # the coordinates of every gen and subgroup line, read as one block
-    gens: list[list[str]] = []
-    subs: list[list[str]] = []
+    gens: list[str] = []  # the coordinates of every gen line
+    subs: list[list[str]] = []  # the elem lines after ``subgroup``
     bounds: list[str] = []
     proper = False
     mode = "body"
@@ -232,24 +241,23 @@ def parse_progression(rows: list[list[str]], shapes: Shapes | None = None) -> Co
         elif row[0] == "gen":
             if len(row) != 1 + k + 2:
                 raise DomainError("gen line must hold coordinates plus lo hi")
-            gens.append(row[1 : 1 + k])
+            gens += row[1 : 1 + k]
             bounds += row[1 + k :]
         elif row[0] == "subgroup":
             mode = "subgroup"
         elif row[0] == "elem" and mode == "subgroup":
-            subs.append(row[1:])
+            subs.append(row)
         elif row[0] == "proper":
             proper = _value(row) == "1"
         else:
             raise DomainError(f"unexpected line in progression: {' '.join(row)}")
     lo_hi = parse_ints(bounds)
-    elements = element_rows(spec, gens + subs, 0)
     return CosetProgression(
         spec=spec,
         base=base,
-        generators=elements[: len(gens)],
+        generators=spec.elements_of_rows(_int_rows(spec, gens)),
         bounds=tuple(zip(lo_hi[::2], lo_hi[1::2])),
-        subgroup=shapes.subgroup(spec, elements[len(gens) :]),
+        subgroup=shapes.subgroup(spec, element_rows(spec, subs)),
         proper=proper,
     )
 
@@ -264,8 +272,8 @@ def read_progression(text: str) -> CosetProgression:
 
 # --- maps ------------------------------------------------------------------
 #
-# The map body (``source``, ``target``, ``order``, ``pair`` lines) follows a
-# leading ``map`` line in a map file and a ``begin map`` line in a certificate.
+# A map is the body of a certificate's ``map`` section: ``source``, ``target``
+# and ``order`` lines, and one ``pair`` line per domain element.
 
 
 def freiman_map_lines(phi: FreimanMap) -> list[str]:
@@ -328,17 +336,6 @@ def parse_freiman_map(rows: list[list[str]], shapes: Shapes | None = None) -> Fr
             seen.add(x)
     domain = GroupSet(source, np.array(xs, dtype=np.int64))
     return FreimanMap(domain, target, table, order)
-
-
-def write_freiman_map(phi: FreimanMap) -> str:
-    return "\n".join(["map", *freiman_map_lines(phi)]) + "\n"
-
-
-def read_freiman_map(text: str) -> FreimanMap:
-    rows = strip_lines(text)
-    if not rows or rows[0][0] != "map":
-        raise DomainError("map file must start with a 'map' line")
-    return parse_freiman_map(rows[1:])
 
 
 # --- spectra ---------------------------------------------------------------

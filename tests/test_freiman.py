@@ -310,6 +310,21 @@ def test_transport_identity_and_translation():
     assert moved.dimension == cp.dimension
 
 
+def test_transport_rejects_a_map_that_does_not_carry_p_onto_a_progression():
+    # the output checks are transport's only guard: psi is not re-checked
+    g = GroupSpec((16,))
+    h = subgroup_closure(g, [])
+    cp = CosetProgression(g, g.zero(), (g.element((1,)),), ((-2, 2),), h, True)
+    source = materialize(cp)  # 14, 15, 0, 1, 2
+    collapse = FreimanMap(source, g, {int(x): 0 for x in source.indices}, 2)
+    with pytest.raises(DomainError, match="^transport did not preserve properness and size$"):
+        transport_progression(collapse, cp)
+    # one to one, but 0, 1, 2, 3, 5 is no progression of step psi(15) - psi(14)
+    scramble = FreimanMap(source, g, {14: 0, 15: 1, 0: 2, 1: 3, 2: 5}, 2)
+    with pytest.raises(DomainError, match="^transported progression does not equal the image set$"):
+        transport_progression(scramble, cp)
+
+
 def test_transport_campaign_preserves_dimension_and_size():
     rng = Random(31337)
     done = 0

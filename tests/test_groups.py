@@ -10,8 +10,6 @@ from cosetprog import (
     DomainError,
     GroupSpec,
     StructureError,
-    char_arg_fraction,
-    char_order,
     enumerate_group,
     hom_from_character,
     kernel_of_characters,
@@ -53,19 +51,19 @@ def test_spec_mismatch_raises():
 
 def test_char_arg_fraction_examples():
     z8 = GroupSpec((8,))
-    assert char_arg_fraction(z8.character((1,)), z8.element((3,))) == Fraction(3, 8)
-    assert char_arg_fraction(z8.trivial_character(), z8.element((5,))) == 0
+    assert z8.character((1,)).arg_fraction(z8.element((3,))) == Fraction(3, 8)
+    assert z8.trivial_character().arg_fraction(z8.element((5,))) == 0
     g = GroupSpec((2, 3))
-    assert char_arg_fraction(g.character((1, 1)), g.element((1, 2))) == Fraction(1, 6)
+    assert g.character((1, 1)).arg_fraction(g.element((1, 2))) == Fraction(1, 6)
 
 
 def test_char_order_examples():
     z8 = GroupSpec((8,))
-    assert char_order(z8.character((2,))) == 4
-    assert char_order(z8.trivial_character()) == 1
+    assert z8.character((2,)).order() == 4
+    assert z8.trivial_character().order() == 1
     g = GroupSpec((4, 6))
     gamma = g.character((1, 1))
-    assert char_order(gamma) == 12
+    assert gamma.order() == 12
     # oracle: smallest q >= 1 with q*gamma trivial, by scan
     q = 1
     while not all(q * c % n == 0 for c, n in zip(gamma.coords, g.orders)):

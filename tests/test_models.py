@@ -252,4 +252,4 @@ def test_magnitude_floor_keeps_the_full_scan_hit(delta, monkeypatch):
     for b, cand in zip(sets, full):
         if cand is not None:
             alpha_d = difference_set(b).size / b.spec.cardinality
-            assert cand.magnitude >= floor(alpha_d, cand.params.kappa, delta)
+            assert cand.magnitude >= floor(alpha_d, cand.kappa, delta)

@@ -8,7 +8,6 @@ from cosetprog import (
     GroupSet,
     GroupSpec,
     ResourceLimitError,
-    StructureError,
     materialize,
     read_certificate,
     run_pipeline,
@@ -296,6 +295,17 @@ CORRUPTIONS = {
     "pair-extra-coordinate": ("pair ", lambda line: line.replace(" -> ", " 7 -> ")),
     "subgroup-size": ("subgroup-size ", lambda line: f"subgroup-size {int(line.split()[1]) + 1}"),
     "minimum-zero": ("minimum ", lambda line: "minimum 0 " + line.split(" ", 2)[2]),
+    # a wrong keyword or a missing coordinate in the rows of gamma-raw (whose
+    # first row is the certificate's first char line), or in a row appended
+    # to phi, stripped or the minima subgroup
+    "gamma-raw-keyword": ("char ", lambda line: "zzz" + line[len("char"):]),
+    "gamma-raw-missing-coordinate": ("char ", lambda line: "char " + line.split()[-1]),
+    "phi-keyword": ("begin phi", lambda line: line + "\nelem 1"),
+    "phi-missing-coordinate": ("begin phi", lambda line: line + "\nchar"),
+    "stripped-keyword": ("begin stripped", lambda line: line + "\nelem 0"),
+    "stripped-missing-coordinate": ("begin stripped", lambda line: line + "\nchar"),
+    "subgroup-keyword": ("begin subgroup", lambda line: line + "\nchar 0"),
+    "subgroup-missing-coordinate": ("begin subgroup", lambda line: line + "\nelem"),
 }
 
 
@@ -312,10 +322,26 @@ def test_cli_verify_malformed_certificate_exit_two(
     bad = corrupt(lines[i])
     assert bad != lines[i]
     lines[i] = bad
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(DomainError):
+        read_certificate(text)
     path = tmp_path / "cert.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reader_ignores_the_retired_config_keys(model_on_certificate):
+    """A certificate that still holds the target-density and delta lines of
+    the options the pipeline no longer has reads, verifies and is written
+    back without them."""
+    text = model_on_certificate[1]
+    assert "\ntarget-density " not in text and "\ndelta " not in text
+    old = text.replace("\nlog-base e\n", "\nlog-base e\ntarget-density 1\ndelta none\n")
+    assert old != text
+    back = read_certificate(old)
+    assert verify_certificate(back).ok
+    assert write_certificate(back) == text
 
 
 def _bump(position):
@@ -447,6 +473,28 @@ def test_cli_bohr_prints_every_check_it_judges(tmp_path, capsys):
     ]
 
 
+def test_cli_bohr_rho_checks_the_bohr_set_it_prints(tmp_path, capsys):
+    # with --rho the threshold set, Phi and radius differ from the default
+    # report's (here 5 characters against 4), and the checks are the shown ones
+    from fractions import Fraction
+
+    from cosetprog.cli import main
+    from cosetprog.generators import gen_random
+    from cosetprog.textio import write_group_set
+
+    set_file = tmp_path / "a.txt"
+    set_file.write_text(write_group_set(gen_random(GroupSpec((64,)), 20, 3)))
+    code = main(["bohr", str(set_file), "--rho", "1/8"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    values = {row[0]: row[1] for row in rows if len(row) == 2}
+    checks = {row[1]: row[2:] for row in rows if row[0] == "check"}
+    shown = (values["threshold-rho"], values["dissociated"], values["bohr-rho"])
+    assert shown == ("0.125", "5", "1/30")
+    assert checks["spectral_dimension"][1] == values["dissociated"]
+    assert float(checks["spectral_radius"][1]) == pytest.approx(float(Fraction(values["bohr-rho"])))
+    assert code == (1 if any(status == "fail" for status, *_ in checks.values()) else 0)
+
+
 def _sections(text):
     """(name, body text) of every certificate section, in the order they end;
     a body holds the section's own lines, not those of its subsections."""
@@ -471,7 +519,7 @@ def _map_key(phi):
 
 
 def test_certificate_sections_use_the_file_formats(model_on_certificate):
-    from cosetprog.textio import read_freiman_map, read_group_set, read_progression
+    from cosetprog.textio import parse_freiman_map, read_group_set, read_progression, strip_lines
 
     cert, text = model_on_certificate
     sets = {"input": cert.input_set, "model-set": cert.model.final_set}
@@ -493,7 +541,7 @@ def test_certificate_sections_use_the_file_formats(model_on_certificate):
         if name in progressions
     }
     assert got_progressions == {n: _progression_key(cp) for n, cp in progressions.items()}
-    got_maps = [read_freiman_map("map\n" + body) for name, body in sections if name == "map"]
+    got_maps = [parse_freiman_map(strip_lines(body)) for name, body in sections if name == "map"]
     assert [_map_key(phi) for phi in got_maps] == [_map_key(phi) for phi in maps]
 
 
@@ -625,13 +673,13 @@ def _int_or_none(token):
 def test_rows_read_integer_tokens_as_int_does(token):
     """An elem, a pair and a char row accept exactly the tokens parse_int
     (Python's int) accepts, with the same value."""
-    from cosetprog.textio import read_freiman_map, read_group_set
+    from cosetprog.textio import parse_freiman_map, read_group_set, strip_lines
 
     value = _int_or_none(token)
     n = 10007
     read_elem = lambda: read_group_set(f"group {n}\nelem {token}\n").indices.tolist()
-    read_pair = lambda: read_freiman_map(
-        f"map\nsource {n}\ntarget {n}\norder 2\npair {token} -> {token}\n"
+    read_pair = lambda: parse_freiman_map(
+        strip_lines(f"source {n}\ntarget {n}\norder 2\npair {token} -> {token}\n")
     ).table
     cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
     lines, start, _ = _phi_block(write_certificate(cert))
@@ -650,14 +698,14 @@ def test_rows_read_integer_tokens_as_int_does(token):
             read_elem()
         with pytest.raises(DomainError, match="^pair line must read "):
             read_pair()
-        with pytest.raises(StructureError, match="^expected 1 coordinates, got 0$"):
+        with pytest.raises(DomainError, match="^expected 'char' and 1 coordinate\\(s\\): char$"):
             read_char()
 
 
 @pytest.mark.parametrize("pairs", ["pair 9 -> 2\npair 1 -> 3", "pair -0 -> 1\npair 0 -> 3"])
 def test_map_rejects_a_domain_element_written_twice(pairs):
-    from cosetprog.textio import read_freiman_map
+    from cosetprog.textio import parse_freiman_map, strip_lines
 
     second = pairs.splitlines()[1]
     with pytest.raises(DomainError, match=re.escape(f"second pair line for one domain element: {second}")):
-        read_freiman_map("map\nsource 8\ntarget 8\norder 2\n" + pairs + "\n")
+        parse_freiman_map(strip_lines("source 8\ntarget 8\norder 2\n" + pairs + "\n"))

@@ -13,16 +13,21 @@ from cosetprog import (
 from cosetprog.textio import (
     fmt_float,
     fmt_fraction,
+    freiman_map_lines,
     parse_fraction,
-    read_freiman_map,
+    parse_freiman_map,
     read_group_set,
     read_int_set,
     read_progression,
-    write_freiman_map,
+    strip_lines,
     write_group_set,
-    write_int_set,
     write_progression,
 )
+
+
+def read_map_body(text):
+    """A map as a certificate's ``map`` section holds it."""
+    return parse_freiman_map(strip_lines(text))
 
 
 def test_fraction_roundtrip():
@@ -60,7 +65,7 @@ def test_group_set_rejects_bad_arity():
         (read_group_set, "group four\n"),
         (read_int_set, "1 2 3.5\n"),
         (read_progression, "group 8\ngen 1 -2 two\nsubgroup\nproper 1\n"),
-        (read_freiman_map, "map\nsource 4\ntarget 4\norder s\n"),
+        (read_map_body, "source 4\ntarget 4\norder s\n"),
     ],
 )
 def test_readers_reject_malformed_tokens(read, text):
@@ -81,7 +86,7 @@ def test_readers_reject_malformed_tokens(read, text):
 )
 def test_read_freiman_map_rejects_malformed_lines(body):
     with pytest.raises(DomainError):
-        read_freiman_map("map\nsource 4\ntarget 4\norder 2\n" + body + "\n")
+        read_map_body("source 4\ntarget 4\norder 2\n" + body + "\n")
 
 
 def test_parse_fraction_rejects_malformed():
@@ -92,7 +97,8 @@ def test_parse_fraction_rejects_malformed():
 
 def test_int_set_roundtrip():
     values = [5, -3, 12]
-    assert read_int_set(write_int_set(values)) == sorted(set(values))
+    text = "".join(f"{v}\n" for v in values)
+    assert read_int_set(text) == sorted(set(values))
 
 
 def test_progression_roundtrip():
@@ -115,7 +121,7 @@ def test_freiman_map_roundtrip():
     t = GroupSpec((5,))
     a = GroupSet.from_coords(g, [(0,), (1,), (2,)])
     phi = FreimanMap(a, t, {0: 0, 1: 1, 2: 2}, 2)
-    back = read_freiman_map(write_freiman_map(phi))
+    back = read_map_body("\n".join(freiman_map_lines(phi)))
     assert back.domain == a
     assert back.target == t
     assert back.table == phi.table
