@@ -37,6 +37,7 @@ from .sumsets import doubling
 from .textio import (
     fmt_float,
     fmt_fraction,
+    join_ints,
     parse_fraction,
     read_group_set,
     read_int_set,
@@ -90,8 +91,9 @@ def _cmd_bohr(args) -> int:
     print(f"doubling {fmt_fraction(report.doubling.k)}")
     print(f"alpha {fmt_fraction(report.alpha)}")
     print(f"threshold-rho {fmt_float(shown.threshold_rho)}")
-    for gamma, mag in zip(shown.gamma_raw.chars, shown.gamma_raw.magnitudes):
-        print(f"char {' '.join(str(c) for c in gamma.coords)} {fmt_float(mag)}")
+    raw = shown.gamma_raw
+    for coords, mag in zip(raw.spec.decode(raw.indices).tolist(), raw.magnitudes.tolist()):
+        print(f"char {join_ints(coords)} {fmt_float(mag)}")
     print(f"dissociated {len(shown.phi)}")
     print(f"bohr-rho {fmt_fraction(shown.bohr.rho)}")
     print(f"bohr-size {bohr_set(shown.bohr, args.cap).size}")

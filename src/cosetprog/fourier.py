@@ -122,14 +122,18 @@ def _direct_tuple_count(a: GroupSet, m: int, x: GroupElement) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SpecThresholdSet:
-    """Characters whose coefficient magnitude is at least rho * density."""
+    """Characters whose coefficient magnitude is at least rho * density: their
+    ``indices``, ascending, and each one's coefficient ``magnitudes``."""
 
     spec: GroupSpec
     rho: float
     alpha: Fraction
-    chars: tuple[Character, ...]
-    magnitudes: tuple[float, ...]
-    includes_trivial: bool
+    indices: np.ndarray
+    magnitudes: np.ndarray
+
+    @property
+    def chars(self) -> tuple[Character, ...]:  # built on each access
+        return self.spec.characters_of_rows(self.spec.decode(self.indices))
 
 
 def spec_threshold(
@@ -147,17 +151,13 @@ def spec_threshold(
     spec = spectrum.spec
     threshold = rho_f * float(spectrum.density) * (1 - tol)
     keep = np.nonzero(spectrum.magnitudes >= threshold)[0]
-    mirrored = spec.negate_indices(keep)
-    indices = np.unique(np.concatenate([keep, mirrored]))
-    chars = tuple(spec.character_at(int(i)) for i in indices)
-    mags = tuple(float(abs(spectrum.values[int(i)])) for i in indices)
+    indices = np.unique(np.concatenate([keep, spec.negate_indices(keep)])).astype(np.int64)
     return SpecThresholdSet(
         spec=spec,
         rho=rho_f,
         alpha=spectrum.density,
-        chars=chars,
-        magnitudes=mags,
-        includes_trivial=bool(len(indices) and indices[0] == 0),
+        indices=_frozen(indices),
+        magnitudes=_frozen(np.abs(spectrum.values[indices])),
     )
 
 
@@ -165,12 +165,12 @@ class Cube:
     """cube(Phi) = {sum_j eps_j phi_j : eps in {-1,0,1}^d}, a mask over the dual group.
 
     Characters join one at a time, each doing mask |= (mask + phi) |
-    (mask - phi), so the mask has one entry per character of the group.  A
-    dissociated Phi stays dissociated after adding gamma exactly when gamma
-    is not yet in the cube; ``first_inside`` is the position of the first
-    character that already was (None while Phi is dissociated).  Each entry
-    also records the step and sign that first reached it, so a member can
-    be written back as a pattern.
+    (mask - phi) in place, so ``mask.reshape(-1)`` is a view holding one entry
+    per character of the group, in index order.  A dissociated Phi stays
+    dissociated after adding gamma exactly when gamma is not yet in the cube;
+    ``first_inside`` is the position of the first character that already was
+    (None while Phi is dissociated).  Each entry also records the step and
+    sign that first reached it, so a member can be written back as a pattern.
     """
 
     def __init__(self, spec: GroupSpec, characters: Sequence[Character] = ()):
@@ -267,12 +267,13 @@ def max_dissociated(threshold_set: SpecThresholdSet) -> tuple[Character, ...]:
     (nothing left in the threshold set can be added), though not
     necessarily of maximum cardinality.
     """
-    mags = np.array(threshold_set.magnitudes, dtype=float)
-    cube = Cube(threshold_set.spec)
-    for i in _magnitude_order(mags, float(threshold_set.alpha)).tolist():
-        gamma = threshold_set.chars[i]
-        if gamma not in cube:
-            cube.add(gamma)
+    spec = threshold_set.spec
+    cube = Cube(spec)
+    inside = cube.mask.reshape(-1)  # a view: it follows the cube as it grows
+    order = _magnitude_order(threshold_set.magnitudes, float(threshold_set.alpha))
+    for index in threshold_set.indices[order].tolist():
+        if not inside[index]:
+            cube.add(spec.character_at(index))
     return tuple(cube.chars)
 
 

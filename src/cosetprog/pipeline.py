@@ -58,7 +58,6 @@ from .textio import (
     group_set_lines,
     join_ints,
     parse_float,
-    parse_floats,
     parse_fraction,
     parse_freiman_map,
     parse_group_set,
@@ -89,7 +88,6 @@ class PipelineCertificate:
     model: ModelTrace
     alpha: Fraction
     threshold_rho: float
-    gamma_raw: tuple[tuple[Character, float], ...]
     phi: tuple[Character, ...]
     bohr_rho: Fraction
     l4_sum: float
@@ -203,7 +201,6 @@ def _certificate(
         model=trace,
         alpha=bog.alpha,
         threshold_rho=bog.threshold_rho,
-        gamma_raw=tuple(zip(bog.gamma_raw.chars, bog.gamma_raw.magnitudes)),
         phi=bog.phi,
         bohr_rho=bog.bohr.rho,
         l4_sum=bog.l4_sum,
@@ -270,11 +267,6 @@ def write_certificate(cert: PipelineCertificate) -> str:
     out.append("begin bogolyubov")
     out.append("alpha " + fmt_fraction(cert.alpha))
     out.append("threshold-rho " + fmt_float(cert.threshold_rho))
-    _section(
-        out,
-        "gamma-raw",
-        [f"char {join_ints(gamma.coords)} {fmt_float(mag)}" for gamma, mag in cert.gamma_raw],
-    )
     _section(out, "phi", ["char " + join_ints(gamma.coords) for gamma in cert.phi])
     out.append("bohr-rho " + fmt_fraction(cert.bohr_rho))
     out.append("l4-sum " + fmt_float(cert.l4_sum))
@@ -478,11 +470,8 @@ def read_certificate(text: str) -> PipelineCertificate:
         prop_density_bound=parse_float(model_b.value("density-bound")),
     )
 
-    bog_b = root.child("bogolyubov")
+    bog_b = root.child("bogolyubov")  # an older certificate's gamma-raw section is not read
     spec1 = final_set.spec
-    raw_rows = bog_b.child("gamma-raw").lines
-    raw_chars = character_rows(spec1, raw_rows, valued=True)
-    gamma_raw = tuple(zip(raw_chars, parse_floats([row[-1] for row in raw_rows])))
     phi_chars = character_rows(spec1, bog_b.child("phi").lines)
 
     minima = None
@@ -581,7 +570,6 @@ def read_certificate(text: str) -> PipelineCertificate:
         model=trace,
         alpha=parse_fraction(bog_b.value("alpha")),
         threshold_rho=parse_float(bog_b.value("threshold-rho")),
-        gamma_raw=gamma_raw,
         phi=phi_chars,
         bohr_rho=parse_fraction(bog_b.value("bohr-rho")),
         l4_sum=parse_float(bog_b.value("l4-sum")),
@@ -664,8 +652,14 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     tset = bogolyubov_threshold(spectrum, dbl1.k, cfg.tolerance)
     bog = bogolyubov_report(dbl1, spectrum, tset, cert.phi, cfg.tolerance, cfg.log_base)
     phi = cert.phi
-    raw = {g.coords for g in tset.chars}
-    add("phi_inside_raw", all(g.coords in raw for g in phi))
+    inside = np.isin([g.index for g in phi], tset.indices)
+    stray = None if inside.all() else phi[int(np.argmin(inside))]
+    add(
+        "phi_inside_raw",
+        stray is None,
+        "" if stray is None else f"{stray!r} has magnitude {fmt_float(spectrum.magnitude(stray))}"
+        f" below the threshold {fmt_float(tset.rho * float(tset.alpha) * (1 - cfg.tolerance))}",
+    )
     cube = Cube(a1.spec, phi)
     i = cube.first_inside
     add(
@@ -673,11 +667,12 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         i is None,
         "" if i is None else f"{phi[i]!r} in the cube of phi[:{i}], witness {cube.witness()}",
     )
-    outside = next((g for g in tset.chars if g not in cube), None)
+    outside = tset.indices[~cube.mask.reshape(-1)[tset.indices]]
     add(
         "phi_maximal",
-        outside is None,
-        "" if outside is None else f"{outside!r} outside the cube of phi",
+        not outside.size,
+        "" if not outside.size
+        else f"{a1.spec.character_at(int(outside[0]))!r} outside the cube of phi",
     )
     bset = bohr_set(bog.bohr, cap)
     d22 = iterated_sumset(a1, 2, 2)
@@ -791,7 +786,7 @@ def _stored_value_mismatches(
     a check labelled by its name and a summary line by its key; a float may
     differ by ``tol`` relative, anything else must be equal.  A tuple whose
     items share one type is compared in one step: characters or integers by
-    ==, floats by the tolerance, pairs column by column.
+    ==, floats by the tolerance.
     ``same`` decides a value without naming anything, so a certificate whose
     values all match costs one comparison per stored field; the walk goes
     below a value only where ``same`` finds a difference, to name it.  A pair
@@ -819,16 +814,13 @@ def _stored_value_mismatches(
         if kind is tuple:
             if type(got) is not tuple or len(want) != len(got):
                 return False
-            both = want + got
-            kinds = set(map(type, both))
+            kinds = set(map(type, want + got))
             if len(kinds) == 1:  # one step for a tuple of one type
                 first = kinds.pop()
                 if first in _EXACT:
                     return want == got
                 if first is float:
                     return all(map(close, want, got))
-                if first is tuple and set(map(len, both)) == {2}:
-                    return all(map(same, zip(*want), zip(*got)))  # column by column
             return all(map(same, want, got))
         values = _compared_values(kind) if kind is type(got) else None
         if values is None:

@@ -48,16 +48,6 @@ def parse_ints(tokens: Sequence[str]) -> tuple[int, ...]:
         raise
 
 
-def parse_floats(tokens: Sequence[str]) -> tuple[float, ...]:
-    """Every token as a float, exactly as ``parse_float`` reads one."""
-    try:
-        return tuple(map(float, tokens))
-    except ValueError:
-        for t in tokens:
-            parse_float(t)
-        raise
-
-
 def _value(row: list[str]) -> str:
     """The single token after a line's keyword."""
     if len(row) != 2:
@@ -126,37 +116,26 @@ def _coordinate_rows(
     return _int_rows(spec, list(chain.from_iterable(pieces)))
 
 
-def _keyword_rows(
-    spec: GroupSpec, rows: Sequence[list[str]], keyword: str, valued: bool
-) -> np.ndarray:
-    """The coordinates of rows reading ``keyword`` and rank(G) integers (then
-    one value if ``valued``), as one (m, rank) array.  Keywords and lengths
-    are checked in one pass over the block; the first row that fails is
-    quoted in the DomainError."""
+def _keyword_rows(spec: GroupSpec, rows: Sequence[list[str]], keyword: str) -> np.ndarray:
+    """The coordinates of rows reading ``keyword`` and rank(G) integers, as
+    one (m, rank) array.  Keywords and lengths are checked in one pass over
+    the block; the first row that fails is quoted in the DomainError."""
     k = spec.rank
-    width = 1 + k + valued
-    if set(map(itemgetter(0), rows)) - {keyword} or set(map(len, rows)) - {width}:
+    if set(map(itemgetter(0), rows)) - {keyword} or set(map(len, rows)) - {1 + k}:
         for row in rows:
-            if row[0] != keyword or len(row) != width:
-                raise DomainError(
-                    f"expected {keyword!r} and {k} coordinate(s)"
-                    + (" and a value" if valued else "")
-                    + f": {' '.join(row)}"
-                )
-    return _coordinate_rows(spec, rows, 1, 1 + k)
+            if row[0] != keyword or len(row) != 1 + k:
+                raise DomainError(f"expected {keyword!r} and {k} coordinate(s): {' '.join(row)}")
+    return _coordinate_rows(spec, rows, 1, None)
 
 
 def element_rows(spec: GroupSpec, rows: Sequence[list[str]]) -> tuple[GroupElement, ...]:
     """The elements of a block of ``elem`` rows."""
-    return spec.elements_of_rows(_keyword_rows(spec, rows, "elem", False)) if rows else ()
+    return spec.elements_of_rows(_keyword_rows(spec, rows, "elem")) if rows else ()
 
 
-def character_rows(
-    spec: GroupSpec, rows: Sequence[list[str]], valued: bool = False
-) -> tuple[Character, ...]:
-    """The characters of a block of ``char`` rows, each ending in a value if
-    ``valued``."""
-    return spec.characters_of_rows(_keyword_rows(spec, rows, "char", valued)) if rows else ()
+def character_rows(spec: GroupSpec, rows: Sequence[list[str]]) -> tuple[Character, ...]:
+    """The characters of a block of ``char`` rows."""
+    return spec.characters_of_rows(_keyword_rows(spec, rows, "char")) if rows else ()
 
 
 # --- sets -----------------------------------------------------------------
@@ -184,7 +163,7 @@ def parse_group_set(rows: list[list[str]], shapes: Shapes | None = None) -> Grou
             if row[0] != "elem":
                 raise DomainError(f"unexpected line in set: {' '.join(row)}")
             if len(row) != width:
-                raise DomainError("element arity does not match the group")
+                raise DomainError(f"element arity does not match the group: {' '.join(row)}")
     tokens = list(chain.from_iterable(body))
     del tokens[::width]  # the keywords
     return GroupSet.from_coords(spec, _int_rows(spec, tokens))
@@ -240,7 +219,7 @@ def parse_progression(rows: list[list[str]], shapes: Shapes | None = None) -> Co
             base = spec.element(parse_ints(row[1:]))
         elif row[0] == "gen":
             if len(row) != 1 + k + 2:
-                raise DomainError("gen line must hold coordinates plus lo hi")
+                raise DomainError(f"gen line must hold coordinates plus lo hi: {' '.join(row)}")
             gens += row[1 : 1 + k]
             bounds += row[1 + k :]
         elif row[0] == "subgroup":

@@ -163,7 +163,7 @@ def test_spec_threshold_index_two_subgroup():
     sub = GroupSet.from_coords(g, [(0,), (2,)])
     tset = spec_threshold(indicator_transform(sub), 1.0)
     assert [c.coords[0] for c in tset.chars] == [0, 2]
-    assert tset.includes_trivial
+    assert tset.indices[0] == 0
 
 
 def test_spec_threshold_rho_one_generic():

@@ -168,9 +168,25 @@ def test_verify_detects_dropped_phi_character():
     report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
     failed = {e.name: e.detail for e in report.failures()}
     assert "phi_maximal" in failed
-    # the first gamma-raw character outside the cube is the dropped one or its inverse
+    # the first threshold character outside the cube is the dropped one or its inverse
     named = {f"chi({c}) outside the cube of phi" for c in (dropped, -dropped % 100)}
     assert failed["phi_maximal"] in named
+
+
+def test_verify_detects_phi_character_outside_the_threshold_set():
+    cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
+    lines, start, end = _phi_block(write_certificate(cert))
+    assert lines[end - 1] == "char 4"
+    lines[end - 1] = "char 50"  # 1_[0,10) has coefficient 0 at 50
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    failed = {e.name: e.detail for e in report.failures()}
+    found = re.fullmatch(
+        r"chi\(50\) has magnitude (\S+) below the threshold (\S+)", failed["phi_inside_raw"]
+    )
+    assert found, failed["phi_inside_raw"]
+    magnitude, threshold = map(float, found.groups())
+    assert magnitude < 1e-12
+    assert threshold == pytest.approx(cert.threshold_rho * float(cert.alpha))
 
 
 def test_verify_detects_dependent_phi_character():
@@ -295,11 +311,11 @@ CORRUPTIONS = {
     "pair-extra-coordinate": ("pair ", lambda line: line.replace(" -> ", " 7 -> ")),
     "subgroup-size": ("subgroup-size ", lambda line: f"subgroup-size {int(line.split()[1]) + 1}"),
     "minimum-zero": ("minimum ", lambda line: "minimum 0 " + line.split(" ", 2)[2]),
-    # a wrong keyword or a missing coordinate in the rows of gamma-raw (whose
-    # first row is the certificate's first char line), or in a row appended
-    # to phi, stripped or the minima subgroup
-    "gamma-raw-keyword": ("char ", lambda line: "zzz" + line[len("char"):]),
-    "gamma-raw-missing-coordinate": ("char ", lambda line: "char " + line.split()[-1]),
+    "gen-short": ("gen ", lambda line: line.rsplit(" ", 1)[0]),
+    # a wrong keyword in phi's first row (the certificate's first char line),
+    # or a wrong keyword or a missing coordinate in a row appended to phi,
+    # stripped or the minima subgroup
+    "phi-first-row-keyword": ("char ", lambda line: "zzz" + line[len("char"):]),
     "phi-keyword": ("begin phi", lambda line: line + "\nelem 1"),
     "phi-missing-coordinate": ("begin phi", lambda line: line + "\nchar"),
     "stripped-keyword": ("begin stripped", lambda line: line + "\nelem 0"),
@@ -333,15 +349,26 @@ def test_cli_verify_malformed_certificate_exit_two(
 
 def test_reader_ignores_the_retired_config_keys(model_on_certificate):
     """A certificate that still holds the target-density and delta lines of
-    the options the pipeline no longer has reads, verifies and is written
-    back without them."""
-    text = model_on_certificate[1]
+    the options the pipeline no longer has, or the gamma-raw section that
+    listed the threshold set, reads, verifies and is written back without
+    them.  The section is not read at all: one of its magnitudes is wrong."""
+    cert, text = model_on_certificate
     assert "\ntarget-density " not in text and "\ndelta " not in text
-    old = text.replace("\nlog-base e\n", "\nlog-base e\ntarget-density 1\ndelta none\n")
-    assert old != text
-    back = read_certificate(old)
-    assert verify_certificate(back).ok
-    assert write_certificate(back) == text
+    assert "gamma-raw" not in text
+    raw = fourier.bogolyubov_bohr(cert.model.final_set).gamma_raw
+    rows = [f"char {' '.join(map(str, g.coords))} {m:.12g}"
+            for g, m in zip(raw.chars, raw.magnitudes)]
+    rows[0] = rows[0].rsplit(" ", 1)[0] + f" {2 * raw.magnitudes[0]:.12g}"
+    gamma_raw = "\n".join(["begin gamma-raw", *rows, "end gamma-raw"])
+    olds = (
+        text.replace("\nlog-base e\n", "\nlog-base e\ntarget-density 1\ndelta none\n"),
+        text.replace("\nbegin phi\n", f"\n{gamma_raw}\nbegin phi\n"),
+    )
+    for old in olds:
+        assert old != text
+        back = read_certificate(old)
+        assert verify_certificate(back).ok
+        assert write_certificate(back) == text
 
 
 def _bump(position):
@@ -382,7 +409,6 @@ TAMPERS = {
     "l4-lower": ("bogolyubov", "l4-lower", _bump(-1), "l4_lower"),
     "dim-bound": ("bogolyubov", "dim-bound", _bump(-1), "dim_bound"),
     "radius-lower": ("bogolyubov", "radius-lower", _bump(-1), "radius_lower"),
-    "gamma-raw-magnitude": ("gamma-raw", "char", _bump(-1), "gamma_raw[0][1]"),
     "alpha": ("bogolyubov", "alpha", _bump(-1), "alpha"),
     "mk": ("cover", "mk", _bump(-1), "cover.mk"),
 }
@@ -694,7 +720,7 @@ def test_rows_read_integer_tokens_as_int_does(token):
             with pytest.raises(DomainError, match=re.escape(f"malformed integer token {token!r}")):
                 read()
     else:
-        with pytest.raises(DomainError, match="^element arity does not match the group$"):
+        with pytest.raises(DomainError, match="^element arity does not match the group: elem$"):
             read_elem()
         with pytest.raises(DomainError, match="^pair line must read "):
             read_pair()

@@ -54,8 +54,13 @@ def test_group_set_comments_ignored():
 
 
 def test_group_set_rejects_bad_arity():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^element arity does not match the group: elem 1$"):
         read_group_set("group 4 4\nelem 1\n")
+
+
+def test_progression_rejects_short_gen_row():
+    with pytest.raises(DomainError, match="^gen line must hold coordinates plus lo hi: gen 1 0$"):
+        read_progression("group 8\nbase 0\ngen 1 0\nsubgroup\nproper 1\n")
 
 
 @pytest.mark.parametrize(
