@@ -89,9 +89,17 @@ class MinimaReport:
     def minkowski_holds(self) -> bool:
         return math.prod(self.lambdas, start=Fraction(1)) <= self.det
 
-    def vectors_independent(self) -> bool:
-        width = len(self.vectors[0]) if self.vectors else 0
-        return width - len(_integer_nullspace(self.vectors, width)) == len(self.vectors)
+    def first_dependent(self) -> int | None:
+        """The index of the first vector in the rational span of those before
+        it, or None when the vectors are independent.  A vector is in that
+        span exactly when it leaves the null space of those before it whole."""
+        basis = _integer_nullspace([], len(self.vectors[0]) if self.vectors else 0)
+        for i, row in enumerate(self.vectors):
+            cut = _orthogonal_part(basis, _integer_row(row))
+            if len(cut) == len(basis):
+                return i
+            basis = cut
+        return None
 
 
 def _orthogonal_part(basis: list[list[int]], row: Sequence[int]) -> list[list[int]]:
@@ -124,9 +132,14 @@ def _integer_nullspace(
     vectors, cut down to the part orthogonal to each row in turn."""
     basis = [[int(i == j) for j in range(width)] for i in range(width)]
     for row in rows:
-        den = math.lcm(*(Fraction(v).denominator for v in row))
-        basis = _orthogonal_part(basis, [int(Fraction(v) * den) for v in row])
+        basis = _orthogonal_part(basis, _integer_row(row))
     return basis
+
+
+def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    den = math.lcm(*(Fraction(v).denominator for v in row))
+    return [int(Fraction(v) * den) for v in row]
 
 
 def minima_frame(

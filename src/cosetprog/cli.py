@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="set size, sumset size, doubling constant")
     p.add_argument("set")
-    common(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fourier", help="dump the full spectrum of the indicator")

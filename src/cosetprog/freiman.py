@@ -95,19 +95,6 @@ class FreimanMap:
         table = {int(i): self.table[int(i)] for i in subset.indices}
         return FreimanMap(subset, self.target, table, self.order)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.table.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreimanMap):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.target == other.target
-            and self.order == other.order
-            and self.table == other.table
-        )
-
     def __repr__(self) -> str:
         return f"FreimanMap({self.domain!r} -> {self.target}, s={self.order})"
 

@@ -13,7 +13,7 @@ this scale is stronger than the existential guarantee it replaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,10 +25,9 @@ from .fourier import _magnitude_order, indicator_transform
 from .groups import (
     DEFAULT_ENUMERATION_CAP,
     Character,
-    GroupElement,
     GroupSpec,
     Homomorphism,
-    kernel_of_characters,
+    Subgroup,
     subgroup_decomposition,
 )
 from .freiman import FreimanMap, compose, is_freiman_iso
@@ -147,14 +146,18 @@ def find_concentrating_character(
 
 @dataclass(frozen=True, eq=False)
 class ModelStage:
-    """One verified shrink step: set_before -> set_after via ``map``."""
+    """One shrink step: set_before -> set_after via ``map``.
 
-    kind: str  # "spectral" or "quotient"
-    map: FreimanMap
+    A spectral stage's search choice is (gamma, q, interval), from which
+    ``shrink_model_step`` derives the map; a quotient stage (``f2_shrink``)
+    has none.  A stage read from a certificate holds only the choice, and
+    its ``map`` is None until ``verify_certificate`` derives it.
+    """
+
+    map: FreimanMap | None = field(default=None, compare=False)
     gamma: Character | None = None
     q: int | None = None
     interval: tuple[int, int] | None = None
-    translation: GroupElement | None = None
 
     @property
     def set_before(self) -> GroupSet:
@@ -182,10 +185,15 @@ def shrink_model_step(
     s*l < m and s*l < q, so equal s-fold sums on either side match exactly:
     the map is an s-isomorphism for every m > s*l, and m = s*l + 1 is the
     smallest.  When m = 1 (l = 0, which a q = 2 character forces) the image
-    lies in the kernel alone.  Verification failure raises InvariantError
-    since the construction guarantees an s-isomorphism.
+    lies in the kernel alone.  A choice that breaks these conditions, or a
+    gamma from another group, is a DomainError; verification failure raises
+    InvariantError since the construction guarantees an s-isomorphism.
     """
     b, l = interval
+    if gamma.spec != a.spec:
+        raise DomainError(
+            f"gamma is a character of {gamma.spec}, not of the set's group {a.spec}"
+        )
     if q < 2:
         raise DomainError("the induced map must have order at least 2")
     if 4 * s * l >= q:
@@ -204,7 +212,7 @@ def shrink_model_step(
     lam = gamma.arg_numerators(spec.decode(shifted))
     if int(lam.max(initial=0)) > l:
         raise DomainError("the given interval does not contain psi(A)")
-    kernel = kernel_of_characters(spec, [gamma], cap)
+    kernel = Subgroup(spec, (), np.flatnonzero(psi_all == 0))  # decomposition reads no generators
     z_idx = int(np.nonzero(psi_all == 1 % q)[0][0])
     z_coords = np.array(spec.coords_of(z_idx), dtype=np.int64)
     decomp = subgroup_decomposition(kernel, cap)
@@ -222,14 +230,7 @@ def shrink_model_step(
     report = is_freiman_iso(theta, s)
     if not report.ok:
         raise InvariantError("constructed shrink map failed s-isomorphism check")
-    return ModelStage(
-        kind="spectral",
-        map=theta,
-        gamma=gamma,
-        q=q,
-        interval=(b % q, l),
-        translation=t_elem,
-    )
+    return ModelStage(map=theta, gamma=gamma, q=q, interval=(b % q, l))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +286,6 @@ def minimize_model(
     a: GroupSet,
     s: int,
     target_density: Fraction = Fraction(1),
-    delta: Fraction | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ModelTrace:
     """Iterate shrink steps while the group strictly decreases.
@@ -300,14 +300,12 @@ def minimize_model(
         raise DomainError("model order must be at least 2")
     if not a:
         raise DomainError("cannot model the empty set")
-    delta_eff = min(delta if delta is not None else default_delta(s), Fraction(1, 4 * s))
-    if not Fraction(0) < delta_eff < Fraction(1, 20):
-        raise DomainError("delta must lie in (0, 1/20)")
+    delta = default_delta(s)
     k = doubling(a).k
     stages: list[ModelStage] = []
     current = a
     while Fraction(current.size, current.spec.cardinality) < target_density:
-        cand = find_concentrating_character(current, delta_eff, cap)
+        cand = find_concentrating_character(current, delta, cap)
         if cand is None:
             break
         stage = shrink_model_step(
@@ -369,7 +367,7 @@ def f2_shrink(a: GroupSet, cap: int = DEFAULT_ENUMERATION_CAP) -> ModelTrace:
         report = is_freiman_iso(phi, 2)
         if not report.ok:
             raise InvariantError("two-torsion quotient failed 2-isomorphism check")
-        stage = ModelStage(kind="quotient", map=phi)
+        stage = ModelStage(map=phi)
         stages.append(stage)
         current = stage.set_after
     return _assemble_trace(2, a, stages, k)

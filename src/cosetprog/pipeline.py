@@ -5,7 +5,9 @@ trace, spectral data, minima, progressions, covering rounds) plus one
 named pass/fail line per bound.  The certificate is self-contained: the
 verifier checks the search choices for the properties their searches
 guarantee, and re-derives every check and derived value from them with
-the same functions the run used, never re-running a search.
+the same functions the run used, never re-running a search.  A model
+stage is stored as its choice (gamma, q, interval) alone; its map, and
+the transport map the chain induces on 2A' - 2A', are derived, not stored.
 Serialization is deterministic, so identical input and config give
 byte-identical certificates.
 """
@@ -44,9 +46,9 @@ from .fourier import (
     bogolyubov_threshold,
     indicator_transform,
 )
-from .freiman import FreimanMap, induced_difference_iso, is_freiman_iso, transport_progression
+from .freiman import induced_difference_iso, is_freiman_iso, transport_progression
 from .groups import DEFAULT_ENUMERATION_CAP, Character, GroupElement, GroupSpec, Subgroup
-from .models import ModelStage, ModelTrace, minimize_model, model_trace
+from .models import ModelStage, ModelTrace, minimize_model, model_trace, shrink_model_step
 from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 from .textio import (
     Shapes,
@@ -54,12 +56,10 @@ from .textio import (
     element_rows,
     fmt_float,
     fmt_fraction,
-    freiman_map_lines,
     group_set_lines,
     join_ints,
     parse_float,
     parse_fraction,
-    parse_freiman_map,
     parse_group_set,
     parse_int,
     parse_ints,
@@ -96,7 +96,6 @@ class PipelineCertificate:
     radius_lower: float
     minima: MinimaReport | None
     progression_model: CosetProgression
-    transport: FreimanMap | None
     progression: CosetProgression
     cover: CoverTrace
     checks: tuple[BoundCheck, ...]
@@ -110,7 +109,13 @@ class PipelineCertificate:
 def run_pipeline(
     a: GroupSet, config: PipelineConfig = PipelineConfig()
 ) -> PipelineCertificate:
-    """Doubling, model, spectral localization, extraction, transport, cover."""
+    """Doubling, model, spectral localization, extraction, transport, cover.
+
+    With the model on, the progression found in the model group comes back
+    through the 2-isomorphism that the chain's composite induces on
+    2A' - 2A' (``induced_difference_iso``); the certificate stores the
+    chain's choices and both progressions, not that map.
+    """
     if not a:
         raise DomainError("the pipeline needs a nonempty input set")
     dbl = doubling(a)
@@ -135,16 +140,13 @@ def run_pipeline(
     else:
         extraction = progression_from_bohr(bog.bohr, config.cap, bset)
 
-    if trace.is_identity:
-        transport = None
-        cp = extraction.progression
-    else:
-        transport = induced_difference_iso(trace.composite.inverse())
-        cp = transport_progression(transport, extraction.progression)
+    cp = extraction.progression
+    if not trace.is_identity:
+        cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
 
     cover_input = CoverInput.build(a, cp, config.cap, d22 if a1 == a else None)
     cover = chang_cover(cover_input, config.cap)
-    return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, transport, cp, cover)
+    return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, cp, cover)
 
 
 def bohr_containment(bset: GroupSet, d22: GroupSet) -> BoundCheck:
@@ -177,7 +179,6 @@ def _certificate(
     bog: BogolyubovReport,
     bohr_check: BoundCheck,
     extraction: BohrExtraction,
-    transport: FreimanMap | None,
     cp: CosetProgression,
     cover: CoverTrace,
 ) -> PipelineCertificate:
@@ -186,7 +187,7 @@ def _certificate(
     A transported progression keeps the model's dimension and size.
     """
     moved = ()
-    if transport is not None:
+    if not trace.is_identity:
         cp_model = extraction.progression
         size, size_model = (materialize(p, config.cap).size for p in (cp, cp_model))
         moved = (
@@ -209,7 +210,6 @@ def _certificate(
         radius_lower=bog.radius_lower,
         minima=extraction.minima,
         progression_model=extraction.progression,
-        transport=transport,
         progression=cp,
         cover=cover,
         checks=(*bog.checks, bohr_check, *extraction.checks, *moved, *cover.checks),
@@ -253,13 +253,10 @@ def write_certificate(cert: PipelineCertificate) -> str:
     out.append(f"stages {len(cert.model.stages)}")
     for stage in cert.model.stages:
         out.append("begin stage")
-        out.append(f"kind {stage.kind}")
-        if stage.gamma is not None:
-            out.append("gamma " + join_ints(stage.gamma.coords))
-            out.append(f"q {stage.q}")
-            out.append(f"interval {stage.interval[0]} {stage.interval[1]}")
-            out.append("translation " + join_ints(stage.translation.coords))
-        _section(out, "map", freiman_map_lines(stage.map))
+        out.append("group " + join_ints(stage.gamma.spec.orders))
+        out.append("gamma " + join_ints(stage.gamma.coords))
+        out.append(f"q {stage.q}")
+        out.append(f"interval {stage.interval[0]} {stage.interval[1]}")
         out.append("end stage")
     _section(out, "model-set", group_set_lines(cert.model.final_set))
     out.append("end model")
@@ -295,13 +292,6 @@ def write_certificate(cert: PipelineCertificate) -> str:
         out.append("end minima")
 
     _section(out, "progression-model", progression_lines(cert.progression_model))
-
-    out.append("begin transport")
-    out.append(f"identity {1 if cert.transport is None else 0}")
-    if cert.transport is not None:
-        _section(out, "map", freiman_map_lines(cert.transport))
-    out.append("end transport")
-
     _section(out, "progression", progression_lines(cert.progression))
 
     cover = cert.cover
@@ -407,8 +397,9 @@ def read_certificate(text: str) -> PipelineCertificate:
     it counts, or a subgroup size that contradicts its generators is a
     DomainError.  It reads a block of rows
     at a time and does no set arithmetic: the covered set P + H is not in
-    the text, so the cover input's ``realized`` is left None.  Each group
-    and each subgroup the text names is built once.
+    the text, so the cover input's ``realized`` is left None, and no map
+    is built, so each model stage's ``map`` is None.  Each group and each
+    subgroup the text names is built once.
     """
     rows = strip_lines(text)
     if not rows or " ".join(rows[0]) != CERT_HEADER:
@@ -440,21 +431,19 @@ def read_certificate(text: str) -> PipelineCertificate:
     for sb in model_b.children:
         if sb.name != "stage":
             continue
-        kind = sb.value("kind")
-        phi = parse_freiman_map(sb.child("map").lines, shapes)
-        gamma = None
-        q = None
-        interval = None
-        translation = None
-        if kind == "spectral":
-            spec_before = phi.domain.spec
-            gamma = spec_before.character(parse_ints(sb.kv("gamma")))
-            q = parse_int(sb.value("q"))
-            interval = parse_ints(sb.kv("interval", 2))
-            translation = spec_before.element(parse_ints(sb.kv("translation")))
+        # an older stage's kind, translation and map are not read, except
+        # that a stage with no group line takes it from its map's source line
+        old_map = sb.maybe_child("map")
+        if old_map is not None and all(line[0] != "group" for line in sb.lines):
+            spec = shapes.spec(old_map.kv("source"))
+        else:
+            spec = shapes.spec(sb.kv("group"))
         stages.append(
-            ModelStage(kind=kind, map=phi, gamma=gamma, q=q, interval=interval,
-                       translation=translation)
+            ModelStage(
+                gamma=spec.character(parse_ints(sb.kv("gamma", spec.rank))),
+                q=parse_int(sb.value("q")),
+                interval=parse_ints(sb.kv("interval", 2)),
+            )
         )
     identity = "0" if stages else "1"
     if parse_int(model_b.value("stages")) != len(stages) or model_b.value("identity") != identity:
@@ -513,10 +502,7 @@ def read_certificate(text: str) -> PipelineCertificate:
         )
 
     cp_model = parse_progression(root.child("progression-model").lines, shapes)
-    tr_b = root.child("transport")
-    transport = None
-    if tr_b.value("identity") == "0":
-        transport = parse_freiman_map(tr_b.child("map").lines, shapes)
+    # an older certificate's transport section is not read
     cp = parse_progression(root.child("progression").lines, shapes)
 
     cover_b = root.child("cover")
@@ -578,7 +564,6 @@ def read_certificate(text: str) -> PipelineCertificate:
         radius_lower=parse_float(bog_b.value("radius-lower")),
         minima=minima,
         progression_model=cp_model,
-        transport=transport,
         progression=cp,
         cover=cover,
         checks=tuple(checks),
@@ -611,13 +596,18 @@ class VerificationReport:
 def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     """Re-check a certificate without re-running any search.
 
-    The search choices (stage maps, Phi, the minima, the transport map,
-    the translates R_i and S_i) are checked for the properties their
-    searches guarantee.  Everything else is re-derived from them by the
-    builders' own functions: each check becomes one entry under its own
-    name, evaluated on the stored objects, and each stored value that
-    differs from its derivation is one ``stored_value`` entry.  Failures
-    are collected, not short-circuited.
+    The search choices (each model stage's gamma, q and interval, Phi, the
+    minima, the translates R_i and S_i) are checked for the properties
+    their searches guarantee.  Each stage's map is derived from its choice
+    by ``shrink_model_step``, which checks the choice and that the map is
+    a Freiman s-isomorphism; a stage it rejects fails ``model_stage_<i>``
+    with its message, and the chain stops there.  The transport map is
+    derived from the chain as in ``run_pipeline``.  Everything else is
+    re-derived by the builders' own functions: each check becomes one
+    entry under its own name, evaluated on the stored objects, and each
+    stored value that differs from its derivation is one ``stored_value``
+    entry.  A failing entry says why in its detail.  Failures are
+    collected, not short-circuited.
     """
     entries: list[VerificationEntry] = []
 
@@ -629,21 +619,28 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     a = cert.input_set
     dbl = doubling(a)
 
-    # model chain
-    current = a
-    chain_ok = True
-    for i, stage in enumerate(cert.model.stages):
-        stage_ok = stage.map.domain == current
-        if stage.kind == "spectral":
-            stage_ok &= stage.gamma is not None and stage.gamma.order() == stage.q
-            stage_ok &= stage.interval is not None and 4 * cfg.s * stage.interval[1] < stage.q
-        iso = is_freiman_iso(stage.map, cfg.s)
-        add(f"model_stage_{i}", stage_ok and iso.ok, stage.kind)
-        chain_ok &= stage_ok and iso.ok
-        current = stage.set_after
-    if cert.model.stages and chain_ok:
-        add("model_composite", is_freiman_iso(cert.model.composite, cfg.s).ok)
-    trace = model_trace(cfg.s, a, cert.model.stages, dbl.k)
+    # model chain: each stage's map derived from its choice
+    stages: list[ModelStage] = []
+    for i, choice in enumerate(cert.model.stages):
+        current = stages[-1].set_after if stages else a
+        try:
+            stages.append(
+                shrink_model_step(current, cfg.s, choice.gamma, choice.q, choice.interval, cap)
+            )
+        except DomainError as exc:
+            add(f"model_stage_{i}", False, str(exc))
+            break
+        add(f"model_stage_{i}", True)
+    # a chain that stops short derives no trace to compare with the stored one
+    derived_chain = len(stages) == len(cert.model.stages)
+    trace = model_trace(cfg.s, a, stages, dbl.k) if derived_chain else cert.model
+    if derived_chain and stages:
+        iso = is_freiman_iso(trace.composite, cfg.s)
+        w = iso.witness
+        fault = "" if iso.ok else "the composite is not one-to-one" if w is None else (
+            f"a {w.layer}-fold sum (index {w.sum_index}) has image sums {list(w.image_indices)}"
+        )
+        add("model_composite", not fault, fault)
     a1 = cert.model.final_set
 
     # spectral stage: Phi inside the threshold set, dissociated and maximal
@@ -686,35 +683,43 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         minima = replace(
             minima_frame(phi, cap), lambdas=m.lambdas, vectors=m.vectors, preimages=m.preimages
         )
-        vec_ok = True
-        for lam, vec, pre in zip(m.lambdas, m.vectors, m.preimages):
-            if len(vec) != minima.dimension or max(abs(v) for v in vec) > lam:
-                vec_ok = False
-            for gamma, v in zip(minima.chars, vec):
-                if (gamma.arg_fraction(pre) - v).denominator != 1:
-                    vec_ok = False
-        add("minima_vectors", vec_ok)
-        add("minima_independent", minima.vectors_independent())
+        fault = _minima_vectors_fault(minima)
+        add("minima_vectors", not fault, fault)
+        i = minima.first_dependent()
+        add(
+            "minima_independent",
+            i is None,
+            "" if i is None else f"minimum {i}'s vector lies in the span of the ones before it",
+        )
         judged = extraction_checks(bog.bohr, minima, cert.progression_model, bset, cap)
         rule = progression_from_minima(bog.bohr, minima)
         extraction = replace(judged, progression=replace(rule, proper=judged.progression.proper))
 
-    # transport
-    add("transport_identity", (cert.transport is None) == cert.model.is_identity)
-    if cert.transport is None:
+    # transport: the map the derived chain induces on 2A' - 2A' must carry
+    # progression-model onto progression
+    if cert.model.is_identity:
         cp = extraction.progression
     else:
-        zeta = cert.transport
         cp = cert.progression
-        add("transport_iso", is_freiman_iso(zeta, 2).ok)
-        add("transport_domain", zeta.domain == d22)
-        source = materialize(cert.progression_model, cap)
-        add(
-            "transport_image",
-            source.is_subset(zeta.domain)
-            and materialize(cp, cap)
-            == GroupSet(zeta.target, zeta.apply_indices(source.indices)),
-        )
+        zeta, fault = None, "the model chain was not derived"
+        if derived_chain:
+            try:
+                zeta = induced_difference_iso(trace.composite.inverse())
+            except DomainError as exc:
+                fault = str(exc)
+        add("transport_iso", zeta is not None, "" if zeta is not None else fault)
+        if zeta is not None:
+            source = materialize(cert.progression_model, cap)
+            if not source.is_subset(zeta.domain):
+                fault = "progression-model is not inside 2A'-2A'"
+            else:
+                image = GroupSet(zeta.target, zeta.apply_indices(source.indices))
+                moved = materialize(cp, cap)
+                fault = "" if moved == image else (
+                    "progression is not the image of progression-model "
+                    f"({moved.size} and {image.size} point(s))"
+                )
+            add("transport_image", not fault, fault)
 
     # covering rounds: each R_i maximal and disjoint, each S_i a batch of R_i
     cover = cert.cover
@@ -750,13 +755,31 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     q = replace(assemble_q(cp, cover.s_sets, cover.r_sets[t]), proper=judged.q.proper)
 
     derived = _certificate(
-        cfg, a, dbl, trace, bog, bohr_check, extraction, cert.transport, cp, replace(judged, q=q)
+        cfg, a, dbl, trace, bog, bohr_check, extraction, cp, replace(judged, q=q)
     )
     for check in derived.checks:
         add(check.name, not check.failed, f"{check.status} {_fmt(check.lhs)} {_fmt(check.rhs)}")
     for path, stored, value in _stored_value_mismatches(cert, derived, cfg.tolerance):
         add("stored_value", False, f"{path}: stored {_fmt(stored)}, derived {_fmt(value)}")
     return VerificationReport(tuple(entries))
+
+
+def _minima_vectors_fault(minima: MinimaReport) -> str:
+    """The first stored minimum whose vector leaves the cube of its lambda
+    or is not phi at its preimage mod Z^d, and how; empty if none does."""
+    for i, (lam, vec, pre) in enumerate(zip(minima.lambdas, minima.vectors, minima.preimages)):
+        if len(vec) != minima.dimension:
+            return f"minimum {i}: {len(vec)} coordinates, not {minima.dimension}"
+        for gamma, v in zip(minima.chars, vec):
+            if abs(v) > lam:
+                return f"minimum {i}: coordinate {_fmt(v)} exceeds lambda {_fmt(lam)}"
+            value = gamma.arg_fraction(pre)
+            if (value - v).denominator != 1:
+                return (
+                    f"minimum {i}: coordinate {_fmt(v)} is not {gamma!r} at the "
+                    f"preimage, {_fmt(value)}, mod 1"
+                )
+    return ""
 
 
 # the types of values that hold no float, compared by == alone

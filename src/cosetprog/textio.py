@@ -20,7 +20,6 @@ from .bohr import CosetProgression
 # it, and this module imports ``bohr``) and re-exported here with the formats.
 from .checks import fmt_float, fmt_fraction, parse_float, parse_fraction, parse_int
 from .errors import DomainError
-from .freiman import FreimanMap
 from .groups import Character, GroupElement, GroupSpec, Subgroup, subgroup_closure
 from .sumsets import GroupSet
 
@@ -58,9 +57,8 @@ def _value(row: list[str]) -> str:
 # --- blocks ----------------------------------------------------------------
 #
 # A block is a run of rows of one kind (the ``elem`` lines of a set, the
-# ``pair`` lines of a map, the ``char`` lines of a certificate section).  Its
-# keywords and arities are checked in one pass, then all of its integer tokens
-# are converted in one go.
+# ``char`` lines of a certificate section).  Its keywords and arities are
+# checked in one pass, then all of its integer tokens are converted in one go.
 
 
 class Shapes:
@@ -107,15 +105,6 @@ def _int_rows(spec: GroupSpec, tokens: Sequence[str]) -> np.ndarray:
     return coords.reshape(-1, spec.rank)
 
 
-def _coordinate_rows(
-    spec: GroupSpec, rows: Sequence[list[str]], start: int, stop: int | None
-) -> np.ndarray:
-    """The tokens ``row[start:stop]`` of every row, rank(G) of them as the
-    caller has checked, as one (m, rank) array."""
-    pieces = map(itemgetter(slice(start, stop)), rows)
-    return _int_rows(spec, list(chain.from_iterable(pieces)))
-
-
 def _keyword_rows(spec: GroupSpec, rows: Sequence[list[str]], keyword: str) -> np.ndarray:
     """The coordinates of rows reading ``keyword`` and rank(G) integers, as
     one (m, rank) array.  Keywords and lengths are checked in one pass over
@@ -125,7 +114,7 @@ def _keyword_rows(spec: GroupSpec, rows: Sequence[list[str]], keyword: str) -> n
         for row in rows:
             if row[0] != keyword or len(row) != 1 + k:
                 raise DomainError(f"expected {keyword!r} and {k} coordinate(s): {' '.join(row)}")
-    return _coordinate_rows(spec, rows, 1, None)
+    return _int_rows(spec, list(chain.from_iterable(row[1:] for row in rows)))
 
 
 def element_rows(spec: GroupSpec, rows: Sequence[list[str]]) -> tuple[GroupElement, ...]:
@@ -247,74 +236,6 @@ def write_progression(cp: CosetProgression) -> str:
 
 def read_progression(text: str) -> CosetProgression:
     return parse_progression(strip_lines(text))
-
-
-# --- maps ------------------------------------------------------------------
-#
-# A map is the body of a certificate's ``map`` section: ``source``, ``target``
-# and ``order`` lines, and one ``pair`` line per domain element.
-
-
-def freiman_map_lines(phi: FreimanMap) -> list[str]:
-    src, tgt = phi.domain.spec, phi.target
-    lines = [
-        "source " + join_ints(src.orders),
-        "target " + join_ints(tgt.orders),
-        f"order {phi.order}",
-    ]
-    pairs = np.array(phi.pairs(), dtype=np.int64).reshape(-1, 2)
-    xs, ys = src.decode(pairs[:, 0]).tolist(), tgt.decode(pairs[:, 1]).tolist()
-    for x, y in zip(xs, ys):
-        lines.append(f"pair {' '.join(map(str, x))} -> {' '.join(map(str, y))}")
-    return lines
-
-
-def parse_freiman_map(rows: list[list[str]], shapes: Shapes | None = None) -> FreimanMap:
-    shapes = shapes or Shapes()
-    source: GroupSpec | None = None
-    target: GroupSpec | None = None
-    order = 2
-    # pair lines in runs under one (source, target): a later source or target
-    # line does not change how the pairs above it read
-    runs: list[tuple[GroupSpec, GroupSpec, list[list[str]]]] = []
-    for row in rows:
-        if row[0] == "pair":
-            if source is None or target is None:
-                raise DomainError("pair lines must follow source and target")
-            arrow = 1 + source.rank
-            if len(row) != arrow + 1 + target.rank or row[arrow] != "->":
-                raise DomainError(
-                    f"pair line must read 'pair x.. -> y..' with {source.rank} and "
-                    f"{target.rank} coordinates: {' '.join(row)}"
-                )
-            if not runs or runs[-1][0] is not source or runs[-1][1] is not target:
-                runs.append((source, target, []))
-            runs[-1][2].append(row)
-        elif row[0] == "source":
-            source = shapes.spec(row[1:])
-        elif row[0] == "target":
-            target = shapes.spec(row[1:])
-        elif row[0] == "order":
-            order = parse_int(_value(row))
-        else:
-            raise DomainError(f"unexpected line in map: {' '.join(row)}")
-    if source is None or target is None:
-        raise DomainError("a map must declare source and target groups")
-    xs: list[int] = []
-    ys: list[int] = []
-    for src, tgt, run in runs:
-        arrow = 1 + src.rank
-        xs += src.encode(_coordinate_rows(src, run, 1, arrow)).tolist()
-        ys += tgt.encode(_coordinate_rows(tgt, run, arrow + 1, None)).tolist()
-    table = dict(zip(xs, ys))
-    if len(table) < len(xs):
-        seen: set[int] = set()
-        for x, row in zip(xs, (row for *_, run in runs for row in run)):
-            if x in seen:
-                raise DomainError(f"second pair line for one domain element: {' '.join(row)}")
-            seen.add(x)
-    domain = GroupSet(source, np.array(xs, dtype=np.int64))
-    return FreimanMap(domain, target, table, order)
 
 
 # --- spectra ---------------------------------------------------------------

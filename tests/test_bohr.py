@@ -92,7 +92,7 @@ def test_minima_campaign_minkowski_and_independence():
     for spec, chars, _ in seeded_minima_cases(100, seed=5150):
         m = successive_minima(list(chars))
         assert m.minkowski_holds()
-        assert m.vectors_independent()
+        assert m.first_dependent() is None
         assert all(l1 <= l2 for l1, l2 in zip(m.lambdas, m.lambdas[1:]))
         for lam, vec in zip(m.lambdas, m.vectors):
             assert max(abs(v) for v in vec) == lam

@@ -238,10 +238,11 @@ def _candidate_key(cand):
 def test_magnitude_floor_keeps_the_full_scan_hit(delta, monkeypatch):
     """On every set a model-on zoo chain meets, the scan above the magnitude
     floor returns what the scan over every character returns, and each hit
-    of the full scan lies above the floor."""
+    of the full scan lies above the floor.  The chains are those of s = 8,
+    whose default delta is 1/32, and for delta = 1/64 those of s = 16."""
     sets = []
     for a in zoo_sets():
-        trace = minimize_model(a, 8, delta=delta)
+        trace = minimize_model(a, 16 if delta == Fraction(1, 64) else 8)
         sets += [stage.set_before for stage in trace.stages] + [trace.final_set]
     pruned = [find_concentrating_character(b, delta) for b in sets]
     floor = models._magnitude_floor

@@ -189,6 +189,28 @@ def test_verify_detects_phi_character_outside_the_threshold_set():
     assert threshold == pytest.approx(cert.threshold_rho * float(cert.alpha))
 
 
+def test_verify_names_the_first_minimum_that_breaks():
+    cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
+    lines, start, end = _phi_block(write_certificate(cert))
+    lines[end - 1] = "char 50"  # the minima's vectors were computed for char 4
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    failed = {e.name: e.detail for e in report.failures()}
+    assert re.fullmatch(
+        r"minimum \d+: coordinate \S+ is not chi\(50\) at the preimage, \S+, mod 1",
+        failed["minima_vectors"],
+    ), failed["minima_vectors"]
+
+    lines = write_certificate(cert).splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("minimum "))
+    lines[first + 1] = lines[first]  # the second minimum repeats the first
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    failed = {e.name: e.detail for e in report.failures()}
+    assert "minima_vectors" not in failed
+    assert failed["minima_independent"] == (
+        "minimum 1's vector lies in the span of the ones before it"
+    )
+
+
 def test_verify_detects_dependent_phi_character():
     g = GroupSpec((100,))
     cert = run_pipeline(_interval(g, 10), PipelineConfig(skip_model=True))
@@ -203,19 +225,52 @@ def test_verify_detects_dependent_phi_character():
     assert failed["phi_dissociated"].startswith(f"{pair_sum!r} in the cube of phi[:{d}], witness ")
 
 
-def test_verify_detects_map_tamper():
-    g = GroupSpec((200,))
-    a = _interval(g, 3)
-    cert = run_pipeline(a, PipelineConfig(s=8))
-    assert not cert.model.is_identity
-    text = write_certificate(cert)
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("pair ") and line.endswith(" 1"):
-            lines[i] = line[:-2] + " 2"
-            break
+def _interval_1024_certificate():
+    text = write_certificate(run_pipeline(_interval(GroupSpec((1024,)), 16), PipelineConfig()))
+    assert "begin stage\ngroup 1024\ngamma 1\nq 1024\ninterval 0 15\nend stage\n" in text
+    return text
+
+
+# (stage line, tampered line, entry that fails, its detail)
+STAGE_TAMPERS = {
+    "gamma": ("gamma 1", "gamma 3", "model_stage_0", "the given interval does not contain psi(A)"),
+    "interval": ("interval 0 15", "interval 700 15", "model_stage_0",
+                 "the given interval does not contain psi(A)"),
+    "q": ("q 1024", "q 512", "model_stage_0", "q does not equal the character order"),
+    "group": ("group 1024\ngamma 1", "group 1000\ngamma 1", "model_stage_0",
+              "gamma is a character of Z/1000, not of the set's group Z/1024"),
+    "interval-start": ("interval 0 15", "interval 1024 15", "stored_value",
+                       "model.stages[0].interval[0]: stored 1024, derived 0"),
+}
+
+
+@pytest.mark.parametrize("line, tampered, name, detail", STAGE_TAMPERS.values(),
+                         ids=list(STAGE_TAMPERS))
+def test_verify_rejects_a_tampered_stage_choice(line, tampered, name, detail):
+    """Each stage map is derived from the stored choice, so a choice that
+    shrink_model_step rejects fails its stage with the derivation's message,
+    and one that derives another stage differs from its derivation."""
+    text = _interval_1024_certificate()
+    bad = text.replace(f"\n{line}\n", f"\n{tampered}\n", 1)
+    assert bad != text
+    report = verify_certificate(read_certificate(bad))
+    failed = [(e.name, e.detail) for e in report.failures()]
+    assert (name, detail) in failed, failed
+    if name == "model_stage_0":  # the chain stops there, and no transport map is derived
+        assert ("transport_iso", "the model chain was not derived") in failed
+        assert "model_composite" not in {e.name for e in report.entries}
+
+
+def test_verify_says_why_a_transported_progression_is_wrong():
+    lines = _interval_1024_certificate().splitlines()
+    start = lines.index("begin progression")
+    assert lines[start + 2] == "base 0"
+    lines[start + 2] = "base 1"
     report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
-    assert not report.ok
+    failed = {e.name: e.detail for e in report.failures()}
+    assert failed["transport_image"] == (
+        "progression is not the image of progression-model (1 and 1 point(s))"
+    )
 
 
 def test_cli_round_trip(tmp_path, capsys):
@@ -268,6 +323,18 @@ def test_cli_cover_subcommand(tmp_path, capsys):
     assert "check cover_containment pass" in out
 
 
+def test_cli_analyze_takes_no_cap(tmp_path, capsys):
+    from cosetprog.cli import main
+    from cosetprog.textio import write_group_set
+
+    set_file = tmp_path / "a.txt"
+    set_file.write_text(write_group_set(_interval(GroupSpec((8,)), 3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(set_file), "--cap", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_two(tmp_path):
     from cosetprog.cli import main
 
@@ -286,10 +353,10 @@ def test_cli_malformed_token_exit_two(tmp_path, capsys, command):
 
 @pytest.fixture(scope="module")
 def model_on_certificate():
-    """A model-on certificate holding every section kind: stage and transport
-    maps, minima, two covering rounds (r0, r1, s0)."""
+    """A model-on certificate holding every section kind: a stage, minima,
+    two covering rounds (r0, r1, s0)."""
     cert = run_pipeline(_interval(GroupSpec((300,)), 5), PipelineConfig())
-    assert cert.model.stages and cert.transport is not None and cert.cover.s_sets
+    assert cert.model.stages and cert.cover.s_sets
     return cert, write_certificate(cert)
 
 
@@ -305,13 +372,14 @@ CORRUPTIONS = {
     "l4-sum-token": ("l4-sum ", lambda line: "l4-sum nan-ish"),
     "key-without-value": ("mk ", lambda line: "mk"),
     "short-check": ("check ", lambda line: " ".join(line.split()[:2])),
-    "pair-without-arrow": ("pair ", _drop("->")),
     "minimum-without-markers": ("minimum ", _drop("vector", "preimage")),
     "elem-extra-coordinate": ("elem ", lambda line: line + " 2"),
-    "pair-extra-coordinate": ("pair ", lambda line: line.replace(" -> ", " 7 -> ")),
     "subgroup-size": ("subgroup-size ", lambda line: f"subgroup-size {int(line.split()[1]) + 1}"),
     "minimum-zero": ("minimum ", lambda line: "minimum 0 " + line.split(" ", 2)[2]),
     "gen-short": ("gen ", lambda line: line.rsplit(" ", 1)[0]),
+    "gamma-token": ("gamma ", lambda line: "gamma x"),
+    "gamma-extra-coordinate": ("gamma ", lambda line: line + " 0"),
+    "interval-one-value": ("interval ", lambda line: line.rsplit(" ", 1)[0]),
     # a wrong keyword in phi's first row (the certificate's first char line),
     # or a wrong keyword or a missing coordinate in a row appended to phi,
     # stripped or the minima subgroup
@@ -369,6 +437,76 @@ def test_reader_ignores_the_retired_config_keys(model_on_certificate):
         back = read_certificate(old)
         assert verify_certificate(back).ok
         assert write_certificate(back) == text
+
+
+def _ints(values):
+    return " ".join(map(str, values))
+
+
+def _parent_format(cert, text):
+    """``text`` as the older format wrote it: each stage also holds its kind,
+    its translation and its map, and a transport section holds the map the
+    chain induces on 2A' - 2A'."""
+    from cosetprog import induced_difference_iso
+
+    def map_lines(phi):
+        src, tgt = phi.domain.spec, phi.target
+        pairs = sorted(phi.table.items())
+        return ["begin map", f"source {_ints(src.orders)}", f"target {_ints(tgt.orders)}",
+                f"order {phi.order}",
+                *(f"pair {_ints(src.coords_of(x))} -> {_ints(tgt.coords_of(y))}"
+                  for x, y in pairs),
+                "end map"]
+
+    for stage in cert.model.stages:
+        spec = stage.gamma.spec
+        choice = [f"gamma {_ints(stage.gamma.coords)}", f"q {stage.q}",
+                  f"interval {_ints(stage.interval)}"]
+        psi = stage.gamma.arg_numerators(spec.decode(np.arange(spec.cardinality)))
+        shift = spec.coords_of(int(np.flatnonzero(psi == stage.interval[0])[0]))
+        new = ["begin stage", f"group {_ints(spec.orders)}", *choice, "end stage"]
+        old = ["begin stage", "kind spectral", *choice, f"translation {_ints(shift)}",
+               *map_lines(stage.map), "end stage"]
+        text = text.replace("\n".join(new), "\n".join(old), 1)
+    transport = ["begin transport", "identity 0",
+                 *map_lines(induced_difference_iso(cert.model.composite.inverse())),
+                 "end transport"]
+    transport = "\n".join(transport)
+    return text.replace("\nbegin progression\n", f"\n{transport}\nbegin progression\n")
+
+
+def test_reader_ignores_the_parent_stage_and_transport_lines(model_on_certificate):
+    """A certificate in the older format reads, verifies and is written back
+    in the new one.  Of its stages' kind, translation and map lines and its
+    transport section, only a map's source line is read, for the group of a
+    stage with no group line: a translation, a map order and a pair changed
+    by hand change nothing."""
+    cert, text = model_on_certificate
+    old = _parent_format(cert, text)
+    assert "\nbegin transport\n" in old and "\nkind spectral\ngamma " in old
+    for key, value in (("translation", "299"), ("order", "1000"), ("pair", "0 -> 1 1")):
+        start = old.index(f"\n{key} ") + 1
+        end = old.index("\n", start)
+        old = old[:start] + f"{key} {value}" + old[end:]
+    assert old.count("\norder 1000\n") == 1
+    back = read_certificate(old)
+    assert verify_certificate(back).ok
+    assert write_certificate(back) == text
+
+
+def test_certificates_store_each_stage_as_its_choice(zoo_certificates):
+    """No certificate holds a map: a stage section is its group, gamma, q and
+    interval lines, and there is no transport section."""
+    for cert, text in zoo_certificates:
+        keys = {line.split()[0] for line in text.splitlines()}
+        assert not keys & {"pair", "translation", "kind", "source", "target", "order"}
+        names = [name for name, _ in _sections(text)]
+        assert "transport" not in names and "map" not in names
+        stages = [body for name, body in _sections(text) if name == "stage"]
+        assert len(stages) == len(cert.model.stages)
+        for body in stages:
+            keys = [row.split()[0] for row in body.splitlines()]
+            assert keys == ["group", "gamma", "q", "interval"]
 
 
 def _bump(position):
@@ -540,12 +678,8 @@ def _progression_key(cp):
     return (cp.spec, cp.base, cp.generators, cp.bounds, cp.subgroup, cp.proper)
 
 
-def _map_key(phi):
-    return (phi.domain, phi.target, phi.table, phi.order)
-
-
 def test_certificate_sections_use_the_file_formats(model_on_certificate):
-    from cosetprog.textio import parse_freiman_map, read_group_set, read_progression, strip_lines
+    from cosetprog.textio import read_group_set, read_progression
 
     cert, text = model_on_certificate
     sets = {"input": cert.input_set, "model-set": cert.model.final_set}
@@ -556,7 +690,12 @@ def test_certificate_sections_use_the_file_formats(model_on_certificate):
         "progression": cert.progression,
         "q": cert.cover.q,
     }
-    maps = [stage.map for stage in cert.model.stages] + [cert.transport]
+    stages = [
+        f"group {' '.join(map(str, stage.gamma.spec.orders))}\n"
+        f"gamma {' '.join(map(str, stage.gamma.coords))}\n"
+        f"q {stage.q}\ninterval {stage.interval[0]} {stage.interval[1]}\n"
+        for stage in cert.model.stages
+    ]
 
     sections = _sections(text)
     got_sets = {name: read_group_set(body) for name, body in sections if name in sets}
@@ -567,8 +706,7 @@ def test_certificate_sections_use_the_file_formats(model_on_certificate):
         if name in progressions
     }
     assert got_progressions == {n: _progression_key(cp) for n, cp in progressions.items()}
-    got_maps = [parse_freiman_map(strip_lines(body)) for name, body in sections if name == "map"]
-    assert [_map_key(phi) for phi in got_maps] == [_map_key(phi) for phi in maps]
+    assert [body for name, body in sections if name == "stage"] == stages
 
 
 def _zoo_certificates():
@@ -657,23 +795,18 @@ def test_model_on_zoo_chains_take_one_stage_per_character(zoo_certificates):
 
 
 def _index_arrays(cert):
-    """The index arrays of every set, map and subgroup a certificate holds."""
+    """The index arrays of every set and subgroup a certificate holds."""
     sets = [cert.input_set, cert.model.final_set, *cert.cover.r_sets, *cert.cover.s_sets]
-    maps = [stage.map for stage in cert.model.stages]
-    sets += [s for stage in cert.model.stages for s in (stage.set_before, stage.set_after)]
-    if cert.transport is not None:
-        maps.append(cert.transport)
     subgroups = [cp.subgroup for cp in (cert.progression_model, cert.progression, cert.cover.q)]
     if cert.minima is not None:
         subgroups.append(cert.minima.subgroup)
-    arrays = [s.indices for s in sets] + [h.indices for h in subgroups]
-    arrays += [a for phi in maps for a in (phi.domain.indices, phi.apply_indices(phi.domain.indices))]
-    return arrays
+    return [s.indices for s in sets] + [h.indices for h in subgroups]
 
 
 def test_zoo_certificates_read_back_equal(zoo_certificates):
-    """Reading a written certificate gives back every stored value and the
-    same index arrays for each of its sets, maps and subgroups."""
+    """Reading a written certificate gives back every stored value (each
+    stage's choice among them) and the same index arrays for each of its
+    sets and subgroups."""
     from cosetprog.pipeline import _stored_value_mismatches
 
     for cert, text in zoo_certificates:
@@ -697,41 +830,26 @@ def _int_or_none(token):
 
 @pytest.mark.parametrize("token", PARITY_TOKENS, ids=repr)
 def test_rows_read_integer_tokens_as_int_does(token):
-    """An elem, a pair and a char row accept exactly the tokens parse_int
-    (Python's int) accepts, with the same value."""
-    from cosetprog.textio import parse_freiman_map, read_group_set, strip_lines
+    """An elem and a char row accept exactly the tokens parse_int (Python's
+    int) accepts, with the same value."""
+    from cosetprog.textio import read_group_set
 
     value = _int_or_none(token)
     n = 10007
     read_elem = lambda: read_group_set(f"group {n}\nelem {token}\n").indices.tolist()
-    read_pair = lambda: parse_freiman_map(
-        strip_lines(f"source {n}\ntarget {n}\norder 2\npair {token} -> {token}\n")
-    ).table
     cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
     lines, start, _ = _phi_block(write_certificate(cert))
     lines[start + 1] = f"char {token}".rstrip()
     read_char = lambda: read_certificate("\n".join(lines) + "\n").phi[0].coords
     if value is not None:
         assert read_elem() == [value % n]
-        assert read_pair() == {value % n: value % n}
         assert read_char() == (value % 100,)
     elif token:
-        for read in (read_elem, read_pair, read_char):
+        for read in (read_elem, read_char):
             with pytest.raises(DomainError, match=re.escape(f"malformed integer token {token!r}")):
                 read()
     else:
         with pytest.raises(DomainError, match="^element arity does not match the group: elem$"):
             read_elem()
-        with pytest.raises(DomainError, match="^pair line must read "):
-            read_pair()
         with pytest.raises(DomainError, match="^expected 'char' and 1 coordinate\\(s\\): char$"):
             read_char()
-
-
-@pytest.mark.parametrize("pairs", ["pair 9 -> 2\npair 1 -> 3", "pair -0 -> 1\npair 0 -> 3"])
-def test_map_rejects_a_domain_element_written_twice(pairs):
-    from cosetprog.textio import parse_freiman_map, strip_lines
-
-    second = pairs.splitlines()[1]
-    with pytest.raises(DomainError, match=re.escape(f"second pair line for one domain element: {second}")):
-        parse_freiman_map(strip_lines("source 8\ntarget 8\norder 2\n" + pairs + "\n"))

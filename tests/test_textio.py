@@ -5,7 +5,6 @@ import pytest
 from cosetprog import (
     CosetProgression,
     DomainError,
-    FreimanMap,
     GroupSet,
     GroupSpec,
     subgroup_closure,
@@ -13,21 +12,13 @@ from cosetprog import (
 from cosetprog.textio import (
     fmt_float,
     fmt_fraction,
-    freiman_map_lines,
     parse_fraction,
-    parse_freiman_map,
     read_group_set,
     read_int_set,
     read_progression,
-    strip_lines,
     write_group_set,
     write_progression,
 )
-
-
-def read_map_body(text):
-    """A map as a certificate's ``map`` section holds it."""
-    return parse_freiman_map(strip_lines(text))
 
 
 def test_fraction_roundtrip():
@@ -70,28 +61,11 @@ def test_progression_rejects_short_gen_row():
         (read_group_set, "group four\n"),
         (read_int_set, "1 2 3.5\n"),
         (read_progression, "group 8\ngen 1 -2 two\nsubgroup\nproper 1\n"),
-        (read_map_body, "source 4\ntarget 4\norder s\n"),
     ],
 )
 def test_readers_reject_malformed_tokens(read, text):
     with pytest.raises(DomainError, match="malformed integer token"):
         read(text)
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        "pair 1 2 -> 3",  # extra source coordinate
-        "pair 1 -> 3 0",  # extra target coordinate
-        "pair 1 ->",  # missing target coordinate
-        "pair 1 3",  # no arrow
-        "pair 1 -> 2\npair 1 -> 3",  # two images for one element
-        "order",  # key without a value
-    ],
-)
-def test_read_freiman_map_rejects_malformed_lines(body):
-    with pytest.raises(DomainError):
-        read_map_body("source 4\ntarget 4\norder 2\n" + body + "\n")
 
 
 def test_parse_fraction_rejects_malformed():
@@ -119,18 +93,6 @@ def test_progression_roundtrip():
     assert back.bounds == ((-2, 2), (0, 1))
     assert back.subgroup == h
     assert back.proper
-
-
-def test_freiman_map_roundtrip():
-    g = GroupSpec((8,))
-    t = GroupSpec((5,))
-    a = GroupSet.from_coords(g, [(0,), (1,), (2,)])
-    phi = FreimanMap(a, t, {0: 0, 1: 1, 2: 2}, 2)
-    back = read_map_body("\n".join(freiman_map_lines(phi)))
-    assert back.domain == a
-    assert back.target == t
-    assert back.table == phi.table
-    assert back.order == 2
 
 
 def test_writers_deterministic():
