@@ -25,7 +25,6 @@ from .checks import BoundCheck
 from .errors import DomainError, InvariantError, ResourceLimitError, StructureError
 from .fourier import BohrSpec
 from .groups import (
-    DEFAULT_ENUMERATION_CAP,
     Character,
     GroupElement,
     GroupSpec,
@@ -37,10 +36,10 @@ from .sumsets import GroupSet, sumset
 _CANDIDATE_BUDGET = 1 << 24
 
 
-def bohr_set(spec_b: BohrSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupSet:
+def bohr_set(spec_b: BohrSpec) -> GroupSet:
     """Exact membership: circular distance of every argument at most rho."""
     group = spec_b.spec
-    group.require_enumerable(cap)
+    group.require_enumerable()
     coords = group.decode(np.arange(group.cardinality, dtype=np.int64))
     mask = np.ones(group.cardinality, dtype=bool)
     num, den = spec_b.rho.numerator, spec_b.rho.denominator
@@ -142,16 +141,14 @@ def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
     return [int(Fraction(v) * den) for v in row]
 
 
-def minima_frame(
-    characters: Sequence[Character], cap: int = DEFAULT_ENUMERATION_CAP
-) -> MinimaReport:
+def minima_frame(characters: Sequence[Character]) -> MinimaReport:
     """The kept and stripped characters, the kernel H, det = |H|/|G| and
     the common denominator; lambdas, vectors and preimages are left empty."""
     kept, stripped = strip_redundant_characters(characters)
     if not kept:
         raise DomainError("all characters are trivial or redundant")
     spec = kept[0].spec
-    subgroup = kernel_of_characters(spec, kept, cap)
+    subgroup = kernel_of_characters(spec, kept)
     return MinimaReport(
         spec=spec,
         chars=kept,
@@ -237,10 +234,7 @@ def _shifted_lifts(
     return all_rows[order], norms[order], all_pre[order]
 
 
-def successive_minima(
-    characters: Sequence[Character],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MinimaReport:
+def successive_minima(characters: Sequence[Character]) -> MinimaReport:
     """Exact successive minima, attaining vectors, and group preimages.
 
     Candidates are the centered lifts of phi(G) together with the integer
@@ -266,7 +260,7 @@ def successive_minima(
     for c in chars:
         if c.spec != spec:
             raise StructureError("characters of different groups")
-    frame = minima_frame(chars, cap)
+    frame = minima_frame(chars)
     kept, subgroup, m_den = frame.chars, frame.subgroup, frame.denominator
     d = len(kept)
     if (spec.cardinality // subgroup.order - 1) << d > _CANDIDATE_BUDGET:
@@ -347,16 +341,14 @@ class CosetProgression:
         )
 
 
-def materialize(
-    cp: CosetProgression, cap: int = DEFAULT_ENUMERATION_CAP
-) -> GroupSet:
+def materialize(cp: CosetProgression) -> GroupSet:
     """The underlying element set: base + H, then one sumset per generator.
 
     The multiples l*g depend on l mod ord(g) only, so at most ord(g) of them
     are built.  Once the set is all of G it stays G, and the loop stops.
     """
     spec = cp.spec
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     current = GroupSet(spec, spec.add_scalar(cp.subgroup.indices, cp.base.index))
     for g, (lo, hi) in zip(cp.generators, cp.bounds):
         if current.size == spec.cardinality:
@@ -419,7 +411,6 @@ def extraction_checks(
     minima: MinimaReport,
     cp: CosetProgression,
     bset: GroupSet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BohrExtraction:
     """Set the proper flag of ``cp`` and check Minkowski's second theorem,
     containment in the Bohr set ``bset`` of ``spec_b``, properness by
@@ -427,7 +418,7 @@ def extraction_checks(
     is returned, never raised."""
     rho = spec_b.rho
     d = minima.dimension
-    realized = materialize(cp, cap)
+    realized = materialize(cp)
     proper = realized.size == cp.formal_size
     size_lower = (rho / d) ** d * spec_b.spec.cardinality
     checks = (
@@ -456,9 +447,7 @@ def whole_group_extraction(spec_b: BohrSpec) -> BohrExtraction:
     return BohrExtraction(cp, None, (check,))
 
 
-def progression_from_bohr(
-    spec_b: BohrSpec, cap: int = DEFAULT_ENUMERATION_CAP, bset: GroupSet | None = None
-) -> BohrExtraction:
+def progression_from_bohr(spec_b: BohrSpec, bset: GroupSet | None = None) -> BohrExtraction:
     """Extract a proper coset progression P + H inside B(Gamma, rho).
 
     ``bset`` is the Bohr set, built here unless the caller has it.  Every
@@ -469,11 +458,11 @@ def progression_from_bohr(
         raise DomainError("extraction requires 0 < rho < 1/4")
     if not spec_b.chars:
         raise DomainError("extraction requires at least one character")
-    minima = successive_minima(spec_b.chars, cap)
+    minima = successive_minima(spec_b.chars)
     if bset is None:
-        bset = bohr_set(spec_b, cap)
+        bset = bohr_set(spec_b)
     extraction = extraction_checks(
-        spec_b, minima, progression_from_minima(spec_b, minima), bset, cap
+        spec_b, minima, progression_from_minima(spec_b, minima), bset
     )
     for check in extraction.checks:
         if not check.passed:

@@ -4,12 +4,15 @@ The scalar formatters and parsers live here, in a leaf module, because
 both the check records and ``textio`` (which imports the modules that
 build checks) need them.  Rationals are written ``p/q`` (or a bare
 integer), floats with 12 significant digits; a malformed token is a
-DomainError.
+DomainError.  Integers of any length are written and read exactly: past
+``str``/``int``'s digit limit (4300 by default) the conversion goes through
+``Decimal``, which has none, so no process-wide setting is changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -19,8 +22,16 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
+def fmt_int(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past str's digit limit
+        return str(Decimal(n))
+
+
 def fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = fmt_int(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{fmt_int(f.denominator)}"
 
 
 def fmt_float(x: float) -> str:
@@ -32,6 +43,8 @@ def parse_int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
+        if token.isascii() and token.removeprefix("-").isdigit():  # past int's digit limit
+            return int(Decimal(token))
         raise DomainError(f"malformed integer token {token!r}") from None
 
 
@@ -42,11 +55,7 @@ def parse_fraction(token: str) -> Fraction:
 
 def _fraction(token: str, num: str, den: str) -> Fraction:
     try:
-        return Fraction(int(num)) if not den else Fraction(int(num), int(den))
-    except ValueError:
-        parse_int(num)  # raises the DomainError naming the bad part
-        parse_int(den)
-        raise
+        return Fraction(parse_int(num)) if not den else Fraction(parse_int(num), parse_int(den))
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in {token!r}") from None
 
@@ -71,7 +80,7 @@ def _fmt(v) -> str:
         return fmt_fraction(v)
     if isinstance(v, float):
         return fmt_float(v)
-    return str(v)
+    return fmt_int(v) if isinstance(v, int) else str(v)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from .fourier import (
     max_dissociated,
     spec_threshold,
 )
-from .groups import DEFAULT_ENUMERATION_CAP
 from .generators import (
     FamilySpec,
     explore_multiple_cover_sumset,
@@ -73,17 +72,17 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fourier(args) -> int:
     a = read_group_set(_read(args.set))
-    spectrum = indicator_transform(a, args.cap)
+    spectrum = indicator_transform(a)
     _emit(write_spectrum(spectrum), args.out)
     return 0
 
 
 def _cmd_bohr(args) -> int:
     a = read_group_set(_read(args.set))
-    report = bogolyubov_bohr(a, cap=args.cap, log_base=args.log_base)
+    report = bogolyubov_bohr(a, log_base=args.log_base)
     shown = report
     if args.rho:
-        spectrum = indicator_transform(a, args.cap)
+        spectrum = indicator_transform(a)
         tset = spec_threshold(spectrum, parse_fraction(args.rho))
         shown = bogolyubov_report(
             report.doubling, spectrum, tset, max_dissociated(tset), log_base=args.log_base
@@ -96,7 +95,7 @@ def _cmd_bohr(args) -> int:
         print(f"char {join_ints(coords)} {fmt_float(mag)}")
     print(f"dissociated {len(shown.phi)}")
     print(f"bohr-rho {fmt_fraction(shown.bohr.rho)}")
-    print(f"bohr-size {bohr_set(shown.bohr, args.cap).size}")
+    print(f"bohr-size {bohr_set(shown.bohr).size}")
     for check in shown.checks:
         print(check.line())
     return 1 if any(c.failed for c in shown.checks) else 0
@@ -104,12 +103,7 @@ def _cmd_bohr(args) -> int:
 
 def _cmd_model(args) -> int:
     a = read_group_set(_read(args.set))
-    trace = minimize_model(
-        a,
-        args.s,
-        target_density=parse_fraction(args.target),
-        cap=args.cap,
-    )
+    trace = minimize_model(a, args.s, target_density=parse_fraction(args.target))
     print(f"s {trace.s}")
     print(f"stages {len(trace.stages)}")
     for i, stage in enumerate(trace.stages):
@@ -138,7 +132,7 @@ def _cmd_zmodel(args) -> int:
 
 def _cmd_f2shrink(args) -> int:
     a = read_group_set(_read(args.set))
-    trace = f2_shrink(a, args.cap)
+    trace = f2_shrink(a)
     print(f"stages {len(trace.stages)}")
     for i, stage in enumerate(trace.stages):
         print(
@@ -152,7 +146,7 @@ def _cmd_f2shrink(args) -> int:
 def _cmd_cover(args) -> int:
     a = read_group_set(_read(args.set))
     cp = read_progression(_read(args.progression))
-    trace = chang_cover(CoverInput.build(a, cp, args.cap), args.cap)
+    trace = chang_cover(CoverInput.build(a, cp))
     print(f"mk {trace.mk}")
     print(f"t {trace.t}")
     print(f"eta {fmt_fraction(trace.input.eta)}")
@@ -168,7 +162,6 @@ def _cmd_pipeline(args) -> int:
         s=args.s,
         skip_model=args.skip_model,
         tolerance=args.tolerance,
-        cap=args.cap,
         log_base=args.log_base,
     )
     cert = run_pipeline(a, config)
@@ -235,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="enumeration cap (default %(default)s)")
-
     p = sub.add_parser("analyze", help="set size, sumset size, doubling constant")
     p.add_argument("set")
     p.set_defaults(func=_cmd_analyze)
@@ -246,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fourier", help="dump the full spectrum of the indicator")
     p.add_argument("set")
     p.add_argument("--out")
-    common(p)
     p.set_defaults(func=_cmd_fourier)
 
     p = sub.add_parser("bohr", help="spectral Bohr localization of 2A-2A")
@@ -255,14 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log2", dest="log_base", action="store_const",
                    const=2.0, default=defaults.log_base,
                    help="use log base 2 in bound formulas")
-    common(p)
     p.set_defaults(func=_cmd_bohr)
 
     p = sub.add_parser("model", help="shrink the ambient group around the set")
     p.add_argument("set")
     p.add_argument("--s", type=int, default=defaults.s)
     p.add_argument("--target", default="1", help="stop at this density (fraction)")
-    common(p)
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("zmodel", help="model an integer set in the smallest Z/m")
@@ -271,13 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("f2shrink", help="shrink a set in a two-torsion group")
     p.add_argument("set")
-    common(p)
     p.set_defaults(func=_cmd_f2shrink)
 
     p = sub.add_parser("cover", help="cover the set by a progression in 2A-2A")
     p.add_argument("set")
     p.add_argument("progression")
-    common(p)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("pipeline", help="end-to-end run with certificate output")
@@ -288,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log2", dest="log_base", action="store_const",
                    const=2.0, default=defaults.log_base)
     p.add_argument("--out")
-    common(p)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("verify", help="independently re-check a certificate")

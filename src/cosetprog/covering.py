@@ -19,7 +19,6 @@ import numpy as np
 from .bohr import CosetProgression, materialize
 from .checks import BoundCheck
 from .errors import DomainError, InvariantError
-from .groups import DEFAULT_ENUMERATION_CAP
 from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 
 
@@ -66,7 +65,6 @@ class CoverInput:
         cls,
         a: GroupSet,
         cp: CosetProgression,
-        cap: int = DEFAULT_ENUMERATION_CAP,
         d22: GroupSet | None = None,
     ) -> "CoverInput":
         """The input for ``chang_cover``: cp must be proper and inside 2A - 2A.
@@ -75,7 +73,7 @@ class CoverInput:
         """
         if not a:
             raise DomainError("cannot cover the empty set")
-        cover_input = cls.derive(a, cp, doubling(a), cap)
+        cover_input = cls.derive(a, cp, doubling(a))
         if cover_input.realized.size != cp.formal_size:
             raise DomainError("progression is not proper")
         if d22 is None:
@@ -85,10 +83,8 @@ class CoverInput:
         return cover_input
 
     @classmethod
-    def derive(
-        cls, a: GroupSet, cp: CosetProgression, dbl: DoublingReport, cap: int
-    ) -> "CoverInput":
-        realized = materialize(cp, cap)
+    def derive(cls, a: GroupSet, cp: CosetProgression, dbl: DoublingReport) -> "CoverInput":
+        realized = materialize(cp)
         return cls(
             set=a,
             progression=cp,
@@ -183,7 +179,6 @@ def cover_trace(
     s_sets: Sequence[GroupSet],
     p_sets: Sequence[GroupSet],
     q: CosetProgression,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CoverTrace:
     """Set the proper flag of ``q`` and check the rounds and Q: exact growth of
     P_0, ..., P_t, the iterate inside (t+2)A - 2A and its size, 2^t <= K^4/eta,
@@ -194,7 +189,7 @@ def cover_trace(
     mk = cover_input.mk
     t = len(s_sets)
     p_t = p_sets[t]
-    q_realized = materialize(q, cap)
+    q_realized = materialize(q)
     q = replace(q, proper=q_realized.size == q.formal_size)
     predicted = p_sets[0].size * math.prod(s.size for s in s_sets)
     envelope = iterated_sumset(a, t + 2, 2)
@@ -224,9 +219,7 @@ def cover_trace(
     )
 
 
-def chang_cover(
-    cover_input: CoverInput, cap: int = DEFAULT_ENUMERATION_CAP
-) -> CoverTrace:
+def chang_cover(cover_input: CoverInput) -> CoverTrace:
     """Run the covering iteration and assemble the containing progression.
 
     Rounds adjoin ceil(2K) greedy disjoint translates until at most that
@@ -261,7 +254,7 @@ def chang_cover(
         raise InvariantError("covering iteration exceeded its termination bound")
 
     q = assemble_q(cover_input.progression, s_sets, r_sets[t])
-    trace = cover_trace(cover_input, r_sets, s_sets, p_sets, q, cap)
+    trace = cover_trace(cover_input, r_sets, s_sets, p_sets, q)
     for check in trace.checks:
         if check.failed:
             raise InvariantError(f"guaranteed covering property failed: {check.line()}")

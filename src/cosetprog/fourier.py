@@ -64,15 +64,14 @@ class Spectrum:
             raise DomainError("coefficient magnitude exceeds the density")
 
 
-def indicator_transform(a: GroupSet, cap: int | None = None) -> Spectrum:
+def indicator_transform(a: GroupSet) -> Spectrum:
     """Fourier transform of 1_A over the full dual group, by one inverse FFT.
 
     Indices are row-major in the group's orders, so the reshaped indicator's
     inverse FFT is E_x 1_A(x) gamma(x), normalisation and sign included.
     """
     spec = a.spec
-    if cap is not None:
-        spec.require_enumerable(cap)
+    spec.require_enumerable()
     indicator = np.zeros(spec.cardinality)
     indicator[a.indices] = 1.0
     values = np.fft.ifftn(indicator.reshape(spec.orders)).ravel()
@@ -486,7 +485,6 @@ def bogolyubov_report(
 
 def bogolyubov_bohr(
     a: GroupSet,
-    cap: int | None = None,
     tol: float = DEFAULT_TOLERANCE,
     log_base: float = math.e,
 ) -> BogolyubovReport:
@@ -500,6 +498,6 @@ def bogolyubov_bohr(
     if not a:
         raise DomainError("the empty set has no Bohr localization")
     dbl = doubling(a)
-    spectrum = indicator_transform(a, cap)
+    spectrum = indicator_transform(a)
     tset = bogolyubov_threshold(spectrum, dbl.k, tol)
     return bogolyubov_report(dbl, spectrum, tset, max_dissociated(tset), tol, log_base)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, ResourceLimitError, StructureError
 
-DEFAULT_ENUMERATION_CAP = 1 << 20
+ENUMERATION_CAP = 1 << 20
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -166,10 +166,10 @@ class GroupSpec:
         ca = self.decode(np.asarray(a, dtype=np.int64))
         return self.encode(ca * int(factor))
 
-    def require_enumerable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-        if self.cardinality > cap:
+    def require_enumerable(self) -> None:
+        if self.cardinality > ENUMERATION_CAP:
             raise ResourceLimitError(
-                f"group of size {self.cardinality} exceeds enumeration cap {cap}"
+                f"group of size {self.cardinality} exceeds enumeration cap {ENUMERATION_CAP}"
             )
 
     def __str__(self) -> str:
@@ -396,11 +396,9 @@ def hom_from_character(gamma: Character) -> Homomorphism:
     return Homomorphism(gamma.spec, GroupSpec((q,)), (row,))
 
 
-def enumerate_group(
-    spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[GroupElement]:
+def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
     """All elements in lexicographic coordinate order."""
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     return [
         GroupElement(spec, coords)
         for coords in _cartesian(*(range(n) for n in spec.orders))
@@ -468,17 +466,13 @@ def _closure_indices(spec: GroupSpec, gen_indices: Sequence[int]) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def subgroup_closure(
-    spec: GroupSpec,
-    generators: Iterable[GroupElement],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Subgroup:
+def subgroup_closure(spec: GroupSpec, generators: Iterable[GroupElement]) -> Subgroup:
     """Smallest subgroup containing the generators."""
     gens = tuple(generators)
     for g in gens:
         if g.spec != spec:
             raise StructureError("generator is not in the ambient group")
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     # closure under addition suffices: -g = (order(g)-1)*g in a finite group
     indices = _closure_indices(spec, [g.index for g in gens])
     return Subgroup(spec, gens, indices)
@@ -499,17 +493,13 @@ def reduce_generators(subgroup: Subgroup) -> tuple[GroupElement, ...]:
     return tuple(gens)
 
 
-def kernel_of_characters(
-    spec: GroupSpec,
-    characters: Iterable[Character],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Subgroup:
+def kernel_of_characters(spec: GroupSpec, characters: Iterable[Character]) -> Subgroup:
     """All x with gamma(x) = 1 for every gamma in the list."""
     chars = tuple(characters)
     for gamma in chars:
         if gamma.spec != spec:
             raise StructureError("character does not belong to the given group")
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
     mask = np.ones(spec.cardinality, dtype=bool)
     for gamma in chars:
@@ -558,9 +548,7 @@ def _first_primitive_character(g: GroupElement) -> Character:
     return spec.character_at(int(primitive[0]))
 
 
-def subgroup_decomposition(
-    subgroup: Subgroup, cap: int = DEFAULT_ENUMERATION_CAP
-) -> CyclicDecomposition:
+def subgroup_decomposition(subgroup: Subgroup) -> CyclicDecomposition:
     """Present a subgroup as an explicit direct sum of cyclic groups.
 
     Splits off a maximal-order element g at each step, using the first
@@ -569,7 +557,7 @@ def subgroup_decomposition(
     enumeration cap.
     """
     spec = subgroup.spec
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     orders: list[int] = []
     gens: list[GroupElement] = []
     rem = subgroup.indices

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DomainError, InvariantError
 from .fourier import _magnitude_order, indicator_transform
 from .groups import (
-    DEFAULT_ENUMERATION_CAP,
     Character,
     GroupSpec,
     Homomorphism,
@@ -67,9 +66,7 @@ def _magnitude_floor(alpha_d: float, kappa: Fraction, delta: Fraction) -> float:
 
 
 def find_concentrating_character(
-    a: GroupSet,
-    delta: Fraction,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    a: GroupSet, delta: Fraction
 ) -> ConcentrationCandidate | None:
     """Scan characters by descending |1_D^| for one concentrating the set.
 
@@ -98,10 +95,10 @@ def find_concentrating_character(
     if not Fraction(0) < delta < Fraction(1, 2):
         raise DomainError("delta must lie in (0, 1/2)")
     spec = a.spec
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     kappa = Fraction(1, 4) / doubling(a).k ** 2
     d_set = difference_set(a)
-    spectrum = indicator_transform(d_set, cap)
+    spectrum = indicator_transform(d_set)
     mags = spectrum.magnitudes
     alpha_d = float(spectrum.density)
     floor = _magnitude_floor(alpha_d, kappa, delta) - 1e-9 * alpha_d
@@ -174,7 +171,6 @@ def shrink_model_step(
     gamma: Character,
     q: int,
     interval: tuple[int, int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ModelStage:
     """Rebuild A inside ker(psi) x Z/m, m = s*l + 1, and verify the s-isomorphism.
 
@@ -201,7 +197,7 @@ def shrink_model_step(
     if gamma.order() != q:
         raise DomainError("q does not equal the character order")
     spec = a.spec
-    spec.require_enumerable(cap)
+    spec.require_enumerable()
     all_coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
     psi_all = gamma.arg_numerators(all_coords)
     t_candidates = np.nonzero(psi_all == b % q)[0]
@@ -215,7 +211,7 @@ def shrink_model_step(
     kernel = Subgroup(spec, (), np.flatnonzero(psi_all == 0))  # decomposition reads no generators
     z_idx = int(np.nonzero(psi_all == 1 % q)[0][0])
     z_coords = np.array(spec.coords_of(z_idx), dtype=np.int64)
-    decomp = subgroup_decomposition(kernel, cap)
+    decomp = subgroup_decomposition(kernel)
     h_idx = spec.encode(spec.decode(shifted) - lam[:, None] * z_coords[None, :])
     h_model = [decomp.to_model[h] for h in h_idx.tolist()]
     m = s * l + 1
@@ -286,7 +282,6 @@ def minimize_model(
     a: GroupSet,
     s: int,
     target_density: Fraction = Fraction(1),
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ModelTrace:
     """Iterate shrink steps while the group strictly decreases.
 
@@ -305,12 +300,10 @@ def minimize_model(
     stages: list[ModelStage] = []
     current = a
     while Fraction(current.size, current.spec.cardinality) < target_density:
-        cand = find_concentrating_character(current, delta, cap)
+        cand = find_concentrating_character(current, delta)
         if cand is None:
             break
-        stage = shrink_model_step(
-            current, s, cand.gamma, cand.q, (cand.start, cand.length), cap
-        )
+        stage = shrink_model_step(current, s, cand.gamma, cand.q, (cand.start, cand.length))
         if stage.set_after.spec.cardinality >= current.spec.cardinality:
             break
         stages.append(stage)
@@ -318,7 +311,7 @@ def minimize_model(
     return _assemble_trace(s, a, stages, k)
 
 
-def f2_shrink(a: GroupSet, cap: int = DEFAULT_ENUMERATION_CAP) -> ModelTrace:
+def f2_shrink(a: GroupSet) -> ModelTrace:
     """Shrink a set in a two-torsion group down to at most K^4 |A| points.
 
     While the group is larger than K^4 |A| there must be a point outside

@@ -47,7 +47,7 @@ from .fourier import (
     indicator_transform,
 )
 from .freiman import induced_difference_iso, is_freiman_iso, transport_progression
-from .groups import DEFAULT_ENUMERATION_CAP, Character, GroupElement, GroupSpec, Subgroup
+from .groups import Character, GroupElement, GroupSpec, Subgroup
 from .models import ModelStage, ModelTrace, minimize_model, model_trace, shrink_model_step
 from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 from .textio import (
@@ -76,8 +76,13 @@ class PipelineConfig:
     s: int = 8
     skip_model: bool = False
     tolerance: float = 1e-9
-    cap: int = DEFAULT_ENUMERATION_CAP
     log_base: float = math.e
+
+    def __post_init__(self) -> None:
+        if self.s < 1:
+            raise DomainError(f"s must be at least 1, not {self.s}")
+        if not 0 < self.log_base != 1:  # also rejects nan
+            raise DomainError(f"log-base must be positive and not 1, not {self.log_base}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +128,11 @@ def run_pipeline(
     if config.skip_model:
         trace = model_trace(config.s, a, [], dbl.k)
     else:
-        trace = minimize_model(a, config.s, cap=config.cap)
+        trace = minimize_model(a, config.s)
     a1 = trace.final_set
 
-    bog = bogolyubov_bohr(
-        a1, cap=config.cap, tol=config.tolerance, log_base=config.log_base
-    )
-    bset = bohr_set(bog.bohr, config.cap)
+    bog = bogolyubov_bohr(a1, tol=config.tolerance, log_base=config.log_base)
+    bset = bohr_set(bog.bohr)
     d22 = iterated_sumset(a1, 2, 2)
     bohr_check = bohr_containment(bset, d22)
     if bohr_check.failed:
@@ -138,14 +141,13 @@ def run_pipeline(
     if bog.bohr.dimension == 0:
         extraction = whole_group_extraction(bog.bohr)
     else:
-        extraction = progression_from_bohr(bog.bohr, config.cap, bset)
+        extraction = progression_from_bohr(bog.bohr, bset)
 
     cp = extraction.progression
     if not trace.is_identity:
         cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
 
-    cover_input = CoverInput.build(a, cp, config.cap, d22 if a1 == a else None)
-    cover = chang_cover(cover_input, config.cap)
+    cover = chang_cover(CoverInput.build(a, cp, d22 if a1 == a else None))
     return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, cp, cover)
 
 
@@ -189,7 +191,7 @@ def _certificate(
     moved = ()
     if not trace.is_identity:
         cp_model = extraction.progression
-        size, size_model = (materialize(p, config.cap).size for p in (cp, cp_model))
+        size, size_model = (materialize(p).size for p in (cp, cp_model))
         moved = (
             BoundCheck.make("transport_dimension", cp.dimension == cp_model.dimension,
                             cp.dimension, cp_model.dimension),
@@ -233,7 +235,6 @@ def write_certificate(cert: PipelineCertificate) -> str:
     out.append(f"s {c.s}")
     out.append(f"skip-model {1 if c.skip_model else 0}")
     out.append(f"tolerance {fmt_float(c.tolerance)}")
-    out.append(f"cap {c.cap}")
     out.append("log-base " + ("e" if c.log_base == math.e else fmt_float(c.log_base)))
     out.append("end config")
 
@@ -413,7 +414,6 @@ def read_certificate(text: str) -> PipelineCertificate:
         s=parse_int(cfg.value("s")),
         skip_model=cfg.value("skip-model") == "1",
         tolerance=parse_float(cfg.value("tolerance")),
-        cap=parse_int(cfg.value("cap")),
         log_base=math.e if log_token == "e" else parse_float(log_token),
     )
 
@@ -615,7 +615,6 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         entries.append(VerificationEntry(name, bool(ok), detail))
 
     cfg = cert.config
-    cap = cfg.cap
     a = cert.input_set
     dbl = doubling(a)
 
@@ -625,7 +624,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         current = stages[-1].set_after if stages else a
         try:
             stages.append(
-                shrink_model_step(current, cfg.s, choice.gamma, choice.q, choice.interval, cap)
+                shrink_model_step(current, cfg.s, choice.gamma, choice.q, choice.interval)
             )
         except DomainError as exc:
             add(f"model_stage_{i}", False, str(exc))
@@ -644,7 +643,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     a1 = cert.model.final_set
 
     # spectral stage: Phi inside the threshold set, dissociated and maximal
-    spectrum = indicator_transform(a1, cap)
+    spectrum = indicator_transform(a1)
     dbl1 = doubling(a1)
     tset = bogolyubov_threshold(spectrum, dbl1.k, cfg.tolerance)
     bog = bogolyubov_report(dbl1, spectrum, tset, cert.phi, cfg.tolerance, cfg.log_base)
@@ -671,7 +670,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         "" if not outside.size
         else f"{a1.spec.character_at(int(outside[0]))!r} outside the cube of phi",
     )
-    bset = bohr_set(bog.bohr, cap)
+    bset = bohr_set(bog.bohr)
     d22 = iterated_sumset(a1, 2, 2)
     bohr_check = bohr_containment(bset, d22)
 
@@ -681,7 +680,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     else:
         m = cert.minima
         minima = replace(
-            minima_frame(phi, cap), lambdas=m.lambdas, vectors=m.vectors, preimages=m.preimages
+            minima_frame(phi), lambdas=m.lambdas, vectors=m.vectors, preimages=m.preimages
         )
         fault = _minima_vectors_fault(minima)
         add("minima_vectors", not fault, fault)
@@ -691,7 +690,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
             i is None,
             "" if i is None else f"minimum {i}'s vector lies in the span of the ones before it",
         )
-        judged = extraction_checks(bog.bohr, minima, cert.progression_model, bset, cap)
+        judged = extraction_checks(bog.bohr, minima, cert.progression_model, bset)
         rule = progression_from_minima(bog.bohr, minima)
         extraction = replace(judged, progression=replace(rule, proper=judged.progression.proper))
 
@@ -709,12 +708,12 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
                 fault = str(exc)
         add("transport_iso", zeta is not None, "" if zeta is not None else fault)
         if zeta is not None:
-            source = materialize(cert.progression_model, cap)
+            source = materialize(cert.progression_model)
             if not source.is_subset(zeta.domain):
                 fault = "progression-model is not inside 2A'-2A'"
             else:
                 image = GroupSet(zeta.target, zeta.apply_indices(source.indices))
-                moved = materialize(cp, cap)
+                moved = materialize(cp)
                 fault = "" if moved == image else (
                     "progression is not the image of progression-model "
                     f"({moved.size} and {image.size} point(s))"
@@ -723,35 +722,59 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
 
     # covering rounds: each R_i maximal and disjoint, each S_i a batch of R_i
     cover = cert.cover
-    cover_input = CoverInput.derive(a, cp, dbl, cap)
-    p_sets = [cover_input.realized]
-    add("cover_input_proper", cp.proper and p_sets[0].size == cp.formal_size)
+    cover_input = CoverInput.derive(a, cp, dbl)
+    mk = cover_input.mk
+    p_0 = cover_input.realized
+    p_sets = [p_0]
+    fault = "" if cp.proper and p_0.size == cp.formal_size else (
+        f"|P + H| = {p_0.size}, formal size {cp.formal_size}, marked proper {int(cp.proper)}"
+    )
+    add("cover_input_proper", not fault, fault)
     d22_input = d22 if a1 == a else iterated_sumset(a, 2, 2)
-    add("cover_input_contained", p_sets[0].is_subset(d22_input))
+    fault = "" if p_0.is_subset(d22_input) else (
+        f"{_outside(p_0, d22_input)} of the {p_0.size} point(s) of P + H lie outside"
+        f" 2A - 2A ({d22_input.size} point(s))"
+    )
+    add("cover_input_contained", not fault, fault)
     t = len(cover.s_sets)
     for i, r_i in enumerate(cover.r_sets):
         p_current = p_sets[i]
         union = sumset(p_current, r_i)
-        disjoint = r_i.is_subset(a) and union.size == p_current.size * r_i.size
-        add(f"cover_round_{i}_disjoint", disjoint)
+        if not r_i.is_subset(a):
+            fault = f"{_outside(r_i, a)} of the {r_i.size} point(s) of R_{i} lie outside A"
+        elif union.size != p_current.size * r_i.size:
+            fault = f"|P_{i} + R_{i}| = {union.size}, not {p_current.size} * {r_i.size}"
+        else:
+            fault = ""
+        add(f"cover_round_{i}_disjoint", not fault, fault)
         covered = np.zeros(a.spec.cardinality, dtype=bool)
         covered[union.indices] = True
         maximal = np.isin(a.indices, r_i.indices)  # x in R_i, or P_i + x meets P_i + R_i
         for rows in pair_chunks(a.size, p_current.size):
             grid = a.spec.add_pairwise(a.indices[rows], p_current.indices)
             maximal[rows] |= covered[grid].any(axis=1)
-        maximal_r = bool(maximal.all())
-        add(f"cover_round_{i}_maximal", maximal_r)
+        fault = ""
+        if not maximal.all():
+            x = a.spec.element_at(int(a.indices[np.argmin(maximal)]))
+            fault = f"{x!r} is in A but not in R_{i}, and P_{i} + {x!r} misses P_{i} + R_{i}"
+        add(f"cover_round_{i}_maximal", not fault, fault)
         if i < t:
             s_i = cover.s_sets[i]
-            add(
-                f"cover_round_{i}_batch",
-                s_i.size == cover_input.mk and s_i.is_subset(r_i) and r_i.size > cover_input.mk,
+            fault = "" if s_i.size == mk and s_i.is_subset(r_i) and r_i.size > mk else (
+                f"|S_{i}| = {s_i.size} with {_outside(s_i, r_i)} point(s) outside R_{i},"
+                f" |R_{i}| = {r_i.size}, ceil(2K) = {mk}"
             )
-            p_sets.append(sumset(p_current, s_i))
-            add(f"cover_round_{i}_growth", p_sets[-1].size == p_current.size * s_i.size)
-    add("cover_rt_small", cover.r_sets[t].size <= cover_input.mk)
-    judged = cover_trace(cover_input, cover.r_sets, cover.s_sets, p_sets, cover.q, cap)
+            add(f"cover_round_{i}_batch", not fault, fault)
+            p_next = sumset(p_current, s_i)
+            p_sets.append(p_next)
+            fault = "" if p_next.size == p_current.size * s_i.size else (
+                f"|P_{i + 1}| = {p_next.size}, not {p_current.size} * {s_i.size}"
+            )
+            add(f"cover_round_{i}_growth", not fault, fault)
+    r_t = cover.r_sets[t]
+    fault = "" if r_t.size <= mk else f"|R_{t}| = {r_t.size} exceeds ceil(2K) = {mk}"
+    add("cover_rt_small", not fault, fault)
+    judged = cover_trace(cover_input, cover.r_sets, cover.s_sets, p_sets, cover.q)
     q = replace(assemble_q(cp, cover.s_sets, cover.r_sets[t]), proper=judged.q.proper)
 
     derived = _certificate(
@@ -762,6 +785,11 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     for path, stored, value in _stored_value_mismatches(cert, derived, cfg.tolerance):
         add("stored_value", False, f"{path}: stored {_fmt(stored)}, derived {_fmt(value)}")
     return VerificationReport(tuple(entries))
+
+
+def _outside(x: GroupSet, y: GroupSet) -> int:
+    """The number of points of ``x`` not in ``y``."""
+    return int(np.setdiff1d(x.indices, y.indices, assume_unique=True).size)
 
 
 def _minima_vectors_fault(minima: MinimaReport) -> str:

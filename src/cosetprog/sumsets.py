@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .groups import DEFAULT_ENUMERATION_CAP, GroupElement, GroupSpec, Subgroup, _frozen
+from .groups import ENUMERATION_CAP, GroupElement, GroupSpec, Subgroup, _frozen
 
 _PAIR_BUDGET = 1 << 22
 _MASK_RATIO = 1024
@@ -167,7 +167,7 @@ def mask_pays(spec: GroupSpec, pairs: int) -> bool:
     O(pairs log pairs); the array is used when G is enumerable and
     |G| <= _MASK_RATIO * pairs.
     """
-    return spec.cardinality <= min(DEFAULT_ENUMERATION_CAP, _MASK_RATIO * pairs)
+    return spec.cardinality <= min(ENUMERATION_CAP, _MASK_RATIO * pairs)
 
 
 def sumset(a: GroupSet, b: GroupSet) -> GroupSet:

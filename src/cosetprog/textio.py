@@ -41,10 +41,8 @@ def parse_ints(tokens: Sequence[str]) -> tuple[int, ...]:
     """Every token as an integer, exactly as ``parse_int`` reads one."""
     try:
         return tuple(map(int, tokens))
-    except ValueError:
-        for t in tokens:
-            parse_int(t)  # raises the DomainError naming the first bad token
-        raise
+    except ValueError:  # a DomainError naming the first bad token, or an overlong integer
+        return tuple(map(parse_int, tokens))
 
 
 def _value(row: list[str]) -> str:

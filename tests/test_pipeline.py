@@ -16,6 +16,7 @@ from cosetprog import (
 )
 from cosetprog import fourier, models
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
+from cosetprog.groups import ENUMERATION_CAP
 from cosetprog.pipeline import PipelineConfig
 from cosetprog.textio import parse_int
 
@@ -273,6 +274,27 @@ def test_verify_says_why_a_transported_progression_is_wrong():
     )
 
 
+def test_verify_names_the_element_a_round_leaves_uncovered(model_on_certificate):
+    """With the last element x of R_0 dropped, P_0 + x meets no translate in
+    P_0 + R_0, and every element of A before x was rejected by a translate
+    before it, so x is the first element that breaks maximality."""
+    lines = model_on_certificate[1].splitlines()
+    end = lines.index("end r0")
+    dropped = lines[end - 1].split()[1]
+    assert dropped == "4"
+    del lines[end - 1]
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    failed = {e.name: e.detail for e in report.failures()}
+    assert failed["cover_round_0_maximal"] == (
+        "(4) is in A but not in R_0, and P_0 + (4) misses P_0 + R_0"
+    )
+    # R_0 now holds only ceil(2K) = 4 elements, too few to adjoin a batch
+    assert failed["cover_round_0_batch"] == (
+        "|S_0| = 4 with 0 point(s) outside R_0, |R_0| = 4, ceil(2K) = 4"
+    )
+    assert "cover_round_0_disjoint" not in failed
+
+
 def test_cli_round_trip(tmp_path, capsys):
     from cosetprog.cli import main
     from cosetprog.textio import write_group_set
@@ -323,16 +345,91 @@ def test_cli_cover_subcommand(tmp_path, capsys):
     assert "check cover_containment pass" in out
 
 
-def test_cli_analyze_takes_no_cap(tmp_path, capsys):
+# each subcommand with the arguments it needs; FILE is an existing file
+SUBCOMMANDS = {
+    "analyze": ["FILE"],
+    "fourier": ["FILE"],
+    "bohr": ["FILE"],
+    "model": ["FILE"],
+    "zmodel": ["FILE"],
+    "f2shrink": ["FILE"],
+    "cover": ["FILE", "FILE"],
+    "pipeline": ["FILE"],
+    "verify": ["FILE"],
+    "gen": ["random"],
+    "explore": ["--p", "3", "--x", "10"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_cli_takes_no_cap(tmp_path, capsys, command):
+    """The enumeration cap is the constant 2^20, not an option."""
     from cosetprog.cli import main
     from cosetprog.textio import write_group_set
 
     set_file = tmp_path / "a.txt"
     set_file.write_text(write_group_set(_interval(GroupSpec((8,)), 3)))
+    args = [str(set_file) if arg == "FILE" else arg for arg in SUBCOMMANDS[command]]
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", str(set_file), "--cap", "1"])
+        main([command, *args, "--cap", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+def _above_the_cap():
+    """Ten points of Z/2^21, a group one doubling past the enumeration cap."""
+    spec = GroupSpec((1 << 21,))
+    assert spec.cardinality == 2 * ENUMERATION_CAP
+    return GroupSet.from_coords(spec, [(3 * i,) for i in range(10)])
+
+
+@pytest.mark.parametrize("skip_model", [False, True], ids=["model-on", "skip-model"])
+def test_pipeline_refuses_a_group_above_the_cap(skip_model):
+    with pytest.raises(ResourceLimitError, match="exceeds enumeration cap 1048576$"):
+        run_pipeline(_above_the_cap(), PipelineConfig(skip_model=skip_model))
+
+
+def test_cli_pipeline_above_the_cap_exit_two(tmp_path, capsys):
+    from cosetprog.cli import main
+    from cosetprog.textio import write_group_set
+
+    set_file = tmp_path / "a.txt"
+    set_file.write_text(write_group_set(_above_the_cap()))
+    assert main(["pipeline", str(set_file)]) == 2
+    assert capsys.readouterr().err == (
+        "error: group of size 2097152 exceeds enumeration cap 1048576\n"
+    )
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--skip-model", "--s", "0"], 2),
+    (["--skip-model", "--s", "-3"], 2),
+    (["--skip-model", "--s", "1"], 0),
+])
+def test_cli_pipeline_checks_s(tmp_path, capsys, args, code):
+    from cosetprog.cli import main
+    from cosetprog.textio import write_group_set
+
+    set_file = tmp_path / "a.txt"
+    set_file.write_text(write_group_set(_interval(GroupSpec((64,)), 6)))
+    assert main(["pipeline", str(set_file), *args]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else f"error: s must be at least 1, not {args[-1]}\n")
+
+
+def test_cli_cover_prints_a_bound_past_the_digit_limit(tmp_path, capsys):
+    """A cover_size bound 2^d (K^4/eta)^ceil(5K) |A| with more than the 4300
+    digits str() converts is printed exactly."""
+    from cosetprog.cli import main
+
+    main(["gen", "random", "--orders", "131072", "--size", "180", "--seed", "1"])
+    (tmp_path / "a.txt").write_text(capsys.readouterr().out)
+    (tmp_path / "p.txt").write_text("group 131072\nbase 0\nsubgroup\nproper 1\n")
+    assert main(["cover", str(tmp_path / "a.txt"), str(tmp_path / "p.txt")]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert err == ""
+    bound = next(line for line in out.splitlines() if line.startswith("check cover_size "))
+    assert len(bound.split()[-1]) > 4300
 
 
 def test_cli_usage_error_exit_two(tmp_path):
@@ -368,7 +465,12 @@ def _drop(*words):
 CORRUPTIONS = {
     "elem-token": ("elem ", lambda line: "elem x"),
     "t-token": ("t ", lambda line: "t y"),
-    "cap-token": ("cap ", lambda line: "cap 1e6"),
+    "s-token": ("s ", lambda line: "s 1e6"),
+    "s-zero": ("s ", lambda line: "s 0"),
+    "s-negative": ("s ", lambda line: "s -3"),
+    "log-base-one": ("log-base ", lambda line: "log-base 1"),
+    "log-base-negative": ("log-base ", lambda line: "log-base -2"),
+    "log-base-nan": ("log-base ", lambda line: "log-base nan"),
     "l4-sum-token": ("l4-sum ", lambda line: "l4-sum nan-ish"),
     "key-without-value": ("mk ", lambda line: "mk"),
     "short-check": ("check ", lambda line: " ".join(line.split()[:2])),
@@ -416,12 +518,12 @@ def test_cli_verify_malformed_certificate_exit_two(
 
 
 def test_reader_ignores_the_retired_config_keys(model_on_certificate):
-    """A certificate that still holds the target-density and delta lines of
-    the options the pipeline no longer has, or the gamma-raw section that
+    """A certificate that still holds the target-density, delta and cap lines
+    of the options the pipeline no longer has, or the gamma-raw section that
     listed the threshold set, reads, verifies and is written back without
     them.  The section is not read at all: one of its magnitudes is wrong."""
     cert, text = model_on_certificate
-    assert "\ntarget-density " not in text and "\ndelta " not in text
+    assert not re.search(r"\n(target-density|delta|cap) ", text)
     assert "gamma-raw" not in text
     raw = fourier.bogolyubov_bohr(cert.model.final_set).gamma_raw
     rows = [f"char {' '.join(map(str, g.coords))} {m:.12g}"
@@ -429,7 +531,7 @@ def test_reader_ignores_the_retired_config_keys(model_on_certificate):
     rows[0] = rows[0].rsplit(" ", 1)[0] + f" {2 * raw.magnitudes[0]:.12g}"
     gamma_raw = "\n".join(["begin gamma-raw", *rows, "end gamma-raw"])
     olds = (
-        text.replace("\nlog-base e\n", "\nlog-base e\ntarget-density 1\ndelta none\n"),
+        text.replace("\nlog-base e\n", "\nlog-base e\ntarget-density 1\ndelta none\ncap 99\n"),
         text.replace("\nbegin phi\n", f"\n{gamma_raw}\nbegin phi\n"),
     )
     for old in olds:
@@ -749,8 +851,8 @@ def test_certificates_ignore_transform_noise(monkeypatch, zoo_certificates):
     exact = fourier.indicator_transform
     rng = np.random.default_rng(14)
 
-    def noisy(a, cap=None):
-        s = exact(a, cap)
+    def noisy(a):
+        s = exact(a)
         noise = 1 + 1e-14 * rng.uniform(-1, 1, s.values.shape)
         return fourier.Spectrum(s.spec, s.set_size, s.values * noise)
 

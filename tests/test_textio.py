@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cosetprog import (
     GroupSpec,
     subgroup_closure,
 )
+from cosetprog.checks import _fmt, parse_int, parse_scalar
 from cosetprog.textio import (
     fmt_float,
     fmt_fraction,
@@ -24,6 +26,20 @@ from cosetprog.textio import (
 def test_fraction_roundtrip():
     for f in (Fraction(3, 4), Fraction(5), Fraction(-7, 2)):
         assert parse_fraction(fmt_fraction(f)) == f
+
+
+def test_scalars_past_the_digit_limit_roundtrip():
+    """Integers longer than the 4300 digits str() and int() convert are
+    written and read exactly, with no process-wide setting changed."""
+    big = 7**6000  # 5071 digits
+    for v in (Fraction(big), Fraction(-big, 3), Fraction(11, big), Fraction(big, big + 2)):
+        assert parse_scalar(_fmt(v)) == v
+        assert parse_fraction(fmt_fraction(v)) == v
+    assert len(_fmt(Fraction(10**4999))) == 5000
+    assert parse_int(str(Decimal(big))) == big
+    assert _fmt(big) == str(Decimal(big))
+    with pytest.raises(DomainError, match="malformed integer token"):
+        parse_int("1" * 5000 + "x")
 
 
 def test_float_format_significant_digits():
