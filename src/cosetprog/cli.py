@@ -24,7 +24,7 @@ from .generators import (
     generate,
 )
 from .covering import CoverInput, chang_cover
-from .models import f2_shrink, minimize_model, z_model
+from .models import MODEL_ORDER, f2_shrink, minimize_model, z_model
 from .pipeline import (
     PipelineConfig,
     read_certificate,
@@ -79,14 +79,12 @@ def _cmd_fourier(args) -> int:
 
 def _cmd_bohr(args) -> int:
     a = read_group_set(_read(args.set))
-    report = bogolyubov_bohr(a, log_base=args.log_base)
+    report = bogolyubov_bohr(a)
     shown = report
     if args.rho:
         spectrum = indicator_transform(a)
         tset = spec_threshold(spectrum, parse_fraction(args.rho))
-        shown = bogolyubov_report(
-            report.doubling, spectrum, tset, max_dissociated(tset), log_base=args.log_base
-        )
+        shown = bogolyubov_report(report.doubling, spectrum, tset, max_dissociated(tset))
     print(f"doubling {fmt_fraction(report.doubling.k)}")
     print(f"alpha {fmt_fraction(report.alpha)}")
     print(f"threshold-rho {fmt_float(shown.threshold_rho)}")
@@ -158,13 +156,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     a = read_group_set(_read(args.set))
-    config = PipelineConfig(
-        s=args.s,
-        skip_model=args.skip_model,
-        tolerance=args.tolerance,
-        log_base=args.log_base,
-    )
-    cert = run_pipeline(a, config)
+    cert = run_pipeline(a, PipelineConfig(skip_model=args.skip_model))
     _emit(write_certificate(cert), args.out)
     return 0 if cert.all_passed else 1
 
@@ -221,7 +213,6 @@ def _cmd_explore(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = PipelineConfig()
     parser = argparse.ArgumentParser(
         prog="cosetprog",
         description="Structure certificates for small-doubling sets in finite abelian groups",
@@ -240,14 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bohr", help="spectral Bohr localization of 2A-2A")
     p.add_argument("set")
     p.add_argument("--rho", help="override the spectrum threshold (fraction)")
-    p.add_argument("--log2", dest="log_base", action="store_const",
-                   const=2.0, default=defaults.log_base,
-                   help="use log base 2 in bound formulas")
     p.set_defaults(func=_cmd_bohr)
 
     p = sub.add_parser("model", help="shrink the ambient group around the set")
     p.add_argument("set")
-    p.add_argument("--s", type=int, default=defaults.s)
+    p.add_argument("--s", type=int, default=MODEL_ORDER)
     p.add_argument("--target", default="1", help="stop at this density (fraction)")
     p.set_defaults(func=_cmd_model)
 
@@ -266,11 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="end-to-end run with certificate output")
     p.add_argument("set")
-    p.add_argument("--s", type=int, default=defaults.s)
     p.add_argument("--skip-model", action="store_true")
-    p.add_argument("--tolerance", type=float, default=defaults.tolerance)
-    p.add_argument("--log2", dest="log_base", action="store_const",
-                   const=2.0, default=defaults.log_base)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline)
 

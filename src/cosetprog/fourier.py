@@ -22,7 +22,7 @@ from .errors import DomainError, StructureError
 from .groups import Character, GroupElement, GroupSpec, _frozen
 from .sumsets import DoublingReport, GroupSet, doubling
 
-DEFAULT_TOLERANCE = 1e-9
+TOLERANCE = 1e-9
 
 
 class Spectrum:
@@ -54,13 +54,13 @@ class Spectrum:
     def plancherel_gap(self) -> float:
         return abs(float(np.sum(self.magnitudes**2)) - float(self.density))
 
-    def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
+    def validate(self) -> None:
         alpha = float(self.density)
-        if self.plancherel_gap() > tol * max(alpha, 1e-300):
+        if self.plancherel_gap() > TOLERANCE * max(alpha, 1e-300):
             raise DomainError("Plancherel identity violated beyond tolerance")
-        if abs(complex(self.values[0]) - alpha) > tol * max(alpha, 1e-300):
+        if abs(complex(self.values[0]) - alpha) > TOLERANCE * max(alpha, 1e-300):
             raise DomainError("trivial coefficient does not equal the density")
-        if float(self.magnitudes.max(initial=0.0)) > alpha * (1 + tol):
+        if float(self.magnitudes.max(initial=0.0)) > alpha * (1 + TOLERANCE):
             raise DomainError("coefficient magnitude exceeds the density")
 
 
@@ -86,9 +86,7 @@ def inversion_values(spectrum: Spectrum) -> np.ndarray:
 _DIRECT_CONV_BUDGET = 200_000
 
 
-def convolution_power_at(
-    a: GroupSet, m: int, x: GroupElement, tol: float = DEFAULT_TOLERANCE
-) -> float:
+def convolution_power_at(a: GroupSet, m: int, x: GroupElement) -> float:
     """The m-fold self-convolution of 1_A at x.
 
     Computed spectrally; on inputs small enough for direct m-fold tuple
@@ -105,7 +103,7 @@ def convolution_power_at(
     if m <= 4 and a.size**m <= _DIRECT_CONV_BUDGET:
         count = _direct_tuple_count(a, m, x)
         direct = count / spec.cardinality ** (m - 1)
-        if abs(direct - total) > tol * max(1.0, abs(direct)):
+        if abs(direct - total) > TOLERANCE * max(1.0, abs(direct)):
             raise DomainError("spectral and direct convolution routes disagree")
     return total
 
@@ -135,12 +133,10 @@ class SpecThresholdSet:
         return self.spec.characters_of_rows(self.spec.decode(self.indices))
 
 
-def spec_threshold(
-    spectrum: Spectrum, rho: float | Fraction, tol: float = DEFAULT_TOLERANCE
-) -> SpecThresholdSet:
+def spec_threshold(spectrum: Spectrum, rho: float | Fraction) -> SpecThresholdSet:
     """Threshold the spectrum at rho * density with a guard band.
 
-    Values within relative ``tol`` below the threshold are kept, so the
+    Values within relative ``TOLERANCE`` below the threshold are kept, so the
     output is a superset of the true threshold set; the output is closed
     under inversion and listed in lexicographic character order.
     """
@@ -148,7 +144,7 @@ def spec_threshold(
     if not 0 < rho_f <= 1:
         raise DomainError("threshold rho must lie in (0, 1]")
     spec = spectrum.spec
-    threshold = rho_f * float(spectrum.density) * (1 - tol)
+    threshold = rho_f * float(spectrum.density) * (1 - TOLERANCE)
     keep = np.nonzero(spectrum.magnitudes >= threshold)[0]
     indices = np.unique(np.concatenate([keep, spec.negate_indices(keep)])).astype(np.int64)
     return SpecThresholdSet(
@@ -287,22 +283,20 @@ def chang_bound_check(
     a: GroupSet | Spectrum,
     rho: float | Fraction,
     phi: Sequence[Character],
-    log_base: float = math.e,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> ChangReport:
     """Check |Phi| <= 2 rho^-2 log(1/density) for a dissociated Phi in Spec_rho."""
     spectrum = a if isinstance(a, Spectrum) else indicator_transform(a)
     if not is_dissociated(phi):
         raise DomainError("phi is not dissociated")
     rho_f = float(rho)
-    threshold = rho_f * float(spectrum.density) * (1 - tol)
+    threshold = rho_f * float(spectrum.density) * (1 - TOLERANCE)
     for gamma in phi:
         if spectrum.magnitude(gamma) < threshold:
             raise DomainError(f"{gamma!r} is below the rho-threshold")
     alpha = float(spectrum.density)
-    bound = 0.0 if alpha >= 1 else 2.0 / rho_f**2 * math.log(1 / alpha, log_base)
+    bound = 0.0 if alpha >= 1 else 2.0 / rho_f**2 * math.log(1 / alpha)
     size = len(phi)
-    return ChangReport(size <= bound + tol * max(1.0, bound), size, bound)
+    return ChangReport(size <= bound + TOLERANCE * max(1.0, bound), size, bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +345,7 @@ class RieszMomentReport:
     bernstein_ok: bool
 
 
-def riesz_moment_check(
-    f: RieszFunction, t: float, tol: float = DEFAULT_TOLERANCE
-) -> RieszMomentReport:
+def riesz_moment_check(f: RieszFunction, t: float) -> RieszMomentReport:
     """Verify the mean-square identity and E e^{tf} <= e^{t^2 E f^2}.
 
     Both require the characters to be dissociated; a non-dissociated input
@@ -375,15 +367,15 @@ def riesz_moment_check(
             expected += c * c * (1.0 + (complex(w) ** 2).real) / 2.0
         else:
             expected += c * c / 2.0
-    identity_ok = abs(mean_square - expected) <= tol * max(1.0, abs(expected))
+    identity_ok = abs(mean_square - expected) <= TOLERANCE * max(1.0, abs(expected))
     exp_moment = float(np.mean(np.exp(t * values)))
     exp_bound = math.exp(t * t * mean_square)
-    bernstein_ok = exp_moment <= exp_bound * (1 + tol)
+    bernstein_ok = exp_moment <= exp_bound * (1 + TOLERANCE)
     return RieszMomentReport(
         mean_square,
         half_sum,
         expected,
-        abs(expected - half_sum) > tol * max(1.0, half_sum),
+        abs(expected - half_sum) > TOLERANCE * max(1.0, half_sum),
         identity_ok,
         exp_moment,
         exp_bound,
@@ -428,11 +420,9 @@ class BogolyubovReport:
     checks: tuple[BoundCheck, ...]
 
 
-def bogolyubov_threshold(
-    spectrum: Spectrum, k: Fraction, tol: float = DEFAULT_TOLERANCE
-) -> SpecThresholdSet:
+def bogolyubov_threshold(spectrum: Spectrum, k: Fraction) -> SpecThresholdSet:
     """The threshold set at rho = 1/(2 sqrt K)."""
-    return spec_threshold(spectrum, 1.0 / (2.0 * math.sqrt(float(k))), tol)
+    return spec_threshold(spectrum, 1.0 / (2.0 * math.sqrt(float(k))))
 
 
 def bogolyubov_report(
@@ -440,8 +430,6 @@ def bogolyubov_report(
     spectrum: Spectrum,
     tset: SpecThresholdSet,
     phi: Sequence[Character],
-    tol: float = DEFAULT_TOLERANCE,
-    log_base: float = math.e,
 ) -> BogolyubovReport:
     """The radius 1/(6 |Phi|) for a Phi chosen inside ``tset``, and the
     dimension, radius and fourth-moment checks; none of them raises.
@@ -457,15 +445,15 @@ def bogolyubov_report(
     bohr = BohrSpec(spectrum.spec, tuple(phi), Fraction(1, 6 * max(d, 1)))
     l4_sum = float(np.sum(spectrum.magnitudes**4))
     l4_lower = float(alpha) ** 3 / k
-    logterm = 0.0 if alpha >= 1 else math.log(1 / float(alpha), log_base)
+    logterm = 0.0 if alpha >= 1 else math.log(1 / float(alpha))
     dim_bound = 8.0 * k * logterm
     radius_lower = 0.0 if logterm == 0 or d == 0 else 1.0 / (48.0 * k * logterm)
     checks = (
-        BoundCheck.make("spectral_dimension", d <= dim_bound + tol * max(1.0, dim_bound),
-                        d, dim_bound),
-        BoundCheck.make("spectral_radius", float(bohr.rho) >= radius_lower * (1 - tol),
+        BoundCheck.make("spectral_dimension",
+                        d <= dim_bound + TOLERANCE * max(1.0, dim_bound), d, dim_bound),
+        BoundCheck.make("spectral_radius", float(bohr.rho) >= radius_lower * (1 - TOLERANCE),
                         float(bohr.rho), radius_lower),
-        BoundCheck.make("fourth_moment_lower", l4_sum >= l4_lower * (1 - tol),
+        BoundCheck.make("fourth_moment_lower", l4_sum >= l4_lower * (1 - TOLERANCE),
                         l4_sum, l4_lower),
     )
     return BogolyubovReport(
@@ -483,11 +471,7 @@ def bogolyubov_report(
     )
 
 
-def bogolyubov_bohr(
-    a: GroupSet,
-    tol: float = DEFAULT_TOLERANCE,
-    log_base: float = math.e,
-) -> BogolyubovReport:
+def bogolyubov_bohr(a: GroupSet) -> BogolyubovReport:
     """Build the Bohr description whose set is guaranteed to land in 2A-2A.
 
     Thresholds the spectrum at 1/(2 sqrt K) and keeps a greedy maximal
@@ -499,5 +483,5 @@ def bogolyubov_bohr(
         raise DomainError("the empty set has no Bohr localization")
     dbl = doubling(a)
     spectrum = indicator_transform(a)
-    tset = bogolyubov_threshold(spectrum, dbl.k, tol)
-    return bogolyubov_report(dbl, spectrum, tset, max_dissociated(tset), tol, log_base)
+    tset = bogolyubov_threshold(spectrum, dbl.k)
+    return bogolyubov_report(dbl, spectrum, tset, max_dissociated(tset))

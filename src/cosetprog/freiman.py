@@ -29,17 +29,9 @@ from .sumsets import GroupSet, iterated_sumset, mask_pays, pair_chunks
 class FreimanMap:
     """A map defined on a finite set, claimed to respect s-fold sums."""
 
-    __slots__ = ("domain", "target", "table", "order")
+    __slots__ = ("domain", "target", "table")
 
-    def __init__(
-        self,
-        domain: GroupSet,
-        target: GroupSpec,
-        table: Mapping[int, int],
-        order: int = 2,
-    ):
-        if order < 1:
-            raise DomainError("map order must be at least 1")
+    def __init__(self, domain: GroupSet, target: GroupSpec, table: Mapping[int, int]):
         tbl = {int(k): int(v) for k, v in table.items()}
         if set(tbl) != {int(i) for i in domain.indices}:
             raise StructureError("assignment table must cover the domain exactly")
@@ -49,22 +41,21 @@ class FreimanMap:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "table", tbl)
-        object.__setattr__(self, "order", int(order))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FreimanMap is immutable")
 
     @classmethod
-    def identity(cls, domain: GroupSet, order: int = 2) -> "FreimanMap":
-        return cls(domain, domain.spec, {int(i): int(i) for i in domain.indices}, order)
+    def identity(cls, domain: GroupSet) -> "FreimanMap":
+        return cls(domain, domain.spec, {int(i): int(i) for i in domain.indices})
 
     @classmethod
-    def translation(cls, domain: GroupSet, shift: GroupElement, order: int = 2) -> "FreimanMap":
+    def translation(cls, domain: GroupSet, shift: GroupElement) -> "FreimanMap":
         if shift.spec != domain.spec:
             raise StructureError("translation element from a different group")
         moved = domain.spec.add_scalar(domain.indices, shift.index)
         table = {int(i): int(j) for i, j in zip(domain.indices, moved)}
-        return cls(domain, domain.spec, table, order)
+        return cls(domain, domain.spec, table)
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.spec != self.domain.spec:
@@ -87,16 +78,16 @@ class FreimanMap:
         if not self.is_injective():
             raise DomainError("only injective maps can be inverted")
         inv = {v: k for k, v in self.table.items()}
-        return FreimanMap(self.image(), self.domain.spec, inv, self.order)
+        return FreimanMap(self.image(), self.domain.spec, inv)
 
     def restrict(self, subset: GroupSet) -> "FreimanMap":
         if not subset.is_subset(self.domain):
             raise DomainError("restriction set is not inside the domain")
         table = {int(i): self.table[int(i)] for i in subset.indices}
-        return FreimanMap(subset, self.target, table, self.order)
+        return FreimanMap(subset, self.target, table)
 
     def __repr__(self) -> str:
-        return f"FreimanMap({self.domain!r} -> {self.target}, s={self.order})"
+        return f"FreimanMap({self.domain!r} -> {self.target})"
 
 
 def compose(outer: FreimanMap, inner: FreimanMap) -> FreimanMap:
@@ -106,8 +97,7 @@ def compose(outer: FreimanMap, inner: FreimanMap) -> FreimanMap:
     if not inner.image().is_subset(outer.domain):
         raise DomainError("inner image is not contained in the outer domain")
     table = {k: outer.table[v] for k, v in inner.table.items()}
-    return FreimanMap(inner.domain, outer.target, table,
-                      min(inner.order, outer.order))
+    return FreimanMap(inner.domain, outer.target, table)
 
 
 @dataclass(frozen=True)
@@ -272,7 +262,7 @@ def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
         )
     domain = GroupSet(a.spec, sums)
     table = dict(zip(sums.tolist(), images.tolist()))
-    induced = FreimanMap(domain, phi.target, table, 2)
+    induced = FreimanMap(domain, phi.target, table)
     if domain != iterated_sumset(a, 2, 2):
         raise DomainError("fiber domain does not equal 2A-2A")
     report = is_freiman_iso(induced, 2)

@@ -32,6 +32,9 @@ from .groups import (
 from .freiman import FreimanMap, compose, is_freiman_iso
 from .sumsets import GroupSet, difference_set, doubling, iterated_sumset
 
+# the model map must be a Freiman 8-isomorphism to induce a 2-isomorphism on 2A - 2A
+MODEL_ORDER = 8
+
 
 def default_delta(s: int) -> Fraction:
     """Interval-length fraction: within (0, 1/20) and at most 1/(4s)."""
@@ -222,7 +225,7 @@ def shrink_model_step(
         model_spec = decomp.spec
         images = h_model
     table = dict(zip(a.indices.tolist(), images))
-    theta = FreimanMap(a, model_spec, table, s)
+    theta = FreimanMap(a, model_spec, table)
     report = is_freiman_iso(theta, s)
     if not report.ok:
         raise InvariantError("constructed shrink map failed s-isomorphism check")
@@ -247,7 +250,7 @@ class ModelTrace:
 
     @cached_property
     def composite(self) -> FreimanMap:
-        composite = FreimanMap.identity(self.initial_set, self.s)
+        composite = FreimanMap.identity(self.initial_set)
         for stage in self.stages:
             composite = compose(stage.map, composite)
         return composite
@@ -356,7 +359,7 @@ def f2_shrink(a: GroupSet) -> ModelTrace:
             int(i): int(v)
             for i, v in zip(current.indices, quotient.apply_indices(current.indices))
         }
-        phi = FreimanMap(current, target, table, 2)
+        phi = FreimanMap(current, target, table)
         report = is_freiman_iso(phi, 2)
         if not report.ok:
             raise InvariantError("two-torsion quotient failed 2-isomorphism check")
@@ -416,7 +419,7 @@ def z_model(values: Iterable[int]) -> ZModelReport:
     table = {
         host.index_of((v - vals[0],)): spec.index_of((v % m,)) for v in vals
     }
-    projection = FreimanMap(hosted, spec, table, 2)
+    projection = FreimanMap(hosted, spec, table)
     if not is_freiman_iso(projection, 2).ok:
         raise InvariantError("reduction map failed the fiber 2-isomorphism check")
     bound = (

@@ -39,6 +39,7 @@ from .checks import BoundCheck, _fmt, parse_scalar
 from .covering import CoverInput, CoverTrace, assemble_q, chang_cover, cover_trace
 from .errors import DomainError, InvariantError
 from .fourier import (
+    TOLERANCE,
     BogolyubovReport,
     Cube,
     bogolyubov_bohr,
@@ -48,7 +49,14 @@ from .fourier import (
 )
 from .freiman import induced_difference_iso, is_freiman_iso, transport_progression
 from .groups import Character, GroupElement, GroupSpec, Subgroup
-from .models import ModelStage, ModelTrace, minimize_model, model_trace, shrink_model_step
+from .models import (
+    MODEL_ORDER,
+    ModelStage,
+    ModelTrace,
+    minimize_model,
+    model_trace,
+    shrink_model_step,
+)
 from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
 from .textio import (
     Shapes,
@@ -58,6 +66,7 @@ from .textio import (
     fmt_fraction,
     group_set_lines,
     join_ints,
+    parse_flag,
     parse_float,
     parse_fraction,
     parse_group_set,
@@ -73,16 +82,7 @@ CERT_HEADER = "cosetprog-certificate v1"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    s: int = 8
     skip_model: bool = False
-    tolerance: float = 1e-9
-    log_base: float = math.e
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise DomainError(f"s must be at least 1, not {self.s}")
-        if not 0 < self.log_base != 1:  # also rejects nan
-            raise DomainError(f"log-base must be positive and not 1, not {self.log_base}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +126,12 @@ def run_pipeline(
     dbl = doubling(a)
 
     if config.skip_model:
-        trace = model_trace(config.s, a, [], dbl.k)
+        trace = model_trace(MODEL_ORDER, a, [], dbl.k)
     else:
-        trace = minimize_model(a, config.s)
+        trace = minimize_model(a, MODEL_ORDER)
     a1 = trace.final_set
 
-    bog = bogolyubov_bohr(a1, tol=config.tolerance, log_base=config.log_base)
+    bog = bogolyubov_bohr(a1)
     bset = bohr_set(bog.bohr)
     d22 = iterated_sumset(a1, 2, 2)
     bohr_check = bohr_containment(bset, d22)
@@ -157,7 +157,7 @@ def bohr_containment(bset: GroupSet, d22: GroupSet) -> BoundCheck:
 
 
 def _summary(
-    a: GroupSet, dbl: DoublingReport, trace: ModelTrace, cover: CoverTrace, log_base: float
+    a: GroupSet, dbl: DoublingReport, trace: ModelTrace, cover: CoverTrace
 ) -> tuple[tuple[str, int | Fraction | float], ...]:
     kf = float(dbl.k)
     return (
@@ -168,8 +168,8 @@ def _summary(
         ("doubling", dbl.k),
         ("model-group-size", trace.final_set.spec.cardinality),
         ("model-density", trace.density_final),
-        ("reference-dimension-bound", 2.0**9 * kf**3 * math.log(kf + 2, log_base)),
-        ("reference-size-exponent", 2.0**14 * kf**3 * math.log(kf + 2, log_base) ** 2),
+        ("reference-dimension-bound", 2.0**9 * kf**3 * math.log(kf + 2)),
+        ("reference-size-exponent", 2.0**14 * kf**3 * math.log(kf + 2) ** 2),
     )
 
 
@@ -215,7 +215,7 @@ def _certificate(
         progression=cp,
         cover=cover,
         checks=(*bog.checks, bohr_check, *extraction.checks, *moved, *cover.checks),
-        summary=_summary(a, dbl, trace, cover, config.log_base),
+        summary=_summary(a, dbl, trace, cover),
     )
 
 
@@ -229,13 +229,9 @@ def _section(out: list[str], name: str, lines: list[str]) -> None:
 
 
 def write_certificate(cert: PipelineCertificate) -> str:
-    c = cert.config
     out: list[str] = [CERT_HEADER]
     out.append("begin config")
-    out.append(f"s {c.s}")
-    out.append(f"skip-model {1 if c.skip_model else 0}")
-    out.append(f"tolerance {fmt_float(c.tolerance)}")
-    out.append("log-base " + ("e" if c.log_base == math.e else fmt_float(c.log_base)))
+    out.append(f"skip-model {1 if cert.config.skip_model else 0}")
     out.append("end config")
 
     _section(out, "input", group_set_lines(cert.input_set))
@@ -409,13 +405,7 @@ def read_certificate(text: str) -> PipelineCertificate:
     shapes = Shapes()
 
     cfg = root.child("config")  # other keys, such as an older certificate's, are not read
-    log_token = cfg.value("log-base")
-    config = PipelineConfig(
-        s=parse_int(cfg.value("s")),
-        skip_model=cfg.value("skip-model") == "1",
-        tolerance=parse_float(cfg.value("tolerance")),
-        log_base=math.e if log_token == "e" else parse_float(log_token),
-    )
+    config = PipelineConfig(skip_model=parse_flag(["skip-model", *cfg.kv("skip-model")]))
 
     input_set = parse_group_set(root.child("input").lines, shapes)
 
@@ -450,7 +440,7 @@ def read_certificate(text: str) -> PipelineCertificate:
         raise DomainError(f"the model section does not hold {len(stages)} stage(s)")
     final_set = parse_group_set(model_b.child("model-set").lines, shapes)
     trace = ModelTrace(
-        s=config.s,
+        s=MODEL_ORDER,
         initial_set=input_set,
         stages=tuple(stages),
         final_set=final_set,
@@ -600,7 +590,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     minima, the translates R_i and S_i) are checked for the properties
     their searches guarantee.  Each stage's map is derived from its choice
     by ``shrink_model_step``, which checks the choice and that the map is
-    a Freiman s-isomorphism; a stage it rejects fails ``model_stage_<i>``
+    a Freiman 8-isomorphism; a stage it rejects fails ``model_stage_<i>``
     with its message, and the chain stops there.  The transport map is
     derived from the chain as in ``run_pipeline``.  Everything else is
     re-derived by the builders' own functions: each check becomes one
@@ -614,7 +604,6 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     def add(name: str, ok: bool, detail: str = "") -> None:
         entries.append(VerificationEntry(name, bool(ok), detail))
 
-    cfg = cert.config
     a = cert.input_set
     dbl = doubling(a)
 
@@ -624,7 +613,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         current = stages[-1].set_after if stages else a
         try:
             stages.append(
-                shrink_model_step(current, cfg.s, choice.gamma, choice.q, choice.interval)
+                shrink_model_step(current, MODEL_ORDER, choice.gamma, choice.q, choice.interval)
             )
         except DomainError as exc:
             add(f"model_stage_{i}", False, str(exc))
@@ -632,9 +621,9 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         add(f"model_stage_{i}", True)
     # a chain that stops short derives no trace to compare with the stored one
     derived_chain = len(stages) == len(cert.model.stages)
-    trace = model_trace(cfg.s, a, stages, dbl.k) if derived_chain else cert.model
+    trace = model_trace(MODEL_ORDER, a, stages, dbl.k) if derived_chain else cert.model
     if derived_chain and stages:
-        iso = is_freiman_iso(trace.composite, cfg.s)
+        iso = is_freiman_iso(trace.composite, MODEL_ORDER)
         w = iso.witness
         fault = "" if iso.ok else "the composite is not one-to-one" if w is None else (
             f"a {w.layer}-fold sum (index {w.sum_index}) has image sums {list(w.image_indices)}"
@@ -645,8 +634,8 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     # spectral stage: Phi inside the threshold set, dissociated and maximal
     spectrum = indicator_transform(a1)
     dbl1 = doubling(a1)
-    tset = bogolyubov_threshold(spectrum, dbl1.k, cfg.tolerance)
-    bog = bogolyubov_report(dbl1, spectrum, tset, cert.phi, cfg.tolerance, cfg.log_base)
+    tset = bogolyubov_threshold(spectrum, dbl1.k)
+    bog = bogolyubov_report(dbl1, spectrum, tset, cert.phi)
     phi = cert.phi
     inside = np.isin([g.index for g in phi], tset.indices)
     stray = None if inside.all() else phi[int(np.argmin(inside))]
@@ -654,7 +643,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         "phi_inside_raw",
         stray is None,
         "" if stray is None else f"{stray!r} has magnitude {fmt_float(spectrum.magnitude(stray))}"
-        f" below the threshold {fmt_float(tset.rho * float(tset.alpha) * (1 - cfg.tolerance))}",
+        f" below the threshold {fmt_float(tset.rho * float(tset.alpha) * (1 - TOLERANCE))}",
     )
     cube = Cube(a1.spec, phi)
     i = cube.first_inside
@@ -778,11 +767,11 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     q = replace(assemble_q(cp, cover.s_sets, cover.r_sets[t]), proper=judged.q.proper)
 
     derived = _certificate(
-        cfg, a, dbl, trace, bog, bohr_check, extraction, cp, replace(judged, q=q)
+        cert.config, a, dbl, trace, bog, bohr_check, extraction, cp, replace(judged, q=q)
     )
     for check in derived.checks:
         add(check.name, not check.failed, f"{check.status} {_fmt(check.lhs)} {_fmt(check.rhs)}")
-    for path, stored, value in _stored_value_mismatches(cert, derived, cfg.tolerance):
+    for path, stored, value in _stored_value_mismatches(cert, derived):
         add("stored_value", False, f"{path}: stored {_fmt(stored)}, derived {_fmt(value)}")
     return VerificationReport(tuple(entries))
 
@@ -827,15 +816,13 @@ def _compared_values(kind: type) -> Callable[[object], tuple] | None:
     return attrgetter(*names)
 
 
-def _stored_value_mismatches(
-    stored: object, derived: object, tol: float
-) -> list[tuple[str, object, object]]:
+def _stored_value_mismatches(stored: object, derived: object) -> list[tuple[str, object, object]]:
     """(field path, stored, derived) wherever the two certificates differ.
 
     Dataclasses are compared field by field (except fields with
     ``compare=False``, which the text does not hold) and tuples item by item,
     a check labelled by its name and a summary line by its key; a float may
-    differ by ``tol`` relative, anything else must be equal.  A tuple whose
+    differ by ``TOLERANCE`` relative, anything else must be equal.  A tuple whose
     items share one type is compared in one step: characters or integers by
     ==, floats by the tolerance.
     ``same`` decides a value without naming anything, so a certificate whose
@@ -848,7 +835,7 @@ def _stored_value_mismatches(
     seen: set[tuple[int, int]] = set()
 
     def close(w: float, g: float) -> bool:
-        return abs(w - g) <= tol * max(abs(w), abs(g))
+        return abs(w - g) <= TOLERANCE * max(abs(w), abs(g))
 
     def same(want: object, got: object) -> bool:
         if want is got:

@@ -52,6 +52,14 @@ def _value(row: list[str]) -> str:
     return row[1]
 
 
+def parse_flag(row: list[str]) -> bool:
+    """The value of a ``key 0`` or ``key 1`` line; any other token is a DomainError."""
+    value = _value(row)
+    if value not in ("0", "1"):
+        raise DomainError(f"a flag must read 0 or 1: {' '.join(row)}")
+    return value == "1"
+
+
 # --- blocks ----------------------------------------------------------------
 #
 # A block is a run of rows of one kind (the ``elem`` lines of a set, the
@@ -214,7 +222,7 @@ def parse_progression(rows: list[list[str]], shapes: Shapes | None = None) -> Co
         elif row[0] == "elem" and mode == "subgroup":
             subs.append(row)
         elif row[0] == "proper":
-            proper = _value(row) == "1"
+            proper = parse_flag(row)
         else:
             raise DomainError(f"unexpected line in progression: {' '.join(row)}")
     lo_hi = parse_ints(bounds)

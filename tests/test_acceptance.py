@@ -212,9 +212,7 @@ def test_criterion_6_freiman_machinery():
         size = 2 + rng.randrange(min(7, n - 2))
         dom_idx = sorted(rng.sample(range(n), size))
         table = {i: rng.randrange(m) for i in dom_idx}
-        phi = cp.FreimanMap(
-            GroupSet(src, np.array(dom_idx, dtype=np.int64)), tgt, table, 2
-        )
+        phi = cp.FreimanMap(GroupSet(src, np.array(dom_idx, dtype=np.int64)), tgt, table)
         s = 2 + rng.randrange(2)
         if cp.is_freiman_hom(phi, s).ok == oracle_freiman_hom(phi, s):
             agreements += 1
@@ -245,7 +243,7 @@ def test_criterion_6_freiman_machinery():
         for idx in range(spec.cardinality):
             c = spec.coords_of(idx)
             table[idx] = spec.index_of((c[0] * unit % spec.orders[0],) + c[1:])
-        psi = cp.FreimanMap(GroupSet.full(spec), spec, table, 2)
+        psi = cp.FreimanMap(GroupSet.full(spec), spec, table)
         out = cp.transport_progression(psi, prog)
         assert out.dimension == prog.dimension
         assert materialize(out).size == realized.size
@@ -385,10 +383,10 @@ def test_criterion_9_end_to_end(covering_certificates):
         GroupSet.from_coords(GroupSpec((120,)), [(0,), (2,), (3,)]),
     ]
     for a in model_cases:
-        cert = run_pipeline(a, PipelineConfig(s=8))
+        cert = run_pipeline(a, PipelineConfig())
         text = write_certificate(cert)
         assert verify_certificate(read_certificate(text)).ok
-        assert write_certificate(run_pipeline(a, PipelineConfig(s=8))) == text
+        assert write_certificate(run_pipeline(a, PipelineConfig())) == text
     elapsed = time.time() - _SUITE_START
     _report(9, "end-to-end", elapsed < 900.0,
             f"204 verified round trips, suite at {elapsed:.0f}s")

@@ -25,12 +25,12 @@ from cosetprog.freiman import FiberWitness, HomReport, _fiber_pairs, _image_dp, 
 from conftest import oracle_freiman_hom
 
 
-def _map_from_coords(spec_a, spec_b, assignment, order=2):
+def _map_from_coords(spec_a, spec_b, assignment):
     domain = GroupSet.from_coords(spec_a, list(assignment))
     table = {
         spec_a.index_of(x): spec_b.index_of(y) for x, y in assignment.items()
     }
-    return FreimanMap(domain, spec_b, table, order)
+    return FreimanMap(domain, spec_b, table)
 
 
 def test_identity_fibers_are_singletons():
@@ -44,7 +44,7 @@ def test_identity_fibers_are_singletons():
 def test_single_fold_fibers_always_singletons():
     g = GroupSpec((7,))
     a = GroupSet.from_coords(g, [(1,), (4,)])
-    phi = FreimanMap(a, GroupSpec((9,)), {1: 0, 4: 5}, 1)
+    phi = FreimanMap(a, GroupSpec((9,)), {1: 0, 4: 5})
     assert all(len(v) == 1 for v in s_fold_fibers(a, 1, phi).values())
 
 
@@ -76,7 +76,7 @@ def test_translation_is_isomorphism():
     g = GroupSpec((10,))
     a = GroupSet.from_coords(g, [(0,), (3,), (4,)])
     for s in (2, 3, 4):
-        phi = FreimanMap.translation(a, g.element((7,)), s)
+        phi = FreimanMap.translation(a, g.element((7,)))
         assert is_freiman_iso(phi, s).ok
 
 
@@ -109,7 +109,7 @@ def test_hom_matches_bruteforce_oracle():
         dom_idx = sorted(rng.sample(range(n), size))
         table = {i: rng.randrange(m) for i in dom_idx}
         domain = GroupSet(src, np.array(dom_idx, dtype=np.int64))
-        phi = FreimanMap(domain, tgt, table, 2)
+        phi = FreimanMap(domain, tgt, table)
         s = 2 + rng.randrange(2)
         assert is_freiman_hom(phi, s).ok == oracle_freiman_hom(phi, s)
         agreements += 1
@@ -208,7 +208,7 @@ def test_hom_is_hom_for_smaller_s():
         dom_idx = sorted(rng.sample(range(n), size))
         table = {i: (2 * i) % (3 * n) for i in dom_idx}
         domain = GroupSet(src, np.array(dom_idx, dtype=np.int64))
-        phi = FreimanMap(domain, tgt, table, 4)
+        phi = FreimanMap(domain, tgt, table)
         if not is_freiman_hom(phi, 4).ok:
             continue
         assert is_freiman_hom(phi, 3).ok and is_freiman_hom(phi, 2).ok
@@ -233,7 +233,7 @@ def test_composition_of_homs():
 def test_induced_difference_identity():
     g = GroupSpec((16,))
     a = GroupSet.from_coords(g, [(0,), (1,), (4,)])
-    ind = induced_difference_iso(FreimanMap.identity(a, 8))
+    ind = induced_difference_iso(FreimanMap.identity(a))
     assert ind.domain == iterated_sumset(a, 2, 2)
     for i in ind.domain.indices:
         assert ind.table[int(i)] == int(i)
@@ -242,7 +242,7 @@ def test_induced_difference_identity():
 def test_induced_difference_translation_cancels():
     g = GroupSpec((16,))
     a = GroupSet.from_coords(g, [(0,), (1,), (4,)])
-    ind = induced_difference_iso(FreimanMap.translation(a, g.element((5,)), 8))
+    ind = induced_difference_iso(FreimanMap.translation(a, g.element((5,))))
     for i in ind.domain.indices:
         assert ind.table[int(i)] == int(i)
 
@@ -250,14 +250,12 @@ def test_induced_difference_translation_cancels():
 def test_induced_difference_rejects_weak_map():
     z4 = GroupSpec((4,))
     z2 = GroupSpec((2,))
-    bad = _map_from_coords(
-        z4, z2, {(0,): (0,), (1,): (1,), (2,): (0,), (3,): (1,)}, order=8
-    )
+    bad = _map_from_coords(z4, z2, {(0,): (0,), (1,): (1,), (2,): (0,), (3,): (1,)})
     with pytest.raises(DomainError):
         induced_difference_iso(bad)
     z32 = GroupSpec((32,))
     z9 = GroupSpec((9,))
-    good = _map_from_coords(z32, z9, {(0,): (0,), (1,): (1,)}, order=8)
+    good = _map_from_coords(z32, z9, {(0,): (0,), (1,): (1,)})
     ind = induced_difference_iso(good)
     assert ind.domain.size == 5
     assert is_freiman_iso(ind, 2).ok
@@ -266,7 +264,7 @@ def test_induced_difference_rejects_weak_map():
 def test_sum_difference_fibers_shape():
     g = GroupSpec((9,))
     a = GroupSet.from_coords(g, [(0,), (1,)])
-    fibers = sum_difference_fibers(a, 2, 2, FreimanMap.identity(a, 8))
+    fibers = sum_difference_fibers(a, 2, 2, FreimanMap.identity(a))
     assert set(fibers) == {int(i) for i in iterated_sumset(a, 2, 2).indices}
 
 
@@ -316,11 +314,11 @@ def test_transport_rejects_a_map_that_does_not_carry_p_onto_a_progression():
     h = subgroup_closure(g, [])
     cp = CosetProgression(g, g.zero(), (g.element((1,)),), ((-2, 2),), h, True)
     source = materialize(cp)  # 14, 15, 0, 1, 2
-    collapse = FreimanMap(source, g, {int(x): 0 for x in source.indices}, 2)
+    collapse = FreimanMap(source, g, {int(x): 0 for x in source.indices})
     with pytest.raises(DomainError, match="^transport did not preserve properness and size$"):
         transport_progression(collapse, cp)
     # one to one, but 0, 1, 2, 3, 5 is no progression of step psi(15) - psi(14)
-    scramble = FreimanMap(source, g, {14: 0, 15: 1, 0: 2, 1: 3, 2: 5}, 2)
+    scramble = FreimanMap(source, g, {14: 0, 15: 1, 0: 2, 1: 3, 2: 5})
     with pytest.raises(DomainError, match="^transported progression does not equal the image set$"):
         transport_progression(scramble, cp)
 
@@ -341,7 +339,7 @@ def test_transport_campaign_preserves_dimension_and_size():
             c = spec.coords_of(idx)
             image = (c[0] * unit % spec.orders[0],) + c[1:]
             coords_map[idx] = spec.index_of(image)
-        psi = FreimanMap(GroupSet.full(spec), spec, coords_map, 2)
+        psi = FreimanMap(GroupSet.full(spec), spec, coords_map)
         out = transport_progression(psi, cp)
         assert out.dimension == cp.dimension
         assert materialize(out).size == materialize(cp).size

@@ -80,7 +80,7 @@ def test_shrink_step_modulus_is_tight(s, l):
     for m, iso in ((s * l + 1, True), (s * l, False)):
         # s copies of l and s copies of 0 agree mod s*l, not mod s*l + 1
         table = {x: x % m for x in range(l + 1)}
-        theta = FreimanMap(a, GroupSpec((m,)), table, s)
+        theta = FreimanMap(a, GroupSpec((m,)), table)
         assert is_freiman_iso(theta, s).ok is iso
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from cosetprog import fourier, models
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.groups import ENUMERATION_CAP
 from cosetprog.pipeline import PipelineConfig
-from cosetprog.textio import parse_int
+from cosetprog.textio import fmt_float, parse_int
 
 from conftest import zoo_sets
 
@@ -40,7 +41,7 @@ def test_subgroup_certificate():
 def test_interval_certificate_model_path():
     g = GroupSpec((1000,))
     a = _interval(g, 10)
-    cert = run_pipeline(a, PipelineConfig(s=8))
+    cert = run_pipeline(a, PipelineConfig())
     assert cert.all_passed
     assert a.is_subset(materialize(cert.cover.q))
     report = verify_certificate(read_certificate(write_certificate(cert)))
@@ -361,9 +362,23 @@ SUBCOMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", list(SUBCOMMANDS))
-def test_cli_takes_no_cap(tmp_path, capsys, command):
-    """The enumeration cap is the constant 2^20, not an option."""
+# the options that became constants, and what argparse leaves unrecognized:
+# the cap on every subcommand (the subcommand is the case's id), then the
+# model order, tolerance and log base; argparse reads "--s" as short for
+# --skip-model, so only its value is left over
+RETIRED_OPTIONS = [
+    *(pytest.param(command, "--cap 1", "--cap 1", id=command) for command in SUBCOMMANDS),
+    pytest.param("pipeline", "--s 8", "8", id="pipeline--s"),
+    pytest.param("pipeline", "--tolerance 1e-9", "--tolerance 1e-9", id="pipeline--tolerance"),
+    pytest.param("pipeline", "--log2", "--log2", id="pipeline--log2"),
+    pytest.param("bohr", "--log2", "--log2", id="bohr--log2"),
+]
+
+
+@pytest.mark.parametrize("command, option, unrecognized", RETIRED_OPTIONS)
+def test_cli_takes_no_cap(tmp_path, capsys, command, option, unrecognized):
+    """The enumeration cap (2^20), the model order (8), the spectral
+    tolerance (1e-9) and the log base (e) are constants, not options."""
     from cosetprog.cli import main
     from cosetprog.textio import write_group_set
 
@@ -371,9 +386,9 @@ def test_cli_takes_no_cap(tmp_path, capsys, command):
     set_file.write_text(write_group_set(_interval(GroupSpec((8,)), 3)))
     args = [str(set_file) if arg == "FILE" else arg for arg in SUBCOMMANDS[command]]
     with pytest.raises(SystemExit) as exc:
-        main([command, *args, "--cap", "1"])
+        main([command, *args, *option.split()])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
 
 
 def _above_the_cap():
@@ -399,22 +414,6 @@ def test_cli_pipeline_above_the_cap_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: group of size 2097152 exceeds enumeration cap 1048576\n"
     )
-
-
-@pytest.mark.parametrize("args, code", [
-    (["--skip-model", "--s", "0"], 2),
-    (["--skip-model", "--s", "-3"], 2),
-    (["--skip-model", "--s", "1"], 0),
-])
-def test_cli_pipeline_checks_s(tmp_path, capsys, args, code):
-    from cosetprog.cli import main
-    from cosetprog.textio import write_group_set
-
-    set_file = tmp_path / "a.txt"
-    set_file.write_text(write_group_set(_interval(GroupSpec((64,)), 6)))
-    assert main(["pipeline", str(set_file), *args]) == code
-    err = capsys.readouterr().err
-    assert err == ("" if code == 0 else f"error: s must be at least 1, not {args[-1]}\n")
 
 
 def test_cli_cover_prints_a_bound_past_the_digit_limit(tmp_path, capsys):
@@ -461,16 +460,14 @@ def _drop(*words):
     return lambda line: " ".join(t for t in line.split() if t not in words)
 
 
-# (first line starting with, corruption of that line)
+# (first line starting with, corruption of that line); a prefix "name/key "
+# is the first line starting with "key " inside section name
 CORRUPTIONS = {
     "elem-token": ("elem ", lambda line: "elem x"),
     "t-token": ("t ", lambda line: "t y"),
-    "s-token": ("s ", lambda line: "s 1e6"),
-    "s-zero": ("s ", lambda line: "s 0"),
-    "s-negative": ("s ", lambda line: "s -3"),
-    "log-base-one": ("log-base ", lambda line: "log-base 1"),
-    "log-base-negative": ("log-base ", lambda line: "log-base -2"),
-    "log-base-nan": ("log-base ", lambda line: "log-base nan"),
+    "skip-model-two": ("skip-model ", lambda line: "skip-model 2"),
+    "skip-model-token": ("skip-model ", lambda line: "skip-model x"),
+    "q-proper-two": ("q/proper ", lambda line: "proper 2"),
     "l4-sum-token": ("l4-sum ", lambda line: "l4-sum nan-ish"),
     "key-without-value": ("mk ", lambda line: "mk"),
     "short-check": ("check ", lambda line: " ".join(line.split()[:2])),
@@ -504,7 +501,9 @@ def test_cli_verify_malformed_certificate_exit_two(
     from cosetprog.cli import main
 
     lines = model_on_certificate[1].splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    section, _, prefix = prefix.rpartition("/")
+    start = lines.index(f"begin {section}") if section else 0
+    i = next(i for i in range(start, len(lines)) if lines[i].startswith(prefix))
     bad = corrupt(lines[i])
     assert bad != lines[i]
     lines[i] = bad
@@ -518,12 +517,13 @@ def test_cli_verify_malformed_certificate_exit_two(
 
 
 def test_reader_ignores_the_retired_config_keys(model_on_certificate):
-    """A certificate that still holds the target-density, delta and cap lines
-    of the options the pipeline no longer has, or the gamma-raw section that
-    listed the threshold set, reads, verifies and is written back without
-    them.  The section is not read at all: one of its magnitudes is wrong."""
+    """A certificate that still holds the s, tolerance, log-base,
+    target-density, delta and cap lines of the options the pipeline no longer
+    has, or the gamma-raw section that listed the threshold set, reads,
+    verifies and is written back without them.  The section is not read at
+    all: one of its magnitudes is wrong."""
     cert, text = model_on_certificate
-    assert not re.search(r"\n(target-density|delta|cap) ", text)
+    assert not re.search(r"\n(s|tolerance|log-base|target-density|delta|cap) ", text)
     assert "gamma-raw" not in text
     raw = fourier.bogolyubov_bohr(cert.model.final_set).gamma_raw
     rows = [f"char {' '.join(map(str, g.coords))} {m:.12g}"
@@ -531,7 +531,11 @@ def test_reader_ignores_the_retired_config_keys(model_on_certificate):
     rows[0] = rows[0].rsplit(" ", 1)[0] + f" {2 * raw.magnitudes[0]:.12g}"
     gamma_raw = "\n".join(["begin gamma-raw", *rows, "end gamma-raw"])
     olds = (
-        text.replace("\nlog-base e\n", "\nlog-base e\ntarget-density 1\ndelta none\ncap 99\n"),
+        text.replace(
+            "\nskip-model 0\n",
+            "\ns 8\nskip-model 0\ntolerance 1e-09\nlog-base e\n"
+            "target-density 1\ndelta none\ncap 99\n",
+        ),
         text.replace("\nbegin phi\n", f"\n{gamma_raw}\nbegin phi\n"),
     )
     for old in olds:
@@ -539,6 +543,22 @@ def test_reader_ignores_the_retired_config_keys(model_on_certificate):
         back = read_certificate(old)
         assert verify_certificate(back).ok
         assert write_certificate(back) == text
+
+
+def test_verify_judges_a_log_base_2_certificate_under_the_natural_log(model_on_certificate):
+    """A certificate written with the retired log base 2 stored
+    dim-bound = 8 K log2(1/alpha); the natural log derives another value, so
+    verify names it, although the config line itself is not read."""
+    cert, text = model_on_certificate
+    stored = f"\ndim-bound {fmt_float(cert.dim_bound)}\n"
+    assert stored in text and cert.dim_bound > 0
+    old = text.replace("\nskip-model 0\n", "\nskip-model 0\nlog-base 2\n").replace(
+        stored, f"\ndim-bound {fmt_float(cert.dim_bound / math.log(2))}\n"
+    )
+    back = read_certificate(old)
+    assert back.dim_bound == pytest.approx(cert.dim_bound / math.log(2))
+    failed = [e.detail for e in verify_certificate(back).failures()]
+    assert any(d.startswith("dim_bound: stored ") for d in failed)
 
 
 def _ints(values):
@@ -551,11 +571,11 @@ def _parent_format(cert, text):
     chain induces on 2A' - 2A'."""
     from cosetprog import induced_difference_iso
 
-    def map_lines(phi):
+    def map_lines(phi, order):
         src, tgt = phi.domain.spec, phi.target
         pairs = sorted(phi.table.items())
         return ["begin map", f"source {_ints(src.orders)}", f"target {_ints(tgt.orders)}",
-                f"order {phi.order}",
+                f"order {order}",
                 *(f"pair {_ints(src.coords_of(x))} -> {_ints(tgt.coords_of(y))}"
                   for x, y in pairs),
                 "end map"]
@@ -568,10 +588,10 @@ def _parent_format(cert, text):
         shift = spec.coords_of(int(np.flatnonzero(psi == stage.interval[0])[0]))
         new = ["begin stage", f"group {_ints(spec.orders)}", *choice, "end stage"]
         old = ["begin stage", "kind spectral", *choice, f"translation {_ints(shift)}",
-               *map_lines(stage.map), "end stage"]
+               *map_lines(stage.map, 8), "end stage"]
         text = text.replace("\n".join(new), "\n".join(old), 1)
     transport = ["begin transport", "identity 0",
-                 *map_lines(induced_difference_iso(cert.model.composite.inverse())),
+                 *map_lines(induced_difference_iso(cert.model.composite.inverse()), 2),
                  "end transport"]
     transport = "\n".join(transport)
     return text.replace("\nbegin progression\n", f"\n{transport}\nbegin progression\n")
@@ -913,7 +933,7 @@ def test_zoo_certificates_read_back_equal(zoo_certificates):
 
     for cert, text in zoo_certificates:
         back = read_certificate(text)
-        assert _stored_value_mismatches(back, cert, cert.config.tolerance) == []
+        assert _stored_value_mismatches(back, cert) == []
         got, want = _index_arrays(back), _index_arrays(cert)
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
