@@ -29,6 +29,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    filter_by_characters,
     kernel_of_characters,
 )
 from .sumsets import GroupSet, sumset
@@ -37,18 +38,21 @@ _CANDIDATE_BUDGET = 1 << 24
 
 
 def bohr_set(spec_b: BohrSpec) -> GroupSet:
-    """Exact membership: circular distance of every argument at most rho."""
-    group = spec_b.spec
-    group.require_enumerable()
-    coords = group.decode(np.arange(group.cardinality, dtype=np.int64))
-    mask = np.ones(group.cardinality, dtype=bool)
-    num, den = spec_b.rho.numerator, spec_b.rho.denominator
-    for gamma in spec_b.chars:
-        q = gamma.order()
-        t = gamma.arg_numerators(coords)
-        circ = np.minimum(t, q - t)
-        mask &= circ * den <= num * q
-    return GroupSet.from_mask(group, mask)
+    """Exact membership: circular distance of every argument at most rho.
+
+    An argument t/q is within rho of 0 exactly when min(t, q - t) is at most
+    k = floor(rho q), i.e. t <= k or t >= q - k.  ``filter_by_characters``
+    makes one pass over G, then tests each later character only on the
+    points the earlier ones kept (about 2 rho |G| after the first).
+    """
+    rho = spec_b.rho
+
+    def near_zero(t: np.ndarray, q: int) -> np.ndarray:
+        k = min(rho.numerator * q // rho.denominator, q)
+        return (t <= k) | (t >= q - k)
+
+    indices = filter_by_characters(spec_b.spec, spec_b.chars, near_zero)
+    return GroupSet.from_sorted(spec_b.spec, indices)
 
 
 def strip_redundant_characters(

@@ -216,53 +216,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosetprog",
         description="Structure certificates for small-doubling sets in finite abelian groups",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="set size, sumset size, doubling constant")
+    p = sub.add_parser("analyze", allow_abbrev=False, help="set size, sumset size, doubling constant")
     p.add_argument("set")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("fourier", help="dump the full spectrum of the indicator")
+    p = sub.add_parser("fourier", allow_abbrev=False, help="dump the full spectrum of the indicator")
     p.add_argument("set")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fourier)
 
-    p = sub.add_parser("bohr", help="spectral Bohr localization of 2A-2A")
+    p = sub.add_parser("bohr", allow_abbrev=False, help="spectral Bohr localization of 2A-2A")
     p.add_argument("set")
     p.add_argument("--rho", help="override the spectrum threshold (fraction)")
     p.set_defaults(func=_cmd_bohr)
 
-    p = sub.add_parser("model", help="shrink the ambient group around the set")
+    p = sub.add_parser("model", allow_abbrev=False, help="shrink the ambient group around the set")
     p.add_argument("set")
     p.add_argument("--s", type=int, default=MODEL_ORDER)
     p.add_argument("--target", default="1", help="stop at this density (fraction)")
     p.set_defaults(func=_cmd_model)
 
-    p = sub.add_parser("zmodel", help="model an integer set in the smallest Z/m")
+    p = sub.add_parser("zmodel", allow_abbrev=False, help="model an integer set in the smallest Z/m")
     p.add_argument("set", help="file of integers, one per line")
     p.set_defaults(func=_cmd_zmodel)
 
-    p = sub.add_parser("f2shrink", help="shrink a set in a two-torsion group")
+    p = sub.add_parser("f2shrink", allow_abbrev=False, help="shrink a set in a two-torsion group")
     p.add_argument("set")
     p.set_defaults(func=_cmd_f2shrink)
 
-    p = sub.add_parser("cover", help="cover the set by a progression in 2A-2A")
+    p = sub.add_parser("cover", allow_abbrev=False, help="cover the set by a progression in 2A-2A")
     p.add_argument("set")
     p.add_argument("progression")
     p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("pipeline", help="end-to-end run with certificate output")
+    p = sub.add_parser("pipeline", allow_abbrev=False, help="end-to-end run with certificate output")
     p.add_argument("set")
     p.add_argument("--skip-model", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("verify", help="independently re-check a certificate")
+    p = sub.add_parser("verify", allow_abbrev=False, help="independently re-check a certificate")
     p.add_argument("certificate")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="emit a deterministic instance family")
+    p = sub.add_parser("gen", allow_abbrev=False, help="emit a deterministic instance family")
     p.add_argument("family", choices=[
         "random", "progression", "subgroup", "random-in-progression",
         "counterexample",
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("explore", help="search small |S+S| over prime multiples")
+    p = sub.add_parser("explore", allow_abbrev=False, help="search small |S+S| over prime multiples")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

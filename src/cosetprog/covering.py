@@ -28,7 +28,8 @@ def greedy_disjoint_translates(a: GroupSet, p: GroupSet) -> GroupSet:
     A is scanned in canonical order; every rejected element collides with
     an earlier translate, so the result is maximal by construction.  The
     translates P + x are built a ``pair_chunks`` block of rows of A + P at
-    a time.
+    a time.  The kept translates are disjoint, so once they cover G no
+    later one can be kept, and no later block is built.
     """
     if not p:
         raise DomainError("translates of the empty set are not useful")
@@ -41,6 +42,8 @@ def greedy_disjoint_translates(a: GroupSet, p: GroupSet) -> GroupSet:
             if not covered[translate].any():
                 keep.append(x)
                 covered[translate] = True
+        if len(keep) * p.size == spec.cardinality:
+            break
     return GroupSet(spec, np.array(keep, dtype=np.int64))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _cartesian
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -493,18 +493,53 @@ def reduce_generators(subgroup: Subgroup) -> tuple[GroupElement, ...]:
     return tuple(gens)
 
 
+def _arg_numerators_over_group(gamma: Character) -> np.ndarray:
+    """gamma's arg numerators at every index of G, in index order: the
+    outer sum of each axis's multiples of its phase, so no coordinate
+    table of G is built."""
+    q = gamma.order()
+    t = np.zeros(1, dtype=np.int64)
+    for m, n in zip(gamma.phase_vector().tolist(), gamma.spec.orders):
+        t = np.add.outer(t, np.arange(n, dtype=np.int64) * m).reshape(-1)
+        t %= q
+    return t
+
+
+def filter_by_characters(
+    spec: GroupSpec,
+    characters: Sequence[Character],
+    admits: Callable[[np.ndarray, int], np.ndarray],
+) -> np.ndarray:
+    """The ascending indices x of G with ``admits(t, q)`` true for every
+    character, t the arg numerator of x over the order q.
+
+    One character at a time: the first is evaluated on all of G, each later
+    one only on the indices every earlier one kept, so the cost is one pass
+    over G plus the survivors, and the survivors stay sorted and distinct.
+    """
+    spec.require_enumerable()
+    if not characters:
+        return np.arange(spec.cardinality, dtype=np.int64)
+    first, *rest = characters
+    indices = np.flatnonzero(admits(_arg_numerators_over_group(first), first.order()))
+    for gamma in rest:
+        t = gamma.arg_numerators(spec.decode(indices))
+        indices = indices[admits(t, gamma.order())]
+    return indices.astype(np.int64, copy=False)
+
+
 def kernel_of_characters(spec: GroupSpec, characters: Iterable[Character]) -> Subgroup:
-    """All x with gamma(x) = 1 for every gamma in the list."""
+    """All x with gamma(x) = 1 for every gamma in the list.
+
+    ``filter_by_characters`` with t == 0: one pass over G, then each later
+    character only on the kernel of those before it (about |G|/q points
+    after a character of order q).
+    """
     chars = tuple(characters)
     for gamma in chars:
         if gamma.spec != spec:
             raise StructureError("character does not belong to the given group")
-    spec.require_enumerable()
-    coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
-    mask = np.ones(spec.cardinality, dtype=bool)
-    for gamma in chars:
-        mask &= gamma.arg_numerators(coords) == 0
-    indices = np.nonzero(mask)[0].astype(np.int64)
+    indices = filter_by_characters(spec, chars, lambda t, q: t == 0)
     kernel = Subgroup(spec, (), indices)
     return Subgroup(spec, reduce_generators(kernel), indices)
 

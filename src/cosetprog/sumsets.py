@@ -53,7 +53,14 @@ class GroupSet:
         The nonzero positions are already sorted and distinct, so the
         constructor's sort is skipped.
         """
-        indices = np.flatnonzero(mask).astype(np.int64, copy=False)
+        return cls.from_sorted(spec, np.flatnonzero(mask))
+
+    @classmethod
+    def from_sorted(cls, spec: GroupSpec, indices: np.ndarray) -> "GroupSet":
+        """The set of indices that are already ascending, distinct and in
+        range, as a mask's nonzero positions or ``filter_by_characters``'s
+        survivors are; the constructor's sort is skipped."""
+        indices = np.asarray(indices).astype(np.int64, copy=False)
         out = object.__new__(cls)
         object.__setattr__(out, "spec", spec)
         object.__setattr__(out, "indices", _frozen(indices))

@@ -214,6 +214,77 @@ def oracle_freiman_hom(phi, s: int) -> bool:
     return all(len(v) == 1 for v in fibers.values())
 
 
+def _arguments(spec: GroupSpec, characters, x) -> list[Fraction]:
+    """Each character's argument at the point x, (sum c_i x_i / n_i) mod 1."""
+    return [
+        sum((Fraction(c * xi, n) for c, xi, n in zip(gamma.coords, x, spec.orders)),
+            Fraction(0)) % 1
+        for gamma in characters
+    ]
+
+
+def _points(spec: GroupSpec):
+    """The points of G as coordinate tuples, in index (lexicographic) order."""
+    return list(itertools.product(*(range(n) for n in spec.orders)))
+
+
+def character_tuples(spec: GroupSpec, seed: int) -> list[tuple[str, tuple]]:
+    """Labelled character tuples for checking a filter over G: the empty
+    tuple, seeded random ones, ones with trivial, duplicate or order-2
+    characters, and every ordering of one random triple."""
+    rng = Random(seed)
+
+    def pick(count):
+        return tuple(spec.character_at(rng.randrange(spec.cardinality)) for _ in range(count))
+
+    trivial = spec.trivial_character()
+    order_two = tuple(
+        spec.character([n // 2 if j == i else 0 for j in range(spec.rank)])
+        for i, n in enumerate(spec.orders) if n % 2 == 0
+    )
+    (gamma,) = pick(1)
+    triple = pick(3)
+    out = [("empty", ())]
+    out += [(f"random-{k}", pick(k)) for k in (1, 2, 4)]
+    out += [("trivial", (trivial, gamma)), ("duplicate", (gamma, gamma, -gamma))]
+    if order_two:
+        out.append(("order-two", order_two + (gamma,)))
+    out += [(f"ordering-{k}", perm) for k, perm in enumerate(itertools.permutations(triple))]
+    return out
+
+
+def oracle_bohr_set(spec: GroupSpec, characters, rho: Fraction) -> list[int]:
+    """The indices x with every argument within rho of 0, point by point."""
+    return [
+        i for i, x in enumerate(_points(spec))
+        if all(min(r, 1 - r) <= rho for r in _arguments(spec, characters, x))
+    ]
+
+
+def oracle_kernel(spec: GroupSpec, characters) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The indices x with every argument 0, and the generators chosen from
+    them greedily: the least kernel point outside the span of those before
+    it, the span grown by adding multiples until nothing new appears."""
+    points = _points(spec)
+    members = [i for i, x in enumerate(points)
+               if all(r == 0 for r in _arguments(spec, characters, x))]
+    span = {tuple([0] * spec.rank)}
+    generators = []
+    for i in members:
+        if points[i] in span:
+            continue
+        generators.append(points[i])
+        grown = set(span)
+        while True:
+            step = {tuple((a + b) % n for a, b, n in zip(s, points[i], spec.orders))
+                    for s in grown} | grown
+            if step == grown:
+                break
+            grown = step
+        span = grown
+    return members, generators
+
+
 MINIMA_SPECS = [
     GroupSpec((2048,)),
     GroupSpec((1024, 2)),

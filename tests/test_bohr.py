@@ -22,7 +22,7 @@ from cosetprog import (
 from cosetprog import bohr
 from cosetprog.bohr import _integer_nullspace, minima_frame
 
-from conftest import SMALL_SPECS, seeded_minima_cases
+from conftest import SMALL_SPECS, character_tuples, oracle_bohr_set, seeded_minima_cases
 
 
 def test_bohr_order_two_kernel():
@@ -308,3 +308,13 @@ def test_materialize_matches_enumeration():
         assert np.all(np.diff(got.indices) > 0)
         assert {tuple(int(c) for c in r) for r in got.coords()} == _enumerate_progression(cp)
     assert materialize(cases[-2]) == GroupSet.full(z16)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_bohr_set_matches_the_oracle(spec):
+    """bohr_set filters G one character at a time; its set is the one the
+    definition gives point by point, whatever the order of the characters."""
+    for label, chars in character_tuples(spec, seed=spec.cardinality):
+        for rho in (Fraction(1, 12), Fraction(1, 5), Fraction(1, 2)):
+            got = bohr_set(BohrSpec(spec, chars, rho)).indices.tolist()
+            assert got == oracle_bohr_set(spec, chars, rho), (label, rho)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cosetprog import (
@@ -144,3 +145,27 @@ def test_greedy_blocks_keep_the_one_at_a_time_choice(budget, monkeypatch):
         p = gen_random(spec, size_p, 2)
         got = greedy_disjoint_translates(a, p)
         assert got.indices.tolist() == _greedy_one_translate_at_a_time(a, p)
+
+
+def test_greedy_stops_once_the_translates_cover_g(monkeypatch):
+    """With P = G the first translate covers G: R is {min A}, and the blocks
+    of A + P after the first are never built."""
+    from cosetprog import covering, sumsets
+    from cosetprog.generators import gen_random
+
+    spec = GroupSpec((4, 8))
+    g = GroupSet(spec, np.arange(spec.cardinality))
+    a = gen_random(spec, 20, 3)
+    monkeypatch.setattr(sumsets, "_PAIR_BUDGET", 2 * spec.cardinality)  # two rows a block
+    built = []
+
+    def counted_chunks(rows, cols):
+        for block in sumsets.pair_chunks(rows, cols):
+            built.append(block)
+            yield block
+
+    monkeypatch.setattr(covering, "pair_chunks", counted_chunks)
+    assert len(list(sumsets.pair_chunks(a.size, g.size))) == 10
+    r = greedy_disjoint_translates(a, g)
+    assert r.indices.tolist() == [int(a.indices[0])]
+    assert built == [slice(0, 2)]

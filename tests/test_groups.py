@@ -23,7 +23,7 @@ from cosetprog.groups import (
     reduce_generators,
 )
 
-from conftest import SMALL_SPECS
+from conftest import SMALL_SPECS, character_tuples, oracle_kernel
 
 
 def test_elem_add_modular():
@@ -317,3 +317,15 @@ def test_add_pairwise_matches_elementwise_sums(spec):
     expected = [[(spec.element_at(int(x)) + spec.element_at(int(y))).index for y in b] for x in a]
     assert spec.add_pairwise(a, b).tolist() == expected
     assert spec.add_pairwise(a[:0], b).shape == (0, len(b))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_kernel_matches_the_oracle(spec):
+    """kernel_of_characters filters G one character at a time; its points
+    and generators are the ones the definition gives point by point,
+    whatever the order of the characters."""
+    for label, chars in character_tuples(spec, seed=spec.cardinality):
+        members, generators = oracle_kernel(spec, chars)
+        kernel = kernel_of_characters(spec, chars)
+        assert kernel.indices.tolist() == members, label
+        assert [g.coords for g in kernel.generators] == generators, label

@@ -364,11 +364,11 @@ SUBCOMMANDS = {
 
 # the options that became constants, and what argparse leaves unrecognized:
 # the cap on every subcommand (the subcommand is the case's id), then the
-# model order, tolerance and log base; argparse reads "--s" as short for
-# --skip-model, so only its value is left over
+# model order, tolerance and log base; prefix matching is off, so "--s" is
+# not read as short for --skip-model and is refused by its own name
 RETIRED_OPTIONS = [
     *(pytest.param(command, "--cap 1", "--cap 1", id=command) for command in SUBCOMMANDS),
-    pytest.param("pipeline", "--s 8", "8", id="pipeline--s"),
+    pytest.param("pipeline", "--s 8", "--s 8", id="pipeline--s"),
     pytest.param("pipeline", "--tolerance 1e-9", "--tolerance 1e-9", id="pipeline--tolerance"),
     pytest.param("pipeline", "--log2", "--log2", id="pipeline--log2"),
     pytest.param("bohr", "--log2", "--log2", id="bohr--log2"),
@@ -389,6 +389,21 @@ def test_cli_takes_no_cap(tmp_path, capsys, command, option, unrecognized):
         main([command, *args, *option.split()])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+
+
+@pytest.mark.parametrize("option", ["--sk", "--skip", "--o"])
+def test_cli_refuses_option_prefixes(tmp_path, capsys, option):
+    """An option is read only by its full name: a prefix of --skip-model or
+    --out is unrecognized, not taken for the option."""
+    from cosetprog.cli import main
+    from cosetprog.textio import write_group_set
+
+    set_file = tmp_path / "a.txt"
+    set_file.write_text(write_group_set(_interval(GroupSpec((8,)), 3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", str(set_file), option])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {option}\n")
 
 
 def _above_the_cap():
