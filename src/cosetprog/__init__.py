@@ -13,10 +13,8 @@ from .groups import (
     CyclicDecomposition,
     GroupElement,
     GroupSpec,
-    Homomorphism,
     Subgroup,
     enumerate_group,
-    hom_from_character,
     kernel_of_characters,
     subgroup_closure,
     subgroup_decomposition,

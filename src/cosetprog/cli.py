@@ -38,6 +38,7 @@ from .textio import (
     fmt_fraction,
     join_ints,
     parse_fraction,
+    parse_ints,
     read_group_set,
     read_int_set,
     read_progression,
@@ -101,7 +102,7 @@ def _cmd_bohr(args) -> int:
 
 def _cmd_model(args) -> int:
     a = read_group_set(_read(args.set))
-    trace = minimize_model(a, args.s, target_density=parse_fraction(args.target))
+    trace = minimize_model(a, args.s)
     print(f"s {trace.s}")
     print(f"stages {len(trace.stages)}")
     for i, stage in enumerate(trace.stages):
@@ -173,7 +174,9 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_int_list(token: str) -> list[int]:
-    return [int(t) for t in token.replace(",", " ").split()]
+    """The integers of a list option, split at commas and spaces; a token
+    that is not one is a DomainError."""
+    return list(parse_ints(token.replace(",", " ").split()))
 
 
 def _cmd_gen(args) -> int:
@@ -237,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", allow_abbrev=False, help="shrink the ambient group around the set")
     p.add_argument("set")
     p.add_argument("--s", type=int, default=MODEL_ORDER)
-    p.add_argument("--target", default="1", help="stop at this density (fraction)")
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("zmodel", allow_abbrev=False, help="model an integer set in the smallest Z/m")

@@ -10,7 +10,7 @@ forces termination; every step of that argument is checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,13 +52,12 @@ class CoverInput:
     """A set together with a progression P + H and its realized set.
 
     A certificate does not hold the realized set: one read from text has
-    ``realized`` None, and ``compare=False`` keeps it out of the stored-value
-    comparison.
+    ``realized`` None.
     """
 
     set: GroupSet
     progression: CosetProgression
-    realized: GroupSet | None = field(compare=False)
+    realized: GroupSet | None
     eta: Fraction
     dimension: int
     doubling: DoublingReport

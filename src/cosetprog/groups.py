@@ -334,68 +334,6 @@ class Character:
         return f"chi({', '.join(map(str, self.coords))})"
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A group homomorphism given by an integer coordinate matrix.
-
-    Row j of the matrix maps source coordinates to target coordinate j,
-    taken mod the j-th target order.
-    """
-
-    source: GroupSpec
-    target: GroupSpec
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.matrix) != self.target.rank:
-            raise StructureError("matrix row count must equal target rank")
-        if any(len(row) != self.source.rank for row in self.matrix):
-            raise StructureError("matrix column count must equal source rank")
-        object.__setattr__(
-            self,
-            "matrix",
-            tuple(tuple(int(v) for v in row) for row in self.matrix),
-        )
-
-    def validate(self) -> None:
-        """Check that all source relations n_i * e_i -> 0 are respected."""
-        for i, n in enumerate(self.source.orders):
-            for j, m in enumerate(self.target.orders):
-                if (n * self.matrix[j][i]) % m != 0:
-                    raise DomainError(
-                        f"matrix does not respect relation {n}*e_{i} = 0 "
-                        f"in target coordinate {j}"
-                    )
-
-    def __call__(self, x: GroupElement) -> GroupElement:
-        if x.spec != self.source:
-            raise StructureError("argument is not in the source group")
-        out = [
-            sum(m * c for m, c in zip(row, x.coords)) for row in self.matrix
-        ]
-        return self.target.element(out)
-
-    @cached_property
-    def _matrix_arr(self) -> np.ndarray:
-        return _frozen(np.array(self.matrix, dtype=np.int64))
-
-    def apply_indices(self, indices: np.ndarray) -> np.ndarray:
-        coords = self.source.decode(np.asarray(indices, dtype=np.int64))
-        out = coords @ self._matrix_arr.T
-        return self.target.encode(out)
-
-
-def hom_from_character(gamma: Character) -> Homomorphism:
-    """The homomorphism psi: G -> Z/q with arg(gamma(x)) = 2*pi*psi(x)/q."""
-    if gamma.is_trivial():
-        raise DomainError("the trivial character induces no useful homomorphism")
-    q = gamma.order()
-    row = tuple(
-        q * c // n for c, n in zip(gamma.coords, gamma.spec.orders)
-    )
-    return Homomorphism(gamma.spec, GroupSpec((q,)), (row,))
-
-
 def enumerate_group(spec: GroupSpec) -> list[GroupElement]:
     """All elements in lexicographic coordinate order."""
     spec.require_enumerable()

@@ -13,7 +13,7 @@ this scale is stronger than the existential guarantee it replaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,7 +25,6 @@ from .fourier import _magnitude_order, indicator_transform
 from .groups import (
     Character,
     GroupSpec,
-    Homomorphism,
     Subgroup,
     subgroup_decomposition,
 )
@@ -154,7 +153,7 @@ class ModelStage:
     its ``map`` is None until ``verify_certificate`` derives it.
     """
 
-    map: FreimanMap | None = field(default=None, compare=False)
+    map: FreimanMap | None = None
     gamma: Character | None = None
     q: int | None = None
     interval: tuple[int, int] | None = None
@@ -281,15 +280,11 @@ def _assemble_trace(
     return trace
 
 
-def minimize_model(
-    a: GroupSet,
-    s: int,
-    target_density: Fraction = Fraction(1),
-) -> ModelTrace:
+def minimize_model(a: GroupSet, s: int) -> ModelTrace:
     """Iterate shrink steps while the group strictly decreases.
 
-    Stops when no concentrating character exists, when the density target
-    is met, or when a step fails to shrink the group.  The final density is
+    Stops when no concentrating character exists, when the set fills its
+    group, or when a step fails to shrink the group.  The final density is
     compared against the theoretical guarantee for minimal models, purely
     as a recorded observation: the loop certifies what it builds, not
     global minimality.
@@ -302,7 +297,7 @@ def minimize_model(
     k = doubling(a).k
     stages: list[ModelStage] = []
     current = a
-    while Fraction(current.size, current.spec.cardinality) < target_density:
+    while current.size < current.spec.cardinality:
         cand = find_concentrating_character(current, delta)
         if cand is None:
             break
@@ -342,24 +337,16 @@ def f2_shrink(a: GroupSet) -> ModelTrace:
             )
         x = spec.coords_of(int(outside[0]))
         pivot = x.index(1)
-        rows = []
-        for j in range(spec.rank):
-            if j == pivot:
-                continue
-            row = [0] * spec.rank
-            row[j] = 1
-            row[pivot] = x[j]
-            rows.append(tuple(row))
+        # the quotient by <x>: add x to each point whose pivot coordinate is
+        # 1, then drop that coordinate (F_2 itself goes to the trivial group)
         target = GroupSpec((2,) * (spec.rank - 1))
-        if not rows:  # quotient of F_2 itself: everything maps to the point
-            rows = [(0,) * spec.rank]
-        quotient = Homomorphism(spec, target, tuple(rows))
-        quotient.validate()
-        table = {
-            int(i): int(v)
-            for i, v in zip(current.indices, quotient.apply_indices(current.indices))
-        }
-        phi = FreimanMap(current, target, table)
+        y = spec.decode(current.indices)
+        y ^= np.outer(y[:, pivot], x)
+        image = (
+            target.encode(np.delete(y, pivot, axis=1)) if spec.rank > 1
+            else np.zeros(current.size, dtype=np.int64)
+        )
+        phi = FreimanMap(current, target, dict(zip(current.indices.tolist(), image.tolist())))
         report = is_freiman_iso(phi, 2)
         if not report.ok:
             raise InvariantError("two-torsion quotient failed 2-isomorphism check")
@@ -396,7 +383,16 @@ def z_model(values: Iterable[int]) -> ZModelReport:
     vals = sorted({int(v) for v in values})
     if not vals:
         raise DomainError("cannot model the empty set")
-    arr = np.array(vals, dtype=np.int64)
+    # m and the doubling do not change under translation, so the arrays
+    # hold A - min A, whose 4 * span + 5 host fits in int64
+    span = vals[-1] - vals[0]
+    if 4 * span + 5 >= 1 << 63:
+        raise DomainError(
+            f"the integer set spans {span}; its host group Z/(4*span+5) needs "
+            "an order below 2^63"
+        )
+    shifted = [v - vals[0] for v in vals]
+    arr = np.array(shifted, dtype=np.int64)
     two_a = np.unique((arr[:, None] + arr[None, :]).ravel())
     k = Fraction(len(two_a), len(vals))
     diffs = np.unique((two_a[:, None] - two_a[None, :]).ravel())
@@ -413,12 +409,9 @@ def z_model(values: Iterable[int]) -> ZModelReport:
     spec = GroupSpec((m,))
     residues = [v % m for v in vals]
     model = GroupSet.from_coords(spec, [(r,) for r in residues])
-    span = vals[-1] - vals[0]
     host = GroupSpec((4 * span + 5,))
-    hosted = GroupSet.from_coords(host, [(v - vals[0],) for v in vals])
-    table = {
-        host.index_of((v - vals[0],)): spec.index_of((v % m,)) for v in vals
-    }
+    hosted = GroupSet.from_coords(host, [(x,) for x in shifted])
+    table = {host.index_of((x,)): spec.index_of((r,)) for x, r in zip(shifted, residues)}
     projection = FreimanMap(hosted, spec, table)
     if not is_freiman_iso(projection, 2).ok:
         raise InvariantError("reduction map failed the fiber 2-isomorphism check")

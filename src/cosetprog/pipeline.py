@@ -9,17 +9,17 @@ the same functions the run used, never re-running a search.  A model
 stage is stored as its choice (gamma, q, interval) alone; its map, and
 the transport map the chain induces on 2A' - 2A', are derived, not stored.
 Serialization is deterministic, so identical input and config give
-byte-identical certificates.
+byte-identical certificates, and the text is the one definition of what a
+certificate stores: the verifier writes the stored and the derived
+certificate and compares the two texts.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
+from difflib import SequenceMatcher
 from fractions import Fraction
-from functools import cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .fourier import (
     indicator_transform,
 )
 from .freiman import induced_difference_iso, is_freiman_iso, transport_progression
-from .groups import Character, GroupElement, GroupSpec, Subgroup
+from .groups import Character
 from .models import (
     MODEL_ORDER,
     ModelStage,
@@ -593,11 +593,14 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     a Freiman 8-isomorphism; a stage it rejects fails ``model_stage_<i>``
     with its message, and the chain stops there.  The transport map is
     derived from the chain as in ``run_pipeline``.  Everything else is
-    re-derived by the builders' own functions: each check becomes one
-    entry under its own name, evaluated on the stored objects, and each
-    stored value that differs from its derivation is one ``stored_value``
-    entry.  A failing entry says why in its detail.  Failures are
-    collected, not short-circuited.
+    re-derived by the builders' own functions, and each check becomes one
+    entry under its own name, evaluated on the stored objects.  Then the
+    stored and the derived certificate are both written and compared as
+    text: each run of lines that differs is one ``stored_value`` entry
+    naming its sections and quoting both lines, where a float token may
+    differ by ``TOLERANCE`` relative and every other token must match.  A
+    failing entry says why in its detail.  Failures are collected, not
+    short-circuited.
     """
     entries: list[VerificationEntry] = []
 
@@ -771,8 +774,8 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     )
     for check in derived.checks:
         add(check.name, not check.failed, f"{check.status} {_fmt(check.lhs)} {_fmt(check.rhs)}")
-    for path, stored, value in _stored_value_mismatches(cert, derived):
-        add("stored_value", False, f"{path}: stored {_fmt(stored)}, derived {_fmt(value)}")
+    for detail in _text_mismatches(write_certificate(cert), write_certificate(derived)):
+        add("stored_value", False, detail)
     return VerificationReport(tuple(entries))
 
 
@@ -799,90 +802,60 @@ def _minima_vectors_fault(minima: MinimaReport) -> str:
     return ""
 
 
-# the types of values that hold no float, compared by == alone
-_EXACT = frozenset({bool, int, str, Fraction, Character, GroupElement, GroupSpec})
+def _text_mismatches(stored: str, derived: str) -> list[str]:
+    """One detail per run of lines in which two certificate texts differ.
 
-
-@cache
-def _compared_values(kind: type) -> Callable[[object], tuple] | None:
-    """The values of the fields ``_stored_value_mismatches`` compares one by
-    one, for a dataclass whose fields it walks; None for a type it compares
-    by == alone.  Cached per type."""
-    if kind in _EXACT or kind is Subgroup or not is_dataclass(kind):
-        return None
-    names = [f.name for f in fields(kind) if f.compare]
-    if len(names) == 1:
-        return lambda obj: (getattr(obj, names[0]),)
-    return attrgetter(*names)
-
-
-def _stored_value_mismatches(stored: object, derived: object) -> list[tuple[str, object, object]]:
-    """(field path, stored, derived) wherever the two certificates differ.
-
-    Dataclasses are compared field by field (except fields with
-    ``compare=False``, which the text does not hold) and tuples item by item,
-    a check labelled by its name and a summary line by its key; a float may
-    differ by ``TOLERANCE`` relative, anything else must be equal.  A tuple whose
-    items share one type is compared in one step: characters or integers by
-    ==, floats by the tolerance.
-    ``same`` decides a value without naming anything, so a certificate whose
-    values all match costs one comparison per stored field; the walk goes
-    below a value only where ``same`` finds a difference, to name it.  A pair
-    of objects reached twice (a check in ``cover.checks`` and ``checks``) is
-    reported once.
+    The lines are aligned by ``difflib``, so a section with more or fewer
+    lines on one side is one run.  A run with as many lines on each side is
+    compared line by line, and a pair that agrees within ``_same_line``'s
+    tolerance is no difference and splits the run.  A detail names the
+    sections open at the run and quotes its first line on each side, ``''``
+    for a side with none.
     """
-    out: list[tuple[str, object, object]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def close(w: float, g: float) -> bool:
-        return abs(w - g) <= TOLERANCE * max(abs(w), abs(g))
-
-    def same(want: object, got: object) -> bool:
-        if want is got:
-            return True
-        kind = type(want)
-        if kind in _EXACT and type(got) in _EXACT:
-            return want == got
-        if isinstance(want, float) or isinstance(got, float):
-            return (
-                (kind is Fraction or isinstance(want, (int, float)))
-                and (type(got) is Fraction or isinstance(got, (int, float)))
-                and close(float(want), float(got))
-            )
-        if kind is tuple:
-            if type(got) is not tuple or len(want) != len(got):
-                return False
-            kinds = set(map(type, want + got))
-            if len(kinds) == 1:  # one step for a tuple of one type
-                first = kinds.pop()
-                if first in _EXACT:
-                    return want == got
-                if first is float:
-                    return all(map(close, want, got))
-            return all(map(same, want, got))
-        values = _compared_values(kind) if kind is type(got) else None
-        if values is None:
-            return want == got
-        return all(map(same, values(want), values(got)))
-
-    def walk(path: str, want: object, got: object) -> None:
-        if same(want, got):
-            return
-        kind = type(want)
-        if kind is tuple and type(got) is tuple and len(want) == len(got):
-            for i, (w, g) in enumerate(zip(want, got)):
-                if isinstance(w, tuple) and len(w) == 2 and isinstance(w[0], str) and w[0] == g[0]:
-                    walk(f"{path}[{w[0]}]", w[1], g[1])  # a summary line
-                else:
-                    walk(f"{path}[{getattr(w, 'name', i)}]", w, g)
-        elif kind is type(got) and is_dataclass(kind) and kind is not Subgroup:
-            if (id(want), id(got)) not in seen:
-                seen.add((id(want), id(got)))
-                for f in fields(kind):
-                    if f.compare:
-                        walk(f"{path}.{f.name}", getattr(want, f.name), getattr(got, f.name))
+    if stored == derived:
+        return []
+    a, b = stored.splitlines(), derived.splitlines()
+    details = []
+    for tag, i1, i2, j1, j2 in SequenceMatcher(None, a, b).get_opcodes():
+        if tag == "equal":
+            continue
+        if i2 - i1 == j2 - j1:
+            same = [_same_line(x, y) for x, y in zip(a[i1:i2], b[j1:j2])]
+            starts = [k for k, ok in enumerate(same) if not ok and (k == 0 or same[k - 1])]
+            runs = [(a[i1 + k], b[j1 + k], i1 + k) for k in starts]
         else:
-            out.append((path.lstrip("."), want, got))
+            runs = [(a[i1] if i1 < i2 else "", b[j1] if j1 < j2 else "", i1)]
+        for x, y, at in runs:
+            details.append(f"{_open_sections(a[:at])}: stored {x!r}, derived {y!r}")
+    return details
 
-    walk("", stored, derived)
-    return out
+
+def _open_sections(lines: list[str]) -> str:
+    """The sections still open after ``lines``, outermost first, joined by
+    ``/``; ``root`` if none is."""
+    stack = []
+    for line in lines:
+        if line.startswith("begin "):
+            stack.append(line[len("begin "):])
+        elif line.startswith("end ") and stack:
+            stack.pop()
+    return "/".join(stack) or "root"
+
+
+def _same_line(stored: str, derived: str) -> bool:
+    """Two lines agree if their tokens do, pair by pair: equal, or numbers
+    within ``TOLERANCE`` relative of which at least one is a float token."""
+    x, y = stored.split(), derived.split()
+    return len(x) == len(y) and all(map(_same_token, x, y))
+
+
+def _same_token(stored: str, derived: str) -> bool:
+    if stored == derived:
+        return True
+    try:
+        u, v = parse_scalar(stored), parse_scalar(derived)
+        if isinstance(u, Fraction) and isinstance(v, Fraction):
+            return False
+        return math.isclose(u, v, rel_tol=TOLERANCE)
+    except (DomainError, OverflowError):
+        return False

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetprog import (
-    DomainError,
     GroupSpec,
     StructureError,
     enumerate_group,
-    hom_from_character,
     kernel_of_characters,
     subgroup_closure,
     subgroup_decomposition,
@@ -69,38 +67,6 @@ def test_char_order_examples():
     while not all(q * c % n == 0 for c, n in zip(gamma.coords, g.orders)):
         q += 1
     assert q == 12
-
-
-def test_hom_from_character_identity_case():
-    z8 = GroupSpec((8,))
-    psi = hom_from_character(z8.character((1,)))
-    assert psi.target.orders == (8,)
-    for x in range(8):
-        assert psi(z8.element((x,))).coords == (x,)
-
-
-def test_hom_from_character_agrees_with_arg():
-    z8 = GroupSpec((8,))
-    gamma = z8.character((2,))
-    psi = hom_from_character(gamma)
-    assert psi.target.orders == (4,)
-    for x in range(8):
-        e = z8.element((x,))
-        assert Fraction(psi(e).coords[0], 4) == gamma.arg_fraction(e)
-
-
-def test_hom_from_character_projection():
-    g = GroupSpec((2, 3))
-    psi = hom_from_character(g.character((0, 1)))
-    assert psi.target.orders == (3,)
-    for x in range(2):
-        for y in range(3):
-            assert psi(g.element((x, y))).coords == (y,)
-
-
-def test_hom_from_trivial_character_rejected():
-    with pytest.raises(DomainError):
-        hom_from_character(GroupSpec((8,)).trivial_character())
 
 
 def test_kernel_examples():
@@ -281,17 +247,6 @@ def test_max_order_element_matches_loop(spec):
     for size in (1, 2, 5, spec.cardinality):
         indices = np.array(sorted(rng.sample(range(spec.cardinality), size)), dtype=np.int64)
         assert _max_order_element(spec, indices) == _max_order_by_loop(spec, indices)
-
-
-def test_homomorphism_validation():
-    from cosetprog import Homomorphism
-
-    g = GroupSpec((4,))
-    h = GroupSpec((2,))
-    Homomorphism(g, h, ((1,),)).validate()
-    bad = Homomorphism(GroupSpec((3,)), h, ((1,),))
-    with pytest.raises(DomainError):
-        bad.validate()
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)

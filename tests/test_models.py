@@ -185,6 +185,26 @@ def test_z_model_of_a_wide_span():
     assert z_model([0, 1, 3, 10**12]).modulus == 15
 
 
+def test_z_model_translates_integers_past_int64():
+    """The modulus and the doubling do not change under translation, so a
+    set far past int64 models as its translate to 0 does, with each residue
+    taken of the original value."""
+    base = 10**30
+    far, near = z_model([base, base + 1, base + 3]), z_model([0, 1, 3])
+    assert far.modulus == near.modulus == 7 and far.doubling == near.doubling
+    assert far.assignment == tuple((v, v % 7) for v in (base, base + 1, base + 3))
+    assert far.model.indices.tolist() == [1, 2, 4]
+    assert z_model([99999999999999999999999]).modulus == 2
+
+
+@pytest.mark.parametrize("values", [[0, 1, 5 * 10**18], [0, 2**62]], ids=["5e18", "2^62"])
+def test_z_model_refuses_a_span_whose_host_leaves_int64(values):
+    span = values[-1] - values[0]
+    assert 4 * span + 5 >= 2**63
+    with pytest.raises(DomainError, match=f"^the integer set spans {span};"):
+        z_model(values)
+
+
 def test_z_model_minimality_by_scan():
     values = [0, 1, 2, 10]
     report = z_model(values)

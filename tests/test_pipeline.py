@@ -16,6 +16,7 @@ from cosetprog import (
     write_certificate,
 )
 from cosetprog import fourier, models
+from cosetprog.checks import parse_scalar
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.groups import ENUMERATION_CAP
 from cosetprog.pipeline import PipelineConfig
@@ -242,7 +243,7 @@ STAGE_TAMPERS = {
     "group": ("group 1024\ngamma 1", "group 1000\ngamma 1", "model_stage_0",
               "gamma is a character of Z/1000, not of the set's group Z/1024"),
     "interval-start": ("interval 0 15", "interval 1024 15", "stored_value",
-                       "model.stages[0].interval[0]: stored 1024, derived 0"),
+                       "model/stage: stored 'interval 1024 15', derived 'interval 0 15'"),
 }
 
 
@@ -362,13 +363,15 @@ SUBCOMMANDS = {
 }
 
 
-# the options that became constants, and what argparse leaves unrecognized:
-# the cap on every subcommand (the subcommand is the case's id), then the
-# model order, tolerance and log base; prefix matching is off, so "--s" is
-# not read as short for --skip-model and is refused by its own name
+# the options that became constants or went, and what argparse leaves
+# unrecognized: the cap on every subcommand (the subcommand is the case's
+# id), then the model order, tolerance and log base, and model's density
+# target; prefix matching is off, so "--s" is not read as short for
+# --skip-model and is refused by its own name
 RETIRED_OPTIONS = [
     *(pytest.param(command, "--cap 1", "--cap 1", id=command) for command in SUBCOMMANDS),
     pytest.param("pipeline", "--s 8", "--s 8", id="pipeline--s"),
+    pytest.param("model", "--target 1", "--target 1", id="model--target"),
     pytest.param("pipeline", "--tolerance 1e-9", "--tolerance 1e-9", id="pipeline--tolerance"),
     pytest.param("pipeline", "--log2", "--log2", id="pipeline--log2"),
     pytest.param("bohr", "--log2", "--log2", id="bohr--log2"),
@@ -378,7 +381,8 @@ RETIRED_OPTIONS = [
 @pytest.mark.parametrize("command, option, unrecognized", RETIRED_OPTIONS)
 def test_cli_takes_no_cap(tmp_path, capsys, command, option, unrecognized):
     """The enumeration cap (2^20), the model order (8), the spectral
-    tolerance (1e-9) and the log base (e) are constants, not options."""
+    tolerance (1e-9) and the log base (e) are constants, not options, and
+    model runs until the set fills its group or no step shrinks it."""
     from cosetprog.cli import main
     from cosetprog.textio import write_group_set
 
@@ -460,6 +464,35 @@ def test_cli_malformed_token_exit_two(tmp_path, capsys, command):
     set_file.write_text("group 8\nelem x\n")
     assert main([command[0], str(set_file), *command[1:]]) == 2
     assert "malformed integer token 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ["random", "--orders", "x", "--size", "1"],
+    ["progression", "--orders", "8", "--generator", "1 x", "--lengths", "3"],
+    ["progression", "--orders", "8", "--generator", "1", "--lengths", "x"],
+    ["counterexample", "--primes", "3,x"],
+], ids=["orders", "generator", "lengths", "primes"])
+def test_cli_gen_malformed_list_option_exit_two(capsys, option):
+    from cosetprog.cli import main
+
+    assert main(["gen", *option]) == 2
+    assert capsys.readouterr().err == "error: malformed integer token 'x'\n"
+
+
+@pytest.mark.parametrize("values, code", [
+    ([10**30, 10**30 + 1, 10**30 + 3], 0), ([0, 2**62], 2)
+], ids=["past-int64", "wide-span"])
+def test_cli_zmodel_past_int64(tmp_path, capsys, values, code):
+    from cosetprog.cli import main
+
+    set_file = tmp_path / "z.txt"
+    set_file.write_text("".join(f"{v}\n" for v in values))
+    assert main(["zmodel", str(set_file)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("modulus 7\n") and err == ""
+    else:
+        assert err.startswith(f"error: the integer set spans {2**62};")
 
 
 @pytest.fixture(scope="module")
@@ -572,8 +605,12 @@ def test_verify_judges_a_log_base_2_certificate_under_the_natural_log(model_on_c
     )
     back = read_certificate(old)
     assert back.dim_bound == pytest.approx(cert.dim_bound / math.log(2))
-    failed = [e.detail for e in verify_certificate(back).failures()]
-    assert any(d.startswith("dim_bound: stored ") for d in failed)
+    failed = [(e.name, e.detail) for e in verify_certificate(back).failures()]
+    assert failed == [(
+        "stored_value",
+        f"bogolyubov: stored 'dim-bound {fmt_float(back.dim_bound)}', "
+        f"derived 'dim-bound {fmt_float(cert.dim_bound)}'",
+    )]
 
 
 def _ints(values):
@@ -667,25 +704,25 @@ def _flip_flag(line):
     return f"{key} {1 - int(value)}"
 
 
-# (innermost section, first key in it, corruption, field path named by verify)
+# (innermost section, first key in it, corruption, open sections named by verify)
 TAMPERS = {
-    "q-size": ("cover", "q-size", _bump(-1), "cover.q_size"),
-    "final-size": ("summary", "final-size", _bump(-1), "summary[final-size]"),
-    "size-ratio": ("summary", "size-ratio", _bump(-1), "summary[size-ratio]"),
-    "model-density": ("summary", "model-density", _bump(-1), "summary[model-density]"),
-    "det": ("minima", "det", _bump(-1), "minima.det"),
-    "denominator": ("minima", "denominator", _bump(-1), "minima.denominator"),
-    "check-lhs": ("checks", "check", _bump(3), "checks[spectral_dimension].lhs"),
-    "check-rhs": ("checks", "check", _bump(4), "checks[spectral_dimension].rhs"),
-    "q-proper": ("q", "proper", _flip_flag, "cover.q.proper"),
-    "density-bound": ("model", "density-bound", _bump(-1), "model.prop_density_bound"),
-    "density-final": ("model", "density-final", _bump(-1), "model.density_final"),
-    "l4-sum": ("bogolyubov", "l4-sum", _bump(-1), "l4_sum"),
-    "l4-lower": ("bogolyubov", "l4-lower", _bump(-1), "l4_lower"),
-    "dim-bound": ("bogolyubov", "dim-bound", _bump(-1), "dim_bound"),
-    "radius-lower": ("bogolyubov", "radius-lower", _bump(-1), "radius_lower"),
-    "alpha": ("bogolyubov", "alpha", _bump(-1), "alpha"),
-    "mk": ("cover", "mk", _bump(-1), "cover.mk"),
+    "q-size": ("cover", "q-size", _bump(-1), "cover"),
+    "final-size": ("summary", "final-size", _bump(-1), "summary"),
+    "size-ratio": ("summary", "size-ratio", _bump(-1), "summary"),
+    "model-density": ("summary", "model-density", _bump(-1), "summary"),
+    "det": ("minima", "det", _bump(-1), "minima"),
+    "denominator": ("minima", "denominator", _bump(-1), "minima"),
+    "check-lhs": ("checks", "check", _bump(3), "checks"),
+    "check-rhs": ("checks", "check", _bump(4), "checks"),
+    "q-proper": ("q", "proper", _flip_flag, "cover/q"),
+    "density-bound": ("model", "density-bound", _bump(-1), "model"),
+    "density-final": ("model", "density-final", _bump(-1), "model"),
+    "l4-sum": ("bogolyubov", "l4-sum", _bump(-1), "bogolyubov"),
+    "l4-lower": ("bogolyubov", "l4-lower", _bump(-1), "bogolyubov"),
+    "dim-bound": ("bogolyubov", "dim-bound", _bump(-1), "bogolyubov"),
+    "radius-lower": ("bogolyubov", "radius-lower", _bump(-1), "bogolyubov"),
+    "alpha": ("bogolyubov", "alpha", _bump(-1), "bogolyubov"),
+    "mk": ("cover", "mk", _bump(-1), "cover"),
 }
 
 
@@ -710,11 +747,27 @@ def _tamper(text, section, key, corrupt):
 def test_verify_rejects_each_tampered_derived_field(
     model_on_certificate, section, key, corrupt, path
 ):
-    text = _tamper(model_on_certificate[1], section, key, corrupt)
-    report = verify_certificate(read_certificate(text))
+    """Verify names the sections open at the tampered line and quotes it,
+    as the reader's certificate writes it back, next to the line it derives."""
+    clean = model_on_certificate[1]
+    back = read_certificate(_tamper(clean, section, key, corrupt))
+    (derived, stored), = [
+        pair for pair in zip(clean.splitlines(), write_certificate(back).splitlines())
+        if pair[0] != pair[1]
+    ]
+    report = verify_certificate(back)
     assert not report.ok
     details = [e.detail for e in report.failures() if e.name == "stored_value"]
-    assert any(d.startswith(f"{path}: stored ") for d in details), details
+    assert f"{path}: stored {stored!r}, derived {derived!r}" in details, details
+
+
+def test_verify_names_a_dropped_check_line(model_on_certificate):
+    """A run with no line on one side quotes '' for that side."""
+    text = model_on_certificate[1]
+    line = next(row for row in text.splitlines() if row.startswith("check bohr_containment "))
+    back = read_certificate(text.replace(f"\n{line}\n", "\n"))
+    details = [e.detail for e in verify_certificate(back).failures() if e.name == "stored_value"]
+    assert details == [f"checks: stored '', derived {line!r}"]
 
 
 def _f2_five_without_zero():
@@ -942,16 +995,75 @@ def _index_arrays(cert):
 
 def test_zoo_certificates_read_back_equal(zoo_certificates):
     """Reading a written certificate gives back every stored value (each
-    stage's choice among them) and the same index arrays for each of its
-    sets and subgroups."""
-    from cosetprog.pipeline import _stored_value_mismatches
-
+    stage's choice among them), so it is written back as the same text, and
+    the same index arrays for each of its sets and subgroups."""
     for cert, text in zoo_certificates:
         back = read_certificate(text)
-        assert _stored_value_mismatches(back, cert) == []
+        assert write_certificate(back) == text
         got, want = _index_arrays(back), _index_arrays(cert)
         assert len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_verify_compares_the_subgroup_generators_it_derives():
+    """A stored generator of the minima subgroup H is judged as text: one
+    that generates the same H but is not the one derived is a stored value
+    that differs.  The set is a Z/4^3 interval of the benchmark's batch."""
+    spec = GroupSpec((4, 4, 4))
+    a = GroupSet.from_coords(spec, [(0, 0, 0), (1, 0, 2), (2, 0, 0), (3, 0, 2)])
+    text = write_certificate(run_pipeline(a, PipelineConfig(skip_model=True)))
+    bad = text.replace("\nbegin subgroup\nelem 1 0 2\nend subgroup\nsubgroup-size 4\n",
+                       "\nbegin subgroup\nelem 3 0 2\nend subgroup\nsubgroup-size 4\n")
+    assert bad != text
+    failed = [(e.name, e.detail) for e in verify_certificate(read_certificate(bad)).failures()]
+    assert failed == [
+        ("stored_value", "minima/subgroup: stored 'elem 3 0 2', derived 'elem 1 0 2'")
+    ]
+
+
+def _rewrite_float(text, key, factor):
+    """``text`` with the float on the ``key`` line multiplied by ``factor``,
+    written by repr, and the stored and derived lines verify quotes."""
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} "))
+    new = f"{key} {float(old.split()[1]) * factor!r}"
+    bad = text.replace(f"\n{old}\n", f"\n{new}\n", 1)
+    back = read_certificate(bad)
+    stored = next(line for line in write_certificate(back).splitlines()
+                  if line.startswith(f"{key} "))
+    return back, stored, old
+
+
+def test_verify_lets_a_float_differ_within_the_tolerance(model_on_certificate):
+    back, stored, old = _rewrite_float(model_on_certificate[1], "l4-sum", 1 + 1e-11)
+    assert stored != old  # the tolerance, not the 12 printed digits, lets it pass
+    report = verify_certificate(back)
+    assert "stored_value" not in {e.name for e in report.entries}
+    assert report.ok
+
+
+def test_verify_names_a_float_past_the_tolerance(model_on_certificate):
+    back, stored, old = _rewrite_float(model_on_certificate[1], "l4-sum", 1 + 1e-8)
+    failed = [(e.name, e.detail) for e in verify_certificate(back).failures()]
+    assert failed == [("stored_value", f"bogolyubov: stored {stored!r}, derived {old!r}")]
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["numerator", "denominator"])
+def test_verify_compares_rational_tokens_exactly(model_on_certificate, part):
+    """The cover_size bound is a long p/q: a change in the last digit of its
+    numerator or denominator, far under the float tolerance, is named."""
+    text = model_on_certificate[1]
+    old = next(line for line in text.splitlines() if line.startswith("check cover_size "))
+    *head, bound = old.split()
+    digits = bound.split("/")
+    assert len(digits[part]) > 15
+    digits[part] = digits[part][:-1] + str((int(digits[part][-1]) + 2) % 10)
+    new = " ".join([*head, "/".join(digits)])
+    assert abs(parse_scalar(new.split()[-1]) / parse_scalar(bound) - 1) < 1e-9
+    back = read_certificate(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    stored = write_certificate(back).splitlines()[text.splitlines().index(old)]
+    assert stored != old
+    failed = [(e.name, e.detail) for e in verify_certificate(back).failures()]
+    assert failed == [("stored_value", f"checks: stored {stored!r}, derived {old!r}")]
 
 
 # a token Python's int reads, or not; "" stands for a row with no coordinate
