@@ -29,6 +29,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    arg_numerators_over_group,
     filter_by_characters,
     kernel_of_characters,
 )
@@ -272,11 +273,9 @@ def successive_minima(characters: Sequence[Character]) -> MinimaReport:
             f"minima candidate enumeration too large in dimension {d}"
         )
 
-    coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
     cols = []
     for gamma in kept:
-        q = gamma.order()
-        t = gamma.arg_numerators(coords) * (m_den // q)
+        t = arg_numerators_over_group(gamma) * (m_den // gamma.order())
         cols.append(np.where(2 * t > m_den, t - m_den, t))  # centered (-1/2, 1/2]
     table = np.stack(cols, axis=1)
 
@@ -385,22 +384,27 @@ class BohrExtraction:
     checks: tuple[BoundCheck, ...]
 
 
-def progression_from_minima(spec_b: BohrSpec, minima: MinimaReport) -> CosetProgression:
-    """P + H with ranges L_j = floor(rho / (d lambda_j)); ``proper`` is left False.
+def minima_extraction(spec_b: BohrSpec, minima: MinimaReport, bset: GroupSet) -> BohrExtraction:
+    """P + H from the minima, with ranges L_j = floor(rho / (d lambda_j)), and
+    its checks: Minkowski's second theorem, containment in the Bohr set
+    ``bset`` of ``spec_b``, properness by counting (which sets ``proper``)
+    and the exact size lower bound (rho/d)^d |G|.  A failing check is
+    returned, never raised.
 
     Zero-range generators contribute nothing to the set; dropping them
     keeps the reported dimension equal to what the progression spans (the
     size bound still uses the full minima dimension d).
     """
+    rho = spec_b.rho
     d = minima.dimension
     generators = []
     bounds = []
     for g, lam in zip(minima.preimages, minima.lambdas):
-        l_j = math.floor(spec_b.rho / (d * lam))
+        l_j = math.floor(rho / (d * lam))
         if l_j >= 1:
             generators.append(g)
             bounds.append((-l_j, l_j))
-    return CosetProgression(
+    cp = CosetProgression(
         spec=spec_b.spec,
         base=spec_b.spec.zero(),
         generators=tuple(generators),
@@ -408,20 +412,6 @@ def progression_from_minima(spec_b: BohrSpec, minima: MinimaReport) -> CosetProg
         subgroup=minima.subgroup,
         proper=False,
     )
-
-
-def extraction_checks(
-    spec_b: BohrSpec,
-    minima: MinimaReport,
-    cp: CosetProgression,
-    bset: GroupSet,
-) -> BohrExtraction:
-    """Set the proper flag of ``cp`` and check Minkowski's second theorem,
-    containment in the Bohr set ``bset`` of ``spec_b``, properness by
-    counting and the exact size lower bound (rho/d)^d |G|; a failing check
-    is returned, never raised."""
-    rho = spec_b.rho
-    d = minima.dimension
     realized = materialize(cp)
     proper = realized.size == cp.formal_size
     size_lower = (rho / d) ** d * spec_b.spec.cardinality
@@ -465,9 +455,7 @@ def progression_from_bohr(spec_b: BohrSpec, bset: GroupSet | None = None) -> Boh
     minima = successive_minima(spec_b.chars)
     if bset is None:
         bset = bohr_set(spec_b)
-    extraction = extraction_checks(
-        spec_b, minima, progression_from_minima(spec_b, minima), bset
-    )
+    extraction = minima_extraction(spec_b, minima, bset)
     for check in extraction.checks:
         if not check.passed:
             raise InvariantError(f"guaranteed property failed: {check.line()}")

@@ -102,7 +102,7 @@ def _cmd_bohr(args) -> int:
 
 def _cmd_model(args) -> int:
     a = read_group_set(_read(args.set))
-    trace = minimize_model(a, args.s)
+    trace = minimize_model(a, MODEL_ORDER)
     print(f"s {trace.s}")
     print(f"stages {len(trace.stages)}")
     for i, stage in enumerate(trace.stages):
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", allow_abbrev=False, help="shrink the ambient group around the set")
     p.add_argument("set")
-    p.add_argument("--s", type=int, default=MODEL_ORDER)
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("zmodel", allow_abbrev=False, help="model an integer set in the smallest Z/m")

@@ -142,17 +142,30 @@ def _cover_size_check(
     return BoundCheck.inconclusive(name, lhs, high)
 
 
-def assemble_q(
-    cp: CosetProgression, s_sets: Sequence[GroupSet], r_last: GroupSet
-) -> CosetProgression:
-    """Q: base r_0, the first element of R_t; the difference ranges of P; a
-    {-1, 0, 1} range for every element of S_0, ..., S_{t-1}; and a {0, 1}
-    range for r - r_0, for every other r in R_t.  ``proper`` is left False.
+def cover_trace(
+    cover_input: CoverInput,
+    r_sets: Sequence[GroupSet],
+    s_sets: Sequence[GroupSet],
+    p_sets: Sequence[GroupSet],
+) -> CoverTrace:
+    """Assemble Q from the rounds and check the rounds and Q: exact growth of
+    P_0, ..., P_t, the iterate inside (t+2)A - 2A and its size, 2^t <= K^4/eta,
+    A inside Q + H, and the dimension and size bounds.  None of them raises.
 
-    Maximality of R_t puts A inside R_t + P_t - P_t, and
+    Q has base r_0, the first element of R_t; the difference ranges of P; a
+    {-1, 0, 1} range for every element of S_0, ..., S_{t-1}; and a {0, 1}
+    range for r - r_0, for every other r in R_t.  Its ``proper`` flag is
+    set by counting.  Maximality of R_t puts A inside R_t + P_t - P_t, and
     P_t - P_t = (P - P) + H + (S_0 - S_0) + ... + (S_{t-1} - S_{t-1}), so
     A lies in Q + H.
     """
+    a = cover_input.set
+    k = cover_input.doubling.k
+    eta = cover_input.eta
+    mk = cover_input.mk
+    t = len(s_sets)
+    p_t = p_sets[t]
+    cp = cover_input.progression
     gens = list(cp.generators)
     bounds = [(lo - hi, hi - lo) for lo, hi in cp.bounds]
     for chosen in s_sets:
@@ -161,36 +174,11 @@ def assemble_q(
             bounds.append((-1, 1))
     # R_t is nonempty when A is; a tampered certificate's empty R_t keeps
     # base 0, so that verify reports the failing checks instead of raising
-    r_0, *rest = r_last.elements() or [cp.spec.zero()]
+    r_0, *rest = r_sets[t].elements() or [cp.spec.zero()]
     for r in rest:
         gens.append(r - r_0)
         bounds.append((0, 1))
-    return CosetProgression(
-        spec=cp.spec,
-        base=r_0,
-        generators=tuple(gens),
-        bounds=tuple(bounds),
-        subgroup=cp.subgroup,
-        proper=False,
-    )
-
-
-def cover_trace(
-    cover_input: CoverInput,
-    r_sets: Sequence[GroupSet],
-    s_sets: Sequence[GroupSet],
-    p_sets: Sequence[GroupSet],
-    q: CosetProgression,
-) -> CoverTrace:
-    """Set the proper flag of ``q`` and check the rounds and Q: exact growth of
-    P_0, ..., P_t, the iterate inside (t+2)A - 2A and its size, 2^t <= K^4/eta,
-    A inside Q + H, and the dimension and size bounds.  None of them raises."""
-    a = cover_input.set
-    k = cover_input.doubling.k
-    eta = cover_input.eta
-    mk = cover_input.mk
-    t = len(s_sets)
-    p_t = p_sets[t]
+    q = CosetProgression(cp.spec, r_0, tuple(gens), tuple(bounds), cp.subgroup, proper=False)
     q_realized = materialize(q)
     q = replace(q, proper=q_realized.size == q.formal_size)
     predicted = p_sets[0].size * math.prod(s.size for s in s_sets)
@@ -255,8 +243,7 @@ def chang_cover(cover_input: CoverInput) -> CoverTrace:
     if t is None:
         raise InvariantError("covering iteration exceeded its termination bound")
 
-    q = assemble_q(cover_input.progression, s_sets, r_sets[t])
-    trace = cover_trace(cover_input, r_sets, s_sets, p_sets, q)
+    trace = cover_trace(cover_input, r_sets, s_sets, p_sets)
     for check in trace.checks:
         if check.failed:
             raise InvariantError(f"guaranteed covering property failed: {check.line()}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import BoundCheck
 from .errors import DomainError, StructureError
-from .groups import Character, GroupElement, GroupSpec, _frozen
+from .groups import Character, GroupElement, GroupSpec, _frozen, arg_numerators_over_group
 from .sumsets import DoublingReport, GroupSet, doubling
 
 TOLERANCE = 1e-9
@@ -322,12 +322,9 @@ class RieszFunction:
 
     def evaluate_all(self) -> np.ndarray:
         """Values of f over the whole group, in element index order."""
-        spec = self.spec
-        L = spec.exponent
-        x = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
-        total = np.zeros(spec.cardinality, dtype=float)
+        total = np.zeros(self.spec.cardinality, dtype=float)
         for gamma, c, w in zip(self.chars, self.coeffs, self.phases):
-            t = gamma.arg_numerators(x)
+            t = arg_numerators_over_group(gamma)
             q = gamma.order()
             total += c * np.real(complex(w) * np.exp(2j * np.pi * t / q))
         return total

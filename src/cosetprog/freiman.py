@@ -66,7 +66,11 @@ class FreimanMap:
             raise DomainError(f"{x!r} is outside the map's domain") from None
 
     def apply_indices(self, indices: np.ndarray) -> np.ndarray:
-        return np.array([self.table[int(i)] for i in indices], dtype=np.int64)
+        try:
+            return np.array([self.table[i] for i in np.asarray(indices).tolist()], dtype=np.int64)
+        except KeyError as exc:
+            x = self.domain.spec.element_at(exc.args[0])
+            raise DomainError(f"{x!r} is outside the map's domain") from None
 
     def image(self) -> GroupSet:
         return GroupSet(self.target, np.array(sorted(self.table.values()), dtype=np.int64))
@@ -292,14 +296,9 @@ def transport_progression(psi: FreimanMap, cp: CosetProgression) -> CosetProgres
         tspec.zero() if lo == hi else psi(corner + g) - psi(corner)
         for g, (lo, hi) in zip(cp.generators, cp.bounds)
     ]
-    h_indices = []
-    for h in cp.subgroup.indices:
-        point = cp.base + cp.spec.element_at(int(h))
-        h_indices.append((psi(point) - base_img).index)
-    h_set = np.unique(np.array(h_indices, dtype=np.int64))
-    h_sub = subgroup_closure(
-        tspec, [tspec.element_at(int(i)) for i in h_set]
-    )
+    coset = psi.apply_indices(cp.spec.add_scalar(cp.subgroup.indices, cp.base.index))
+    h_set = np.unique(tspec.add_scalar(coset, (-base_img).index))
+    h_sub = subgroup_closure(tspec, [tspec.element_at(i) for i in h_set.tolist()])
     if h_sub.order != len(h_set):
         raise DomainError("image of the subgroup is not a subgroup")
     image = CosetProgression(

@@ -431,10 +431,10 @@ def reduce_generators(subgroup: Subgroup) -> tuple[GroupElement, ...]:
     return tuple(gens)
 
 
-def _arg_numerators_over_group(gamma: Character) -> np.ndarray:
-    """gamma's arg numerators at every index of G, in index order: the
-    outer sum of each axis's multiples of its phase, so no coordinate
-    table of G is built."""
+def arg_numerators_over_group(gamma: Character) -> np.ndarray:
+    """gamma's arg numerators at every index of G, in index order, over
+    the order of gamma: the outer sum of each axis's multiples of its
+    phase, so no coordinate table of G is built."""
     q = gamma.order()
     t = np.zeros(1, dtype=np.int64)
     for m, n in zip(gamma.phase_vector().tolist(), gamma.spec.orders):
@@ -459,7 +459,7 @@ def filter_by_characters(
     if not characters:
         return np.arange(spec.cardinality, dtype=np.int64)
     first, *rest = characters
-    indices = np.flatnonzero(admits(_arg_numerators_over_group(first), first.order()))
+    indices = np.flatnonzero(admits(arg_numerators_over_group(first), first.order()))
     for gamma in rest:
         t = gamma.arg_numerators(spec.decode(indices))
         indices = indices[admits(t, gamma.order())]
@@ -507,18 +507,17 @@ def _max_order_element(spec: GroupSpec, indices: np.ndarray) -> GroupElement:
 
 
 def _first_primitive_character(g: GroupElement) -> Character:
-    """The lowest-index character whose value at g has g's full order."""
-    spec = g.spec
-    L = spec.exponent
-    # gamma(g) = exp(2 pi i t / L) has order L / gcd(t, L)
-    scale = np.array(
-        [x * (L // n) for x, n in zip(g.coords, spec.orders)], dtype=np.int64
-    )
-    t = spec.decode(np.arange(spec.cardinality, dtype=np.int64)) @ scale % L
-    primitive = np.flatnonzero(L // np.gcd(t, L) == g.order())
+    """The lowest-index character whose value at g has g's full order q.
+
+    chi(g) is the value at chi of the character with g's coordinates, whose
+    order is also q, so it has order q / gcd(t, q) for t its arg numerator.
+    """
+    q = g.order()
+    t = arg_numerators_over_group(g.spec.character(g.coords))
+    primitive = np.flatnonzero(np.gcd(t, q) == 1)
     if not len(primitive):
         raise InvariantError("no character is primitive on a maximal element")
-    return spec.character_at(int(primitive[0]))
+    return g.spec.character_at(int(primitive[0]))
 
 
 def subgroup_decomposition(subgroup: Subgroup) -> CyclicDecomposition:

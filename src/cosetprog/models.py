@@ -26,6 +26,7 @@ from .groups import (
     Character,
     GroupSpec,
     Subgroup,
+    arg_numerators_over_group,
     subgroup_decomposition,
 )
 from .freiman import FreimanMap, compose, is_freiman_iso
@@ -200,8 +201,7 @@ def shrink_model_step(
         raise DomainError("q does not equal the character order")
     spec = a.spec
     spec.require_enumerable()
-    all_coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
-    psi_all = gamma.arg_numerators(all_coords)
+    psi_all = arg_numerators_over_group(gamma)
     t_candidates = np.nonzero(psi_all == b % q)[0]
     if not len(t_candidates):
         raise InvariantError("psi is not surjective onto Z/q")

@@ -3,15 +3,17 @@
 A run produces a PipelineCertificate: every intermediate object (model
 trace, spectral data, minima, progressions, covering rounds) plus one
 named pass/fail line per bound.  The certificate is self-contained: the
-verifier checks the search choices for the properties their searches
-guarantee, and re-derives every check and derived value from them with
-the same functions the run used, never re-running a search.  A model
-stage is stored as its choice (gamma, q, interval) alone; its map, and
-the transport map the chain induces on 2A' - 2A', are derived, not stored.
-Serialization is deterministic, so identical input and config give
-byte-identical certificates, and the text is the one definition of what a
-certificate stores: the verifier writes the stored and the derived
-certificate and compares the two texts.
+verifier judges the search choices (the model stages, Phi, the minima and
+the translates) for the properties their searches guarantee, and derives
+every other object from them with the functions the run used, never
+re-running a search.  A model stage is stored as its choice (gamma, q,
+interval) alone; its map, and the transport map the chain induces on
+2A' - 2A', are derived, not stored.  Every check is evaluated once, on the
+derived objects.  Serialization is deterministic, so identical input and
+config give byte-identical certificates, and the text is the one
+definition of what a certificate stores: the verifier writes the stored
+and the derived certificate and compares the two texts, which is how a
+stored copy of a derived object is judged.
 """
 
 from __future__ import annotations
@@ -28,15 +30,14 @@ from .bohr import (
     CosetProgression,
     MinimaReport,
     bohr_set,
-    extraction_checks,
     materialize,
+    minima_extraction,
     minima_frame,
     progression_from_bohr,
-    progression_from_minima,
     whole_group_extraction,
 )
 from .checks import BoundCheck, _fmt, parse_scalar
-from .covering import CoverInput, CoverTrace, assemble_q, chang_cover, cover_trace
+from .covering import CoverInput, CoverTrace, chang_cover, cover_trace
 from .errors import DomainError, InvariantError
 from .fourier import (
     TOLERANCE,
@@ -435,6 +436,8 @@ def read_certificate(text: str) -> PipelineCertificate:
                 interval=parse_ints(sb.kv("interval", 2)),
             )
         )
+    if config.skip_model and stages:
+        raise DomainError(f"a skip-model certificate holds {len(stages)} model stage(s)")
     identity = "0" if stages else "1"
     if parse_int(model_b.value("stages")) != len(stages) or model_b.value("identity") != identity:
         raise DomainError(f"the model section does not hold {len(stages)} stage(s)")
@@ -586,21 +589,26 @@ class VerificationReport:
 def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     """Re-check a certificate without re-running any search.
 
-    The search choices (each model stage's gamma, q and interval, Phi, the
-    minima, the translates R_i and S_i) are checked for the properties
-    their searches guarantee.  Each stage's map is derived from its choice
-    by ``shrink_model_step``, which checks the choice and that the map is
-    a Freiman 8-isomorphism; a stage it rejects fails ``model_stage_<i>``
-    with its message, and the chain stops there.  The transport map is
-    derived from the chain as in ``run_pipeline``.  Everything else is
-    re-derived by the builders' own functions, and each check becomes one
-    entry under its own name, evaluated on the stored objects.  Then the
-    stored and the derived certificate are both written and compared as
-    text: each run of lines that differs is one ``stored_value`` entry
-    naming its sections and quoting both lines, where a float token may
-    differ by ``TOLERANCE`` relative and every other token must match.  A
-    failing entry says why in its detail.  Failures are collected, not
-    short-circuited.
+    Only the search choices (the stages, Phi, the minima, the translates R_i
+    and S_i) are taken from the certificate, and each is checked for the
+    properties its search guarantees.  Each stage's map is derived from its
+    choice by ``shrink_model_step``, which checks the choice and that the
+    map is a Freiman 8-isomorphism; a stage it rejects fails
+    ``model_stage_<i>`` with its message, and the chain stops there.  Every
+    other object is derived from the choices with the functions
+    ``run_pipeline`` uses: the model set, the spectral data, the Bohr set,
+    P + H from the minima, its transport (one ``transport`` entry) and Q.
+    Each check becomes one entry under its own name, evaluated once on the
+    derived objects.  Then the stored and the derived certificate are both
+    written and compared as text, so a stored copy of a derived object is
+    judged by the text alone: each run of lines that differs is one
+    ``stored_value`` entry naming its sections and quoting both lines,
+    where a float token may differ by ``TOLERANCE`` relative and every
+    other token must match.  So that later failures are still collected, a
+    stored object that is not a choice is read in two cases only: the
+    stored model trace after a stage that does not derive, and the stored
+    ``progression`` after a ``transport`` failure.  A failing entry says
+    why in its detail.
     """
     entries: list[VerificationEntry] = []
 
@@ -622,7 +630,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
             add(f"model_stage_{i}", False, str(exc))
             break
         add(f"model_stage_{i}", True)
-    # a chain that stops short derives no trace to compare with the stored one
+    # a chain that stops short derives no trace: the stored one stands in
     derived_chain = len(stages) == len(cert.model.stages)
     trace = model_trace(MODEL_ORDER, a, stages, dbl.k) if derived_chain else cert.model
     if derived_chain and stages:
@@ -632,7 +640,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
             f"a {w.layer}-fold sum (index {w.sum_index}) has image sums {list(w.image_indices)}"
         )
         add("model_composite", not fault, fault)
-    a1 = cert.model.final_set
+    a1 = trace.final_set
 
     # spectral stage: Phi inside the threshold set, dissociated and maximal
     spectrum = indicator_transform(a1)
@@ -666,7 +674,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     d22 = iterated_sumset(a1, 2, 2)
     bohr_check = bohr_containment(bset, d22)
 
-    # extraction: the minima's vectors, then P judged and re-derived
+    # extraction: the minima's vectors judged, then P + H derived from them
     if cert.minima is None:
         extraction = whole_group_extraction(bog.bohr)
     else:
@@ -682,35 +690,21 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
             i is None,
             "" if i is None else f"minimum {i}'s vector lies in the span of the ones before it",
         )
-        judged = extraction_checks(bog.bohr, minima, cert.progression_model, bset)
-        rule = progression_from_minima(bog.bohr, minima)
-        extraction = replace(judged, progression=replace(rule, proper=judged.progression.proper))
+        extraction = minima_extraction(bog.bohr, minima, bset)
 
-    # transport: the map the derived chain induces on 2A' - 2A' must carry
-    # progression-model onto progression
-    if cert.model.is_identity:
-        cp = extraction.progression
-    else:
-        cp = cert.progression
-        zeta, fault = None, "the model chain was not derived"
+    # transport: P + H carried back by the map the chain induces on 2A' - 2A'
+    cp = extraction.progression
+    if not trace.is_identity:
+        fault = "the model chain was not derived"
         if derived_chain:
             try:
-                zeta = induced_difference_iso(trace.composite.inverse())
+                cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
+                fault = ""
             except DomainError as exc:
                 fault = str(exc)
-        add("transport_iso", zeta is not None, "" if zeta is not None else fault)
-        if zeta is not None:
-            source = materialize(cert.progression_model)
-            if not source.is_subset(zeta.domain):
-                fault = "progression-model is not inside 2A'-2A'"
-            else:
-                image = GroupSet(zeta.target, zeta.apply_indices(source.indices))
-                moved = materialize(cp)
-                fault = "" if moved == image else (
-                    "progression is not the image of progression-model "
-                    f"({moved.size} and {image.size} point(s))"
-                )
-            add("transport_image", not fault, fault)
+        add("transport", not fault, fault)
+        if fault:
+            cp = cert.progression
 
     # covering rounds: each R_i maximal and disjoint, each S_i a batch of R_i
     cover = cert.cover
@@ -766,11 +760,9 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     r_t = cover.r_sets[t]
     fault = "" if r_t.size <= mk else f"|R_{t}| = {r_t.size} exceeds ceil(2K) = {mk}"
     add("cover_rt_small", not fault, fault)
-    judged = cover_trace(cover_input, cover.r_sets, cover.s_sets, p_sets, cover.q)
-    q = replace(assemble_q(cp, cover.s_sets, cover.r_sets[t]), proper=judged.q.proper)
-
     derived = _certificate(
-        cert.config, a, dbl, trace, bog, bohr_check, extraction, cp, replace(judged, q=q)
+        cert.config, a, dbl, trace, bog, bohr_check, extraction, cp,
+        cover_trace(cover_input, cover.r_sets, cover.s_sets, p_sets),
     )
     for check in derived.checks:
         add(check.name, not check.failed, f"{check.status} {_fmt(check.lhs)} {_fmt(check.rhs)}")

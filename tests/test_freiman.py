@@ -323,6 +323,17 @@ def test_transport_rejects_a_map_that_does_not_carry_p_onto_a_progression():
         transport_progression(scramble, cp)
 
 
+def test_transport_names_a_coset_point_outside_the_domain():
+    # P + H = {1, 5} lies in the domain and so does the base 0, but the
+    # coset base + H = {0, 4} does not
+    g = GroupSpec((8,))
+    h = subgroup_closure(g, [g.element((4,))])
+    cp = CosetProgression(g, g.zero(), (g.element((1,)),), ((1, 1),), h, True)
+    psi = FreimanMap(GroupSet(g, np.array([0, 1, 5])), g, {0: 0, 1: 1, 5: 5})
+    with pytest.raises(DomainError, match=r"^\(4\) is outside the map's domain$"):
+        transport_progression(psi, cp)
+
+
 def test_transport_campaign_preserves_dimension_and_size():
     rng = Random(31337)
     done = 0
@@ -341,6 +352,12 @@ def test_transport_campaign_preserves_dimension_and_size():
             coords_map[idx] = spec.index_of(image)
         psi = FreimanMap(GroupSet.full(spec), spec, coords_map)
         out = transport_progression(psi, cp)
+        # the subgroup, generators included, is the one a point-by-point
+        # image of base + H gives
+        moved = {(psi(cp.base + h) - psi(cp.base)).index for h in cp.subgroup.elements()}
+        reference = subgroup_closure(spec, [spec.element_at(i) for i in sorted(moved)])
+        assert out.subgroup == reference
+        assert out.subgroup.generators == reference.generators
         assert out.dimension == cp.dimension
         assert materialize(out).size == materialize(cp).size
         assert out.proper

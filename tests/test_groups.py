@@ -18,6 +18,7 @@ from cosetprog.groups import (
     _closure_indices,
     _first_primitive_character,
     _max_order_element,
+    arg_numerators_over_group,
     reduce_generators,
 )
 
@@ -194,6 +195,18 @@ def test_first_primitive_character_matches_loop(spec):
     for idx in indices:
         g = spec.element_at(idx)
         assert _first_primitive_character(g) == _first_primitive_by_loop(g), g
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_arg_numerators_over_group_match_the_coordinate_table(spec):
+    """The group-wide evaluator gives, for every character, the arg
+    numerators its coordinate rows give at every index of G."""
+    coords = spec.decode(np.arange(spec.cardinality, dtype=np.int64))
+    for cidx in range(spec.cardinality):
+        gamma = spec.character_at(cidx)
+        got = arg_numerators_over_group(gamma)
+        assert got.dtype == np.int64
+        assert got.tolist() == gamma.arg_numerators(coords).tolist(), gamma
 
 
 @pytest.mark.parametrize(

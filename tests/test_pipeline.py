@@ -103,6 +103,9 @@ def test_round_trip_byte_identical():
 
 
 def test_verify_detects_containment_tamper():
+    """Q is derived from the translates, so a Q whose {-1, 0, 1} ranges are
+    cut to {0} is one stored value that differs, and every check, judged on
+    the derived Q, passes."""
     g = GroupSpec((100,))
     a = _interval(g, 10)
     cert = run_pipeline(a, PipelineConfig(skip_model=True))
@@ -121,8 +124,9 @@ def test_verify_detects_containment_tamper():
                 continue
         tampered.append(line)
     report = verify_certificate(read_certificate("\n".join(tampered) + "\n"))
-    assert not report.ok
-    assert any(e.name == "cover_containment" for e in report.failures())
+    assert [(e.name, e.detail) for e in report.failures()] == [
+        ("stored_value", "cover/q: stored 'gen 0 0 0', derived 'gen 0 -1 1'")
+    ]
 
 
 def test_verify_reports_an_emptied_last_translate_set():
@@ -134,24 +138,25 @@ def test_verify_reports_an_emptied_last_translate_set():
     assert "cover_round_0_maximal" in {e.name for e in report.failures()}
 
 
+def _scale_minima(text):
+    """Every successive minimum of ``text`` multiplied by 1000."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("minimum "):
+            parts = line.split()
+            num, _, den = parts[1].partition("/")
+            parts[1] = f"{int(num) * 1000}/{den or 1}"
+            line = " ".join(parts)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def test_verify_detects_minima_tamper():
     g = GroupSpec((101,))
     a = _interval(g, 4)
     cert = run_pipeline(a, PipelineConfig(skip_model=True))
     assert cert.minima is not None
-    text = write_certificate(cert)
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("minimum "):
-            parts = line.split()
-            lam = parts[1]
-            num = int(lam.split("/")[0]) if "/" in lam else int(lam)
-            den = lam.split("/")[1] if "/" in lam else "1"
-            parts[1] = f"{num * 1000}/{den}"
-            lines.append(" ".join(parts))
-        else:
-            lines.append(line)
-    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    report = verify_certificate(read_certificate(_scale_minima(write_certificate(cert))))
     assert not report.ok
     assert any(e.name == "bohr_minkowski" for e in report.failures())
 
@@ -260,20 +265,38 @@ def test_verify_rejects_a_tampered_stage_choice(line, tampered, name, detail):
     failed = [(e.name, e.detail) for e in report.failures()]
     assert (name, detail) in failed, failed
     if name == "model_stage_0":  # the chain stops there, and no transport map is derived
-        assert ("transport_iso", "the model chain was not derived") in failed
+        assert ("transport", "the model chain was not derived") in failed
         assert "model_composite" not in {e.name for e in report.entries}
 
 
 def test_verify_says_why_a_transported_progression_is_wrong():
+    """The progression is derived by transport, so a stored one that differs
+    is named by its line, and nothing derived from it fails."""
     lines = _interval_1024_certificate().splitlines()
     start = lines.index("begin progression")
     assert lines[start + 2] == "base 0"
     lines[start + 2] = "base 1"
     report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
-    failed = {e.name: e.detail for e in report.failures()}
-    assert failed["transport_image"] == (
-        "progression is not the image of progression-model (1 and 1 point(s))"
-    )
+    assert [(e.name, e.detail) for e in report.failures()] == [
+        ("stored_value", "progression: stored 'base 1', derived 'base 0'")
+    ]
+
+
+def test_verify_derives_the_progression_of_a_subgroup_from_its_choices():
+    """A shifted base makes the same point set, the subgroup itself, so only
+    the progression derived by transport tells it from the stored one."""
+    spec = GroupSpec((12, 12))
+    cert = run_pipeline(gen_subgroup(spec, [[1, 0]]), PipelineConfig())
+    assert cert.model.stages
+    lines = write_certificate(cert).splitlines()
+    start = lines.index("begin progression")
+    assert lines[start + 2] == "base 0 0"
+    lines[start + 2] = "base 1 0"
+    back = read_certificate("\n".join(lines) + "\n")
+    assert materialize(back.progression) == materialize(cert.progression)
+    assert [(e.name, e.detail) for e in verify_certificate(back).failures()] == [
+        ("stored_value", "progression: stored 'base 1 0', derived 'base 0 0'")
+    ]
 
 
 def test_verify_names_the_element_a_round_leaves_uncovered(model_on_certificate):
@@ -365,12 +388,13 @@ SUBCOMMANDS = {
 
 # the options that became constants or went, and what argparse leaves
 # unrecognized: the cap on every subcommand (the subcommand is the case's
-# id), then the model order, tolerance and log base, and model's density
-# target; prefix matching is off, so "--s" is not read as short for
-# --skip-model and is refused by its own name
+# id), then the model order (of pipeline and model), tolerance and log
+# base, and model's density target; prefix matching is off, so "--s" is
+# not read as short for --skip-model and is refused by its own name
 RETIRED_OPTIONS = [
     *(pytest.param(command, "--cap 1", "--cap 1", id=command) for command in SUBCOMMANDS),
     pytest.param("pipeline", "--s 8", "--s 8", id="pipeline--s"),
+    pytest.param("model", "--s 8", "--s 8", id="model--s"),
     pytest.param("model", "--target 1", "--target 1", id="model--target"),
     pytest.param("pipeline", "--tolerance 1e-9", "--tolerance 1e-9", id="pipeline--tolerance"),
     pytest.param("pipeline", "--log2", "--log2", id="pipeline--log2"),
@@ -515,6 +539,8 @@ CORRUPTIONS = {
     "t-token": ("t ", lambda line: "t y"),
     "skip-model-two": ("skip-model ", lambda line: "skip-model 2"),
     "skip-model-token": ("skip-model ", lambda line: "skip-model x"),
+    # the run writes no stage when the model is skipped
+    "skip-model-with-stages": ("skip-model ", lambda line: "skip-model 1"),
     "q-proper-two": ("q/proper ", lambda line: "proper 2"),
     "l4-sum-token": ("l4-sum ", lambda line: "l4-sum nan-ish"),
     "key-without-value": ("mk ", lambda line: "mk"),
@@ -770,36 +796,37 @@ def test_verify_names_a_dropped_check_line(model_on_certificate):
     assert details == [f"checks: stored '', derived {line!r}"]
 
 
+def test_verify_derives_the_model_set_from_the_stages(model_on_certificate):
+    """The model set is the derived chain's final set: a stored one with an
+    element dropped is one stored value that differs, and every value
+    derived from the model set is derived from the chain's."""
+    lines = model_on_certificate[1].splitlines()
+    end = lines.index("end model-set")
+    assert lines[end - 1] == "elem 4"
+    del lines[end - 1]
+    failed = [(e.name, e.detail)
+              for e in verify_certificate(read_certificate("\n".join(lines) + "\n")).failures()]
+    assert failed == [("stored_value", "model/model-set: stored '', derived 'elem 4'")]
+
+
 def _f2_five_without_zero():
     g = GroupSpec((2,) * 5)
     return GroupSet(g, np.arange(1, g.cardinality, dtype=np.int64))
 
 
-def _cut_q_ranges(text):
-    """Every generator of Q cut to the range {0}."""
-    lines, section = [], None
-    for line in text.splitlines():
-        if line.startswith(("begin ", "end ")):
-            section = line.split()[1] if line.startswith("begin ") else None
-        elif section == "q" and line.startswith("gen "):
-            line = " ".join(line.split()[:-2] + ["0", "0"])
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("skip_model", [False, True])
 def test_verify_recomputes_a_failing_check(skip_model):
-    # with Q cut to its base, A no longer lies in Q + H: verify judges
-    # cover_containment on the stored objects, whatever its stored line says
+    # with every minimum a thousand times larger, their product exceeds
+    # det: verify judges bohr_minkowski on the minima, a search choice,
+    # whatever its stored line says
     cert = run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=skip_model))
-    assert cert.all_passed
-    text = _cut_q_ranges(write_certificate(cert))
-    assert text != write_certificate(cert)
-    flipped = text.replace("check cover_containment pass", "check cover_containment fail")
+    assert cert.all_passed and cert.minima is not None
+    text = _scale_minima(write_certificate(cert))
+    flipped = text.replace("check bohr_minkowski pass", "check bohr_minkowski fail")
     assert flipped != text
     for tampered in (text, flipped):
         failed = {e.name for e in verify_certificate(read_certificate(tampered)).failures()}
-        assert "cover_containment" in failed
+        assert "bohr_minkowski" in failed
 
 
 def test_spectral_radius_is_vacuous_for_an_empty_phi():
