@@ -18,12 +18,15 @@ from .fourier import (
     spec_threshold,
 )
 from .generators import (
-    FamilySpec,
     explore_multiple_cover_sumset,
     gen_counterexample,
-    generate,
+    gen_progression,
+    gen_random,
+    gen_random_in_progression,
+    gen_subgroup,
 )
 from .covering import CoverInput, chang_cover
+from .groups import GroupSpec
 from .models import MODEL_ORDER, f2_shrink, minimize_model, z_model
 from .pipeline import (
     PipelineConfig,
@@ -186,19 +189,23 @@ def _cmd_gen(args) -> int:
               f"doubling {fmt_fraction(report.doubling)}")
         sys.stdout.write(write_group_set(report.set))
         return 0
-    params: dict = {"orders": _parse_int_list(args.orders)}
-    if args.family in {"random", "random-in-progression"}:
-        params["size"] = args.size
-    if args.family in {"progression", "random-in-progression"}:
-        params["generators"] = [
-            _parse_int_list(tok) for tok in args.generator or []
-        ]
-        params["lengths"] = _parse_int_list(args.lengths)
-    if args.family == "subgroup":
-        params["generators"] = [
-            _parse_int_list(tok) for tok in args.generator or []
-        ]
-    out = generate(FamilySpec(args.family, params, args.seed))
+    orders = _parse_int_list(args.orders)
+    family = args.family
+    if family != "random":
+        generators = [_parse_int_list(tok) for tok in args.generator or []]
+    if family in {"progression", "random-in-progression"}:
+        lengths = _parse_int_list(args.lengths)
+    spec = GroupSpec(tuple(orders))
+    if family == "random":
+        out = gen_random(spec, args.size, args.seed)
+    elif family == "subgroup":
+        out = gen_subgroup(spec, generators)
+    elif family == "progression":
+        out = gen_progression(spec, [0] * len(orders), generators, lengths)
+    else:
+        out = gen_random_in_progression(
+            spec, [0] * len(orders), generators, lengths, args.size, args.seed
+        )
     print(f"# doubling {fmt_fraction(doubling(out).k)}")
     sys.stdout.write(write_group_set(out))
     return 0

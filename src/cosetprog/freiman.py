@@ -1,5 +1,9 @@
 """Freiman homomorphism verification and transport of coset progressions.
 
+A map is held as a set is: its domain's sorted index array and, aligned
+with it, one array of image indices.  Applying, composing, restricting and
+inverting maps are array operations, never a walk over the points.
+
 The s-fold condition is checked through fibers of the induced map on sums:
 phi is an s-homomorphism iff every multiset of s elements with the same sum
 has the same image sum.  A layered dynamic program adds one element per
@@ -16,79 +20,82 @@ image that disagrees with it is the first failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
 from .bohr import CosetProgression, materialize, to_one_sided
 from .errors import DomainError, StructureError
-from .groups import GroupElement, GroupSpec, subgroup_closure
+from .groups import GroupElement, GroupSpec, _frozen, subgroup_closure
 from .sumsets import GroupSet, iterated_sumset, mask_pays, pair_chunks
 
 
 class FreimanMap:
-    """A map defined on a finite set, claimed to respect s-fold sums."""
+    """A map defined on a finite set, claimed to respect s-fold sums.
 
-    __slots__ = ("domain", "target", "table")
+    Like a ``GroupSet`` it is an index array: ``images[i]`` is the index in
+    ``target`` of the image of ``domain.indices[i]``, so a lookup is one
+    ``searchsorted`` over the sorted domain.  Instances are immutable.
+    """
 
-    def __init__(self, domain: GroupSet, target: GroupSpec, table: Mapping[int, int]):
-        tbl = {int(k): int(v) for k, v in table.items()}
-        if set(tbl) != {int(i) for i in domain.indices}:
-            raise StructureError("assignment table must cover the domain exactly")
-        for v in tbl.values():
-            if not 0 <= v < target.cardinality:
-                raise StructureError("image index out of range for the target group")
+    __slots__ = ("domain", "target", "images")
+
+    def __init__(self, domain: GroupSet, target: GroupSpec, images: np.ndarray):
+        imgs = np.array(images, dtype=np.int64).ravel()
+        if len(imgs) != domain.size:
+            raise StructureError(f"{len(imgs)} image(s) for a domain of {domain.size} point(s)")
+        if len(imgs) and (int(imgs.min()) < 0 or int(imgs.max()) >= target.cardinality):
+            raise StructureError("image index out of range for the target group")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "table", tbl)
+        object.__setattr__(self, "images", _frozen(imgs))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FreimanMap is immutable")
 
     @classmethod
     def identity(cls, domain: GroupSet) -> "FreimanMap":
-        return cls(domain, domain.spec, {int(i): int(i) for i in domain.indices})
+        return cls(domain, domain.spec, domain.indices)
 
     @classmethod
     def translation(cls, domain: GroupSet, shift: GroupElement) -> "FreimanMap":
         if shift.spec != domain.spec:
             raise StructureError("translation element from a different group")
-        moved = domain.spec.add_scalar(domain.indices, shift.index)
-        table = {int(i): int(j) for i, j in zip(domain.indices, moved)}
-        return cls(domain, domain.spec, table)
+        return cls(domain, domain.spec, domain.spec.add_scalar(domain.indices, shift.index))
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.spec != self.domain.spec:
             raise StructureError("argument from a different group")
-        try:
-            return self.target.element_at(self.table[x.index])
-        except KeyError:
-            raise DomainError(f"{x!r} is outside the map's domain") from None
+        return self.target.element_at(int(self.apply_indices(np.array([x.index]))[0]))
 
     def apply_indices(self, indices: np.ndarray) -> np.ndarray:
-        try:
-            return np.array([self.table[i] for i in np.asarray(indices).tolist()], dtype=np.int64)
-        except KeyError as exc:
-            x = self.domain.spec.element_at(exc.args[0])
-            raise DomainError(f"{x!r} is outside the map's domain") from None
+        """The image index of each domain point given by index."""
+        idx = np.asarray(indices, dtype=np.int64)
+        dom = self.domain.indices
+        at = np.searchsorted(dom, idx)
+        inside = at < len(dom)
+        inside[inside] = dom[at[inside]] == idx[inside]
+        if not inside.all():
+            x = self.domain.spec.element_at(int(idx[~inside][0]))
+            raise DomainError(f"{x!r} is outside the map's domain")
+        return self.images[at]
 
     def image(self) -> GroupSet:
-        return GroupSet(self.target, np.array(sorted(self.table.values()), dtype=np.int64))
+        return GroupSet(self.target, self.images)
 
     def is_injective(self) -> bool:
-        return len(set(self.table.values())) == len(self.table)
+        return len(np.unique(self.images)) == self.domain.size
 
     def inverse(self) -> "FreimanMap":
         if not self.is_injective():
             raise DomainError("only injective maps can be inverted")
-        inv = {v: k for k, v in self.table.items()}
-        return FreimanMap(self.image(), self.domain.spec, inv)
+        order = np.argsort(self.images)
+        image = GroupSet.from_sorted(self.target, self.images[order])
+        return FreimanMap(image, self.domain.spec, self.domain.indices[order])
 
     def restrict(self, subset: GroupSet) -> "FreimanMap":
         if not subset.is_subset(self.domain):
             raise DomainError("restriction set is not inside the domain")
-        table = {int(i): self.table[int(i)] for i in subset.indices}
-        return FreimanMap(subset, self.target, table)
+        return FreimanMap(subset, self.target, self.apply_indices(subset.indices))
 
     def __repr__(self) -> str:
         return f"FreimanMap({self.domain!r} -> {self.target})"
@@ -98,10 +105,7 @@ def compose(outer: FreimanMap, inner: FreimanMap) -> FreimanMap:
     """outer after inner; the inner image must lie in the outer domain."""
     if inner.target != outer.domain.spec:
         raise StructureError("maps are not composable: group mismatch")
-    if not inner.image().is_subset(outer.domain):
-        raise DomainError("inner image is not contained in the outer domain")
-    table = {k: outer.table[v] for k, v in inner.table.items()}
-    return FreimanMap(inner.domain, outer.target, table)
+    return FreimanMap(inner.domain, outer.target, outer.apply_indices(inner.images))
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,7 @@ def _signed_layers(
     if pos + neg < 1:
         raise DomainError("at least one fold is required")
     spec, tspec = phi.domain.spec, phi.target
-    xs = phi.domain.indices
-    us = phi.apply_indices(xs)
+    xs, us = phi.domain.indices, phi.images
     negated = (spec.negate_indices(xs), tspec.negate_indices(us))
     return [(xs, us)] * pos + [negated] * neg
 
@@ -264,9 +267,8 @@ def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
         raise DomainError(
             f"map does not induce a function on 2A-2A (fiber of {witness.sum_index})"
         )
-    domain = GroupSet(a.spec, sums)
-    table = dict(zip(sums.tolist(), images.tolist()))
-    induced = FreimanMap(domain, phi.target, table)
+    domain = GroupSet.from_sorted(a.spec, sums)  # the DPs' sums are ascending and distinct
+    induced = FreimanMap(domain, phi.target, images)
     if domain != iterated_sumset(a, 2, 2):
         raise DomainError("fiber domain does not equal 2A-2A")
     report = is_freiman_iso(induced, 2)
@@ -278,11 +280,12 @@ def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
 def transport_progression(psi: FreimanMap, cp: CosetProgression) -> CosetProgression:
     """Push a proper coset progression through a 2-isomorphism.
 
-    The image progression keeps the bounds; generators and subgroup are
-    transported relative to the base point.  The result is checked to equal
-    the pointwise image psi(P + H), to be proper and to keep the size, so a
-    map that carries P + H onto anything else is a DomainError; psi itself
-    is not re-checked as a 2-isomorphism.
+    The image progression keeps the bounds; the generators of P and of H
+    are transported relative to the base point, so H's image is the closure
+    of psi(base + h) - psi(base) over H's generators h.  The result is
+    checked to equal the pointwise image psi(P + H), to be proper and to
+    keep the size, so a map that carries P + H onto anything else is a
+    DomainError; psi itself is not re-checked as a 2-isomorphism.
     """
     if not cp.proper:
         raise DomainError("only proper progressions are transported")
@@ -296,17 +299,13 @@ def transport_progression(psi: FreimanMap, cp: CosetProgression) -> CosetProgres
         tspec.zero() if lo == hi else psi(corner + g) - psi(corner)
         for g, (lo, hi) in zip(cp.generators, cp.bounds)
     ]
-    coset = psi.apply_indices(cp.spec.add_scalar(cp.subgroup.indices, cp.base.index))
-    h_set = np.unique(tspec.add_scalar(coset, (-base_img).index))
-    h_sub = subgroup_closure(tspec, [tspec.element_at(i) for i in h_set.tolist()])
-    if h_sub.order != len(h_set):
-        raise DomainError("image of the subgroup is not a subgroup")
+    h_gens = [psi(cp.base + h) - base_img for h in cp.subgroup.generators]
     image = CosetProgression(
         spec=tspec,
         base=base_img,
         generators=tuple(gens_img),
         bounds=cp.bounds,
-        subgroup=h_sub,
+        subgroup=subgroup_closure(tspec, h_gens),
         proper=False,
     )
     realized = materialize(image)

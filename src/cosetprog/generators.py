@@ -8,7 +8,7 @@ the seed sequence, not on library sampling internals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 from random import Random
@@ -79,36 +79,6 @@ def gen_random_in_progression(
     rng = Random(seed)
     picks = _rng_distinct(rng, ambient.size, min(size, ambient.size))
     return GroupSet(spec, ambient.indices[np.array(picks, dtype=np.int64)])
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family with validated parameters, for the CLI and tests."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-
-def generate(fspec: FamilySpec) -> GroupSet:
-    p = fspec.params
-    if fspec.family == "random":
-        return gen_random(GroupSpec(tuple(p["orders"])), int(p["size"]), fspec.seed)
-    if fspec.family == "progression":
-        return gen_progression(
-            GroupSpec(tuple(p["orders"])), p.get("base") or [0] * len(p["orders"]),
-            p["generators"], p["lengths"],
-        )
-    if fspec.family == "subgroup":
-        return gen_subgroup(GroupSpec(tuple(p["orders"])), p["generators"])
-    if fspec.family == "random-in-progression":
-        return gen_random_in_progression(
-            GroupSpec(tuple(p["orders"])), p.get("base") or [0] * len(p["orders"]),
-            p["generators"], p["lengths"], int(p["size"]), fspec.seed,
-        )
-    if fspec.family == "counterexample":
-        return gen_counterexample(p["primes"], int(p["q"])).set
-    raise DomainError(f"unknown family {fspec.family!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -487,16 +487,24 @@ class CyclicDecomposition:
     """An internal direct-sum presentation H = <g1> + ... + <gr>.
 
     ``spec`` is the product Z/m1 x ... x Z/mr (or Z/1 for the trivial
-    subgroup); ``to_model``/``from_model`` are index bijections between the
-    subgroup inside its ambient group and the product presentation.
+    subgroup); ``from_model[i]`` is the ambient index of the subgroup point
+    with product index i, and ``to_model`` is its inverse.
     """
 
     subgroup: Subgroup
     orders: tuple[int, ...]
     generators: tuple[GroupElement, ...]
     spec: GroupSpec
-    to_model: dict[int, int]
-    from_model: dict[int, int]
+    from_model: np.ndarray
+
+    @cached_property
+    def _model_of_sorted(self) -> np.ndarray:
+        """The product index of each subgroup point, in ambient index order."""
+        return np.argsort(self.from_model)
+
+    def to_model(self, indices: np.ndarray) -> np.ndarray:
+        """The product index of each subgroup point given by ambient index."""
+        return self._model_of_sorted[np.searchsorted(self.subgroup.indices, indices)]
 
 
 def _max_order_element(spec: GroupSpec, indices: np.ndarray) -> GroupElement:
@@ -544,18 +552,13 @@ def subgroup_decomposition(subgroup: Subgroup) -> CyclicDecomposition:
     model_spec = GroupSpec(tuple(orders) or (1,))
     combos = model_spec.decode(np.arange(model_spec.cardinality, dtype=np.int64))
     gen_coords = np.array([g.coords for g in gens] or [spec.zero().coords], dtype=np.int64)
-    points = spec.encode(combos @ gen_coords).tolist()
-    to_model = dict(zip(points, range(len(points))))
-    if len(to_model) != len(points):
-        raise InvariantError("cyclic decomposition is not a direct sum")
-    from_model = dict(enumerate(points))
-    if len(to_model) != subgroup.order:
-        raise InvariantError("cyclic decomposition does not cover the subgroup")
+    points = spec.encode(combos @ gen_coords)
+    if not np.array_equal(np.sort(points), subgroup.indices):
+        raise InvariantError("cyclic decomposition is not a direct sum covering the subgroup")
     return CyclicDecomposition(
         subgroup=subgroup,
         orders=tuple(orders),
         generators=tuple(gens),
         spec=model_spec,
-        to_model=to_model,
-        from_model=from_model,
+        from_model=_frozen(points),
     )

@@ -59,8 +59,8 @@ def _min_enclosing_arc(values: np.ndarray, q: int) -> tuple[int, int]:
         return 0, q - 1
     gaps = np.diff(np.concatenate([vals, vals[:1] + q]))
     max_gap = int(gaps.max())
-    starts = [int(vals[(i + 1) % len(vals)]) % q for i in np.nonzero(gaps == max_gap)[0]]
-    return min(starts), q - max_gap
+    starts = vals[(np.flatnonzero(gaps == max_gap) + 1) % len(vals)] % q
+    return int(starts.min()), q - max_gap
 
 
 def _magnitude_floor(alpha_d: float, kappa: Fraction, delta: Fraction) -> float:
@@ -215,16 +215,12 @@ def shrink_model_step(
     z_coords = np.array(spec.coords_of(z_idx), dtype=np.int64)
     decomp = subgroup_decomposition(kernel)
     h_idx = spec.encode(spec.decode(shifted) - lam[:, None] * z_coords[None, :])
-    h_model = [decomp.to_model[h] for h in h_idx.tolist()]
+    h_model = decomp.to_model(h_idx)
     m = s * l + 1
     if m >= 2:
-        model_spec = GroupSpec(decomp.orders + (m,))
-        images = [h * m + lv for h, lv in zip(h_model, lam.tolist())]
+        theta = FreimanMap(a, GroupSpec(decomp.orders + (m,)), h_model * m + lam)
     else:
-        model_spec = decomp.spec
-        images = h_model
-    table = dict(zip(a.indices.tolist(), images))
-    theta = FreimanMap(a, model_spec, table)
+        theta = FreimanMap(a, decomp.spec, h_model)
     report = is_freiman_iso(theta, s)
     if not report.ok:
         raise InvariantError("constructed shrink map failed s-isomorphism check")
@@ -346,7 +342,7 @@ def f2_shrink(a: GroupSet) -> ModelTrace:
             target.encode(np.delete(y, pivot, axis=1)) if spec.rank > 1
             else np.zeros(current.size, dtype=np.int64)
         )
-        phi = FreimanMap(current, target, dict(zip(current.indices.tolist(), image.tolist())))
+        phi = FreimanMap(current, target, image)
         report = is_freiman_iso(phi, 2)
         if not report.ok:
             raise InvariantError("two-torsion quotient failed 2-isomorphism check")
@@ -391,8 +387,7 @@ def z_model(values: Iterable[int]) -> ZModelReport:
             f"the integer set spans {span}; its host group Z/(4*span+5) needs "
             "an order below 2^63"
         )
-    shifted = [v - vals[0] for v in vals]
-    arr = np.array(shifted, dtype=np.int64)
+    arr = (np.array(vals, dtype=object) - vals[0]).astype(np.int64)
     two_a = np.unique((arr[:, None] + arr[None, :]).ravel())
     k = Fraction(len(two_a), len(vals))
     diffs = np.unique((two_a[:, None] - two_a[None, :]).ravel())
@@ -407,12 +402,11 @@ def z_model(values: Iterable[int]) -> ZModelReport:
             break
         m += 1
     spec = GroupSpec((m,))
-    residues = [v % m for v in vals]
-    model = GroupSet.from_coords(spec, [(r,) for r in residues])
-    host = GroupSpec((4 * span + 5,))
-    hosted = GroupSet.from_coords(host, [(x,) for x in shifted])
-    table = {host.index_of((x,)): spec.index_of((r,)) for x, r in zip(shifted, residues)}
-    projection = FreimanMap(hosted, spec, table)
+    # v mod m for each v in vals, in order; m <= 2 * span + 1 (2A is then
+    # distinct mod m), so the sums stay below the host order and in int64
+    residues = (arr + vals[0] % m) % m
+    hosted = GroupSet.from_sorted(GroupSpec((4 * span + 5,)), arr)
+    projection = FreimanMap(hosted, spec, residues)
     if not is_freiman_iso(projection, 2).ok:
         raise InvariantError("reduction map failed the fiber 2-isomorphism check")
     bound = (
@@ -423,8 +417,8 @@ def z_model(values: Iterable[int]) -> ZModelReport:
     return ZModelReport(
         values=tuple(vals),
         modulus=m,
-        model=model,
-        assignment=tuple(zip(vals, residues)),
+        model=projection.image(),
+        assignment=tuple(zip(vals, residues.tolist())),
         doubling=k,
         bound_value=bound,
         within_bound=m <= bound,

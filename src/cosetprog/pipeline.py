@@ -392,12 +392,15 @@ def read_certificate(text: str) -> PipelineCertificate:
 
     The reader checks only shape: a section missing or out of place, a row
     with the wrong keyword or arity, a count that contradicts the sections
-    it counts, or a subgroup size that contradicts its generators is a
-    DomainError.  It reads a block of rows
-    at a time and does no set arithmetic: the covered set P + H is not in
-    the text, so the cover input's ``realized`` is left None, and no map
-    is built, so each model stage's ``map`` is None.  Each group and each
-    subgroup the text names is built once.
+    it counts, a subgroup size that contradicts its generators, or a
+    ``progression``, ``q``, ``r<i>`` or ``s<i>`` section (and, with no
+    stage, the ``model-set``) in a group other than the input's is a
+    DomainError.  It reads a block of rows at a time, and the only set it
+    builds beyond those written out is each named subgroup's closure: the
+    covered set P + H is not in the text, so the cover input's
+    ``realized`` is left None, and no map is built, so each model stage's
+    ``map`` is None.  Each group and each subgroup the text names is built
+    once.
     """
     rows = strip_lines(text)
     if not rows or " ".join(rows[0]) != CERT_HEADER:
@@ -542,6 +545,18 @@ def read_certificate(text: str) -> PipelineCertificate:
         q_size=parse_int(cover_b.value("q-size")),
         checks=tuple(c for c in checks if c.name.startswith("cover_")),
     )
+    # the sections that must lie in the input's group, in text order; the
+    # model-set must only when there is no stage
+    groups = {} if stages else {"model-set": final_set.spec}
+    groups["progression"] = cp.spec
+    groups.update((f"r{i}", x.spec) for i, x in enumerate(r_sets))
+    groups.update((f"s{i}", x.spec) for i, x in enumerate(s_sets))
+    groups["q"] = cover.q.spec
+    for name, spec in groups.items():
+        if spec != input_set.spec:
+            raise DomainError(
+                f"the {name} section is in {spec}, not in the input's group {input_set.spec}"
+            )
     return PipelineCertificate(
         config=config,
         input_set=input_set,
@@ -594,7 +609,9 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     properties its search guarantees.  Each stage's map is derived from its
     choice by ``shrink_model_step``, which checks the choice and that the
     map is a Freiman 8-isomorphism; a stage it rejects fails
-    ``model_stage_<i>`` with its message, and the chain stops there.  Every
+    ``model_stage_<i>`` with its message, and the chain stops there; a
+    chain that derives into another group than the stored ``model-set``'s
+    fails ``model_group``, naming both.  Every
     other object is derived from the choices with the functions
     ``run_pipeline`` uses: the model set, the spectral data, the Bohr set,
     P + H from the minima, its transport (one ``transport`` entry) and Q.
@@ -606,8 +623,9 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     where a float token may differ by ``TOLERANCE`` relative and every
     other token must match.  So that later failures are still collected, a
     stored object that is not a choice is read in two cases only: the
-    stored model trace after a stage that does not derive, and the stored
-    ``progression`` after a ``transport`` failure.  A failing entry says
+    stored model trace after a stage that does not derive or a
+    ``model_group`` failure, and the stored ``progression`` after a
+    ``transport`` failure.  A failing entry says
     why in its detail.
     """
     entries: list[VerificationEntry] = []
@@ -630,10 +648,17 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
             add(f"model_stage_{i}", False, str(exc))
             break
         add(f"model_stage_{i}", True)
-    # a chain that stops short derives no trace: the stored one stands in
-    derived_chain = len(stages) == len(cert.model.stages)
-    trace = model_trace(MODEL_ORDER, a, stages, dbl.k) if derived_chain else cert.model
-    if derived_chain and stages:
+    # a chain that stops short, or ends outside the group the stored phi and
+    # minima were read in, derives no trace: the stored one stands in
+    trace = model_trace(MODEL_ORDER, a, stages, dbl.k)
+    chain_fault = "" if len(stages) == len(cert.model.stages) else "the model chain was not derived"
+    ends, stored = trace.final_set.spec, cert.model.final_set.spec
+    if not chain_fault and ends != stored:
+        chain_fault = f"the derived chain ends in {ends}, the stored model-set is in {stored}"
+        add("model_group", False, chain_fault)
+    if chain_fault:
+        trace = cert.model
+    elif stages:
         iso = is_freiman_iso(trace.composite, MODEL_ORDER)
         w = iso.witness
         fault = "" if iso.ok else "the composite is not one-to-one" if w is None else (
@@ -695,11 +720,10 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     # transport: P + H carried back by the map the chain induces on 2A' - 2A'
     cp = extraction.progression
     if not trace.is_identity:
-        fault = "the model chain was not derived"
-        if derived_chain:
+        fault = chain_fault
+        if not fault:
             try:
                 cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
-                fault = ""
             except DomainError as exc:
                 fault = str(exc)
         add("transport", not fault, fault)

@@ -13,7 +13,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from cosetprog import GroupSet, GroupSpec
+from cosetprog import FreimanMap, GroupSet, GroupSpec
 from cosetprog.generators import (
     gen_progression,
     gen_random,
@@ -196,6 +196,13 @@ def oracle_convolution_power(a: GroupSet, m: int, x) -> float:
         if tuple(u % n for u, n in zip(acc, spec.orders)) == target:
             count += 1
     return count / spec.cardinality ** (m - 1)
+
+
+def map_from_table(spec: GroupSpec, target: GroupSpec, table: dict[int, int]) -> FreimanMap:
+    """The map on the set of ``table``'s keys (indices in ``spec``) that
+    sends each key to its value (an index in ``target``)."""
+    domain = GroupSet(spec, np.array(list(table), dtype=np.int64))
+    return FreimanMap(domain, target, [table[i] for i in domain.indices.tolist()])
 
 
 def oracle_freiman_hom(phi, s: int) -> bool:

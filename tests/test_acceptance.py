@@ -51,7 +51,7 @@ from cosetprog.generators import (
 from cosetprog.pipeline import PipelineConfig, read_certificate, write_certificate
 from cosetprog.textio import write_group_set
 
-from conftest import campaign_sets, oracle_freiman_hom, seeded_minima_cases
+from conftest import campaign_sets, map_from_table, oracle_freiman_hom, seeded_minima_cases
 
 EPS = 1e-9
 _SUITE_START = time.time()
@@ -212,7 +212,7 @@ def test_criterion_6_freiman_machinery():
         size = 2 + rng.randrange(min(7, n - 2))
         dom_idx = sorted(rng.sample(range(n), size))
         table = {i: rng.randrange(m) for i in dom_idx}
-        phi = cp.FreimanMap(GroupSet(src, np.array(dom_idx, dtype=np.int64)), tgt, table)
+        phi = map_from_table(src, tgt, table)
         s = 2 + rng.randrange(2)
         if cp.is_freiman_hom(phi, s).ok == oracle_freiman_hom(phi, s):
             agreements += 1
@@ -243,7 +243,7 @@ def test_criterion_6_freiman_machinery():
         for idx in range(spec.cardinality):
             c = spec.coords_of(idx)
             table[idx] = spec.index_of((c[0] * unit % spec.orders[0],) + c[1:])
-        psi = cp.FreimanMap(GroupSet.full(spec), spec, table)
+        psi = map_from_table(spec, spec, table)
         out = cp.transport_progression(psi, prog)
         assert out.dimension == prog.dimension
         assert materialize(out).size == realized.size

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import numpy as np
@@ -22,15 +23,14 @@ from cosetprog import (
 from cosetprog import sumsets
 from cosetprog.freiman import FiberWitness, HomReport, _fiber_pairs, _image_dp, compose
 
-from conftest import oracle_freiman_hom
+from conftest import map_from_table, oracle_freiman_hom
 
 
 def _map_from_coords(spec_a, spec_b, assignment):
-    domain = GroupSet.from_coords(spec_a, list(assignment))
     table = {
         spec_a.index_of(x): spec_b.index_of(y) for x, y in assignment.items()
     }
-    return FreimanMap(domain, spec_b, table)
+    return map_from_table(spec_a, spec_b, table)
 
 
 def test_identity_fibers_are_singletons():
@@ -44,7 +44,7 @@ def test_identity_fibers_are_singletons():
 def test_single_fold_fibers_always_singletons():
     g = GroupSpec((7,))
     a = GroupSet.from_coords(g, [(1,), (4,)])
-    phi = FreimanMap(a, GroupSpec((9,)), {1: 0, 4: 5})
+    phi = map_from_table(g, GroupSpec((9,)), {1: 0, 4: 5})
     assert all(len(v) == 1 for v in s_fold_fibers(a, 1, phi).values())
 
 
@@ -108,8 +108,7 @@ def test_hom_matches_bruteforce_oracle():
         size = 2 + rng.randrange(min(7, n - 2))
         dom_idx = sorted(rng.sample(range(n), size))
         table = {i: rng.randrange(m) for i in dom_idx}
-        domain = GroupSet(src, np.array(dom_idx, dtype=np.int64))
-        phi = FreimanMap(domain, tgt, table)
+        phi = map_from_table(src, tgt, table)
         s = 2 + rng.randrange(2)
         assert is_freiman_hom(phi, s).ok == oracle_freiman_hom(phi, s)
         agreements += 1
@@ -162,7 +161,7 @@ def _random_map(rng: Random) -> FreimanMap:
         table = {i: spec.add_scalar(spec.scale_indices(np.array([i]), c), t)[0] for i in dom}
         if kind == 2:
             table[dom[rng.randrange(size)]] = rng.randrange(spec.cardinality)
-    return FreimanMap(GroupSet(spec, np.array(dom, dtype=np.int64)), tspec, table)
+    return map_from_table(spec, tspec, table)
 
 
 @pytest.mark.parametrize("budget", [None, 5])
@@ -192,7 +191,7 @@ def test_both_dps_match_the_keyed_reference(budget, monkeypatch):
 
 def test_empty_map_is_a_hom_with_no_fibers():
     spec = GroupSpec((8,))
-    phi = FreimanMap(GroupSet.empty(spec), spec, {})
+    phi = map_from_table(spec, spec, {})
     assert is_freiman_hom(phi, 2) == HomReport(True, None)
     assert s_fold_fibers(phi.domain, 3, phi) == {}
 
@@ -207,8 +206,7 @@ def test_hom_is_hom_for_smaller_s():
         size = 2 + rng.randrange(4)
         dom_idx = sorted(rng.sample(range(n), size))
         table = {i: (2 * i) % (3 * n) for i in dom_idx}
-        domain = GroupSet(src, np.array(dom_idx, dtype=np.int64))
-        phi = FreimanMap(domain, tgt, table)
+        phi = map_from_table(src, tgt, table)
         if not is_freiman_hom(phi, 4).ok:
             continue
         assert is_freiman_hom(phi, 3).ok and is_freiman_hom(phi, 2).ok
@@ -230,21 +228,75 @@ def test_composition_of_homs():
     assert composed(z20.element((3,))).coords == (13,)
 
 
+def _random_table(rng: Random, spec: GroupSpec, target: GroupSpec, injective: bool):
+    size = rng.randrange(min(12, spec.cardinality) + 1)
+    dom = rng.sample(range(spec.cardinality), size)
+    if injective:
+        images = rng.sample(range(target.cardinality), size)
+    else:
+        images = [rng.randrange(target.cardinality) for _ in dom]
+    return dict(zip(dom, images))
+
+
+def test_map_operations_agree_with_a_dict_reference():
+    shapes = [(16,), (27,), (2, 2, 2, 2), (4, 6), (3, 9)]
+    rng = Random(1909)
+    for _ in range(300):
+        spec, target, third = (GroupSpec(shapes[rng.randrange(len(shapes))]) for _ in range(3))
+        injective = rng.randrange(2) == 0
+        table = _random_table(rng, spec, target, injective)
+        phi = map_from_table(spec, target, table)
+        # apply_indices and __call__, in any order, and the first point outside
+        points = list(table)
+        rng.shuffle(points)
+        got = phi.apply_indices(np.array(points, dtype=np.int64)).tolist()
+        assert got == [table[x] for x in points]
+        assert all(phi(spec.element_at(x)).index == table[x] for x in points)
+        outside = [x for x in range(spec.cardinality) if x not in table]
+        if outside:
+            x = outside[rng.randrange(len(outside))]
+            probe = np.array(points[: rng.randrange(len(points) + 1)] + [x], dtype=np.int64)
+            name = re.escape(repr(spec.element_at(x)))
+            with pytest.raises(DomainError, match=f"^{name} is outside the map's domain$"):
+                phi.apply_indices(probe)
+        # restrict
+        kept = {x: table[x] for x in points[: rng.randrange(len(points) + 1)]}
+        sub = phi.restrict(GroupSet(spec, np.array(list(kept), dtype=np.int64)))
+        assert dict(zip(sub.domain.indices.tolist(), sub.images.tolist())) == kept
+        # compose with a map on a superset of phi's image
+        outer_table = _random_table(rng, target, third, False)
+        outer_table.update({y: rng.randrange(third.cardinality) for y in table.values()})
+        outer = map_from_table(target, third, outer_table)
+        both = compose(outer, phi)
+        assert dict(zip(both.domain.indices.tolist(), both.images.tolist())) == {
+            x: outer_table[y] for x, y in table.items()
+        }
+        # inverse, for the one-to-one maps
+        assert phi.is_injective() == (len(set(table.values())) == len(table))
+        assert phi.image().indices.tolist() == sorted(set(table.values()))
+        if phi.is_injective():
+            inv = phi.inverse()
+            assert dict(zip(inv.domain.indices.tolist(), inv.images.tolist())) == {
+                y: x for x, y in table.items()
+            }
+        else:
+            with pytest.raises(DomainError):
+                phi.inverse()
+
+
 def test_induced_difference_identity():
     g = GroupSpec((16,))
     a = GroupSet.from_coords(g, [(0,), (1,), (4,)])
     ind = induced_difference_iso(FreimanMap.identity(a))
     assert ind.domain == iterated_sumset(a, 2, 2)
-    for i in ind.domain.indices:
-        assert ind.table[int(i)] == int(i)
+    assert np.array_equal(ind.images, ind.domain.indices)
 
 
 def test_induced_difference_translation_cancels():
     g = GroupSpec((16,))
     a = GroupSet.from_coords(g, [(0,), (1,), (4,)])
     ind = induced_difference_iso(FreimanMap.translation(a, g.element((5,))))
-    for i in ind.domain.indices:
-        assert ind.table[int(i)] == int(i)
+    assert np.array_equal(ind.images, ind.domain.indices)
 
 
 def test_induced_difference_rejects_weak_map():
@@ -314,11 +366,11 @@ def test_transport_rejects_a_map_that_does_not_carry_p_onto_a_progression():
     h = subgroup_closure(g, [])
     cp = CosetProgression(g, g.zero(), (g.element((1,)),), ((-2, 2),), h, True)
     source = materialize(cp)  # 14, 15, 0, 1, 2
-    collapse = FreimanMap(source, g, {int(x): 0 for x in source.indices})
+    collapse = map_from_table(g, g, {int(x): 0 for x in source.indices})
     with pytest.raises(DomainError, match="^transport did not preserve properness and size$"):
         transport_progression(collapse, cp)
     # one to one, but 0, 1, 2, 3, 5 is no progression of step psi(15) - psi(14)
-    scramble = FreimanMap(source, g, {14: 0, 15: 1, 0: 2, 1: 3, 2: 5})
+    scramble = map_from_table(g, g, {14: 0, 15: 1, 0: 2, 1: 3, 2: 5})
     with pytest.raises(DomainError, match="^transported progression does not equal the image set$"):
         transport_progression(scramble, cp)
 
@@ -329,7 +381,7 @@ def test_transport_names_a_coset_point_outside_the_domain():
     g = GroupSpec((8,))
     h = subgroup_closure(g, [g.element((4,))])
     cp = CosetProgression(g, g.zero(), (g.element((1,)),), ((1, 1),), h, True)
-    psi = FreimanMap(GroupSet(g, np.array([0, 1, 5])), g, {0: 0, 1: 1, 5: 5})
+    psi = map_from_table(g, g, {0: 0, 1: 1, 5: 5})
     with pytest.raises(DomainError, match=r"^\(4\) is outside the map's domain$"):
         transport_progression(psi, cp)
 
@@ -350,14 +402,15 @@ def test_transport_campaign_preserves_dimension_and_size():
             c = spec.coords_of(idx)
             image = (c[0] * unit % spec.orders[0],) + c[1:]
             coords_map[idx] = spec.index_of(image)
-        psi = FreimanMap(GroupSet.full(spec), spec, coords_map)
+        psi = map_from_table(spec, spec, coords_map)
         out = transport_progression(psi, cp)
-        # the subgroup, generators included, is the one a point-by-point
-        # image of base + H gives
+        # the subgroup is the point-by-point image of base + H less psi(base),
+        # and its generators are the images of H's generators
         moved = {(psi(cp.base + h) - psi(cp.base)).index for h in cp.subgroup.elements()}
-        reference = subgroup_closure(spec, [spec.element_at(i) for i in sorted(moved)])
-        assert out.subgroup == reference
-        assert out.subgroup.generators == reference.generators
+        assert out.subgroup.indices.tolist() == sorted(moved)
+        assert out.subgroup.generators == tuple(
+            psi(cp.base + h) - psi(cp.base) for h in cp.subgroup.generators
+        )
         assert out.dimension == cp.dimension
         assert materialize(out).size == materialize(cp).size
         assert out.proper

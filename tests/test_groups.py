@@ -225,8 +225,9 @@ def test_subgroup_decomposition_direct_sum(orders, gens):
     sub = subgroup_closure(g, [g.element(c) for c in gens])
     dec = subgroup_decomposition(sub)
     assert dec.spec.cardinality == sub.order
-    assert len(dec.to_model) == sub.order
-    assert sorted(dec.to_model.values()) == list(range(sub.order))
+    assert len(dec.from_model) == sub.order
+    assert np.array_equal(np.sort(dec.from_model), sub.indices)
+    assert np.array_equal(dec.from_model[dec.to_model(sub.indices)], sub.indices)
     # invariant factor chain: each order divides the one before
     for a, b in zip(dec.orders, dec.orders[1:]):
         assert a % b == 0
@@ -234,11 +235,13 @@ def test_subgroup_decomposition_direct_sum(orders, gens):
     elems = sub.elements()
     for x in elems[:6]:
         for y in elems[:6]:
-            mx = dec.spec.element_at(dec.to_model[x.index])
-            my = dec.spec.element_at(dec.to_model[y.index])
-            assert dec.to_model[(x + y).index] == (mx + my).index
+            mx, my, mxy = (
+                dec.spec.element_at(int(i))
+                for i in dec.to_model(np.array([x.index, y.index, (x + y).index]))
+            )
+            assert mxy == mx + my
     # from_model[(a_1, ..., a_r)] is a_1 g_1 + ... + a_r g_r
-    for midx, idx in dec.from_model.items():
+    for midx, idx in enumerate(dec.from_model.tolist()):
         point = g.zero()
         for a, gen in zip(dec.spec.coords_of(midx), dec.generators):
             point = point + a * gen

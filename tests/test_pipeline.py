@@ -19,7 +19,7 @@ from cosetprog import fourier, models
 from cosetprog.checks import parse_scalar
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.groups import ENUMERATION_CAP
-from cosetprog.pipeline import PipelineConfig
+from cosetprog.pipeline import PipelineConfig, _open_sections
 from cosetprog.textio import fmt_float, parse_int
 
 from conftest import zoo_sets
@@ -651,7 +651,7 @@ def _parent_format(cert, text):
 
     def map_lines(phi, order):
         src, tgt = phi.domain.spec, phi.target
-        pairs = sorted(phi.table.items())
+        pairs = zip(phi.domain.indices.tolist(), phi.images.tolist())
         return ["begin map", f"source {_ints(src.orders)}", f"target {_ints(tgt.orders)}",
                 f"order {order}",
                 *(f"pair {_ints(src.coords_of(x))} -> {_ints(tgt.coords_of(y))}"
@@ -1129,3 +1129,58 @@ def test_rows_read_integer_tokens_as_int_does(token):
             read_elem()
         with pytest.raises(DomainError, match="^expected 'char' and 1 coordinate\\(s\\): char$"):
             read_char()
+
+
+def _group_and_interval_edits(text):
+    """(section, edited line, text) for each integer token of each ``group``
+    and ``interval`` line moved by +1 and by -1."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key, *values = line.split()
+        if key not in ("group", "interval"):
+            continue
+        for j, v in enumerate(values):
+            for moved in (int(v) + 1, int(v) - 1):
+                edited = " ".join([key, *values[:j], str(moved), *values[j + 1:]])
+                yield _open_sections(lines[:i]), edited, "\n".join(
+                    lines[:i] + [edited] + lines[i + 1:]) + "\n"
+
+
+def test_every_group_and_interval_edit_reads_as_a_domain_error_or_verifies(
+    model_on_certificate
+):
+    """An edited group line or stage interval is refused at read with a
+    DomainError, or ``verify`` reports on it: nothing else is raised.  A
+    progression, q, r<i> or s<i> section (and a stage-less model-set) in
+    another group than the input's is refused at read, naming the section;
+    a stage interval that derives a chain into another group than the
+    stored model-set's fails ``model_group``."""
+    skip = write_certificate(
+        run_pipeline(_interval(GroupSpec((100,)), 10), PipelineConfig(skip_model=True))
+    )
+    outcomes = {}
+    edits = 0
+    for text in (model_on_certificate[1], skip):
+        for section, edited, bad in _group_and_interval_edits(text):
+            edits += 1
+            try:
+                cert = read_certificate(bad)
+            except DomainError as exc:
+                outcomes[section, edited, text is skip] = f"read: {exc}"
+                continue
+            failures = verify_certificate(cert).failures()
+            assert failures, (section, edited)
+            outcomes[section, edited, text is skip] = [e.name for e in failures]
+    # 17 group lines and the 2 interval tokens, each moved both ways
+    assert len(outcomes) == edits == 38
+    on = {k[:2]: v for k, v in outcomes.items() if not k[2]}
+    assert on["model/stage", "interval 0 5"] == ["model_group", "transport"]
+    for section in ("progression", "cover/q", "cover/r0", "cover/r1", "cover/s0"):
+        name = section.rpartition("/")[2]
+        assert on[section, "group 301"] == (
+            f"read: the {name} section is in Z/301, not in the input's group Z/300"
+        )
+    off = {k[:2]: v for k, v in outcomes.items() if k[2]}
+    assert off["model/model-set", "group 101"] == (
+        "read: the model-set section is in Z/101, not in the input's group Z/100"
+    )
