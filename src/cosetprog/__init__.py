@@ -60,8 +60,6 @@ from .freiman import (
     induced_difference_iso,
     is_freiman_hom,
     is_freiman_iso,
-    s_fold_fibers,
-    sum_difference_fibers,
     transport_progression,
 )
 from .models import (

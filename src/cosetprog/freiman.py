@@ -1,25 +1,26 @@
 """Freiman homomorphism verification and transport of coset progressions.
 
 A map is held as a set is: its domain's sorted index array and, aligned
-with it, one array of image indices.  Applying, composing, restricting and
-inverting maps are array operations, never a walk over the points.
+with it, one array of image indices.  Applying, composing and inverting
+maps are array operations, never a walk over the points.
 
 The s-fold condition is checked through fibers of the induced map on sums:
 phi is an s-homomorphism iff every multiset of s elements with the same sum
-has the same image sum.  A layered dynamic program adds one element per
+has the same image sum.  One layered loop adds one signed element per
 layer, so an s = 8 check costs a few dense passes instead of |A|^8 tuple
-enumerations.  A layer is the set of distinct (partial sum, partial image
-sum) pairs, sorted; a sum paired with two image sums is where the map fails.
-When the domain's sums are dense in G, the homomorphism check and the map
-induced on 2A - 2A keep a layer as an image array over G instead (the image
-sum of each reached partial sum, -1 elsewhere), so no layer is sorted: while
-no fiber has two image sums the array is the whole layer, and a scattered
-image that disagrees with it is the first failure.
+enumerations, and a sum reached with two image sums is where the map
+fails.  A layer keeps one image per sum in one of two ways.  When the sums
+are dense in G it is an image array over G (the image sum of each reached
+sum, -1 elsewhere), so no layer is sorted; otherwise it is the distinct
+(sum, image sum) pairs, sorted as two columns.  Neither packs a pair into
+one integer, so the check is exact in every group whose index sums fit in
+int64, at any target order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -92,11 +93,6 @@ class FreimanMap:
         image = GroupSet.from_sorted(self.target, self.images[order])
         return FreimanMap(image, self.domain.spec, self.domain.indices[order])
 
-    def restrict(self, subset: GroupSet) -> "FreimanMap":
-        if not subset.is_subset(self.domain):
-            raise DomainError("restriction set is not inside the domain")
-        return FreimanMap(subset, self.target, self.apply_indices(subset.indices))
-
     def __repr__(self) -> str:
         return f"FreimanMap({self.domain!r} -> {self.target})"
 
@@ -123,118 +119,81 @@ class HomReport:
     witness: FiberWitness | None
 
 
-def _signed_layers(
-    phi: FreimanMap, pos: int, neg: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(elements, images) of the domain, pos times as they are, then neg negated."""
-    if pos + neg < 1:
-        raise DomainError("at least one fold is required")
-    spec, tspec = phi.domain.spec, phi.target
-    xs, us = phi.domain.indices, phi.images
-    negated = (spec.negate_indices(xs), tspec.negate_indices(us))
-    return [(xs, us)] * pos + [negated] * neg
+def _distinct_pairs(sums: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (sum, image) pairs, sorted by sum and then by image."""
+    order = np.lexsort((images, sums))
+    sums, images = sums[order], images[order]
+    new = np.ones(len(sums), dtype=bool)
+    new[1:] = (sums[1:] != sums[:-1]) | (images[1:] != images[:-1])
+    return sums[new], images[new]
 
 
-def _fiber_pairs(
-    phi: FreimanMap, pos: int, neg: int, stop_on_violation: bool = False
-) -> tuple[np.ndarray, np.ndarray, FiberWitness | None]:
-    """All distinct (sum, image-sum) pairs over the (pos, neg)-fold signed combinations.
+def _keep_sorted(blocks) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """One layer as its distinct (sum, image) pairs, each block sorted as it comes."""
+    empty = np.empty(0, dtype=np.int64)  # an empty domain has no blocks
+    kept = [_distinct_pairs(g, u) for g, u in blocks] or [(empty, empty)]
+    sums, images = _distinct_pairs(*(np.concatenate(col) for col in zip(*kept)))
+    clash = sums[1:][sums[1:] == sums[:-1]]
+    return sums, images, int(clash[0]) if len(clash) else None
 
-    With stop_on_violation the DP stops at the first layer where one sum has
-    two image sums, and returns with the pairs the smallest such sum and its
-    image sums, sorted.
+
+def _keep_in_array(card: int, blocks) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """One layer as an image array over G, -1 at the sums it does not reach.
+
+    A block writes img[g] = u and reads it back: a pair that reads back
+    another value, or disagrees with an earlier block, marks g as a sum with
+    two image sums.
     """
-    spec, tspec = phi.domain.spec, phi.target
-    t_card = tspec.cardinality
-    layers = _signed_layers(phi, pos, neg)
-    sums, images = layers[0]
-    for depth, (xs, us) in enumerate(layers[1:], start=2):
-        keys = [np.empty(0, dtype=np.int64)]  # an empty domain has no chunks
-        for rows in pair_chunks(len(sums), len(xs)):
-            g2 = spec.add_pairwise(sums[rows], xs)
-            u2 = tspec.add_pairwise(images[rows], us)
-            keys.append(np.unique(g2.ravel() * t_card + u2.ravel()))
-        key = np.unique(np.concatenate(keys))
-        sums, images = key // t_card, key % t_card
-        if stop_on_violation:
-            clash = np.flatnonzero(sums[1:] == sums[:-1])  # sorted by sum, then image
-            if len(clash):
-                s0 = int(sums[clash[0]])
-                fiber = tuple(int(u) for u in images[sums == s0])
-                return sums, images, FiberWitness(depth, s0, fiber)
-    return sums, images, None
-
-
-def _image_dp(
-    phi: FreimanMap, pos: int, neg: int
-) -> tuple[np.ndarray, FiberWitness | None]:
-    """The induced map on the (pos, neg)-fold signed sums, as an image array.
-
-    img[g] is the image sum of every combination with sum g, and -1 where g
-    is no such sum.  Each layer scatters img[g + x] = img[g] + phi(x) and
-    then reads it back; a pair that reads back another value shows a sum
-    with two image sums.  The DP stops at the first such layer and returns
-    the array built so far with the smallest violating sum and its distinct
-    image sums, sorted.
-    """
-    spec, tspec = phi.domain.spec, phi.target
-    layers = _signed_layers(phi, pos, neg)
-    img = np.full(spec.cardinality, -1, dtype=np.int64)
-    img[layers[0][0]] = layers[0][1]
-    for depth, (xs, us) in enumerate(layers[1:], start=2):
-        sums = np.flatnonzero(img >= 0)
-        images = img[sums]
-        nxt = np.full(spec.cardinality, -1, dtype=np.int64)
-        bad = np.zeros(spec.cardinality, dtype=bool)
-        for rows in pair_chunks(len(sums), len(xs)):
-            g2 = spec.add_pairwise(sums[rows], xs)
-            u2 = tspec.add_pairwise(images[rows], us)
-            prior = nxt[g2]  # what earlier chunks wrote
-            nxt[g2] = u2
-            bad[g2[((prior >= 0) & (prior != u2)) | (nxt[g2] != u2)]] = True
-        if bad.any():
-            s0 = int(np.argmax(bad))
-            back = img[spec.add_scalar(spec.negate_indices(xs), s0)]  # img[s0 - x]
-            hit = back >= 0
-            fiber = np.unique(tspec.add_aligned(back[hit], us[hit]))
-            return nxt, FiberWitness(depth, s0, tuple(int(u) for u in fiber))
-        img = nxt
-    return img, None
+    img = np.full(card, -1, dtype=np.int64)
+    bad = np.zeros(card, dtype=bool)
+    for g, u in blocks:
+        prior = img[g]
+        img[g] = u
+        bad[g[((prior >= 0) & (prior != u)) | (img[g] != u)]] = True
+    sums = np.flatnonzero(img >= 0)
+    return sums, img[sums], int(np.argmax(bad)) if bad.any() else None
 
 
 def _induced_map(
     phi: FreimanMap, pos: int, neg: int
 ) -> tuple[np.ndarray, np.ndarray, FiberWitness | None]:
-    """(sums, image sums, witness) of the induced map on the (pos, neg)-fold sums.
+    """(sums, image sums, witness) of the induced map on the (pos, neg)-fold signed sums.
 
-    Both DPs stop at the first layer with a violation and give the same
-    witness.  The image array costs O(|G|) a layer, the keyed pairs at least
-    |A|^2 a layer, so the array is used when |G| is small against
-    |A|^2 times the number of layers after the first.
+    Layer 1 is the domain, pos times as it is and then neg times negated;
+    each later layer adds one signed element to every sum of the one before.
+    The loop stops at the first layer where one sum has two image sums, and
+    returns that layer with the smallest such sum and its distinct image
+    sums, sorted, read back from the layer before.  A layer is kept in an
+    array over G when the sums are dense in G (see ``mask_pays``: the array
+    costs O(|G|) a layer, the sort at least |A|^2 log |A|), and as sorted
+    (sum, image) columns otherwise.
     """
-    if mask_pays(phi.domain.spec, (pos + neg - 1) * phi.domain.size**2):
-        img, witness = _image_dp(phi, pos, neg)
-        sums = np.flatnonzero(img >= 0)
-        return sums, img[sums], witness
-    return _fiber_pairs(phi, pos, neg, stop_on_violation=True)
-
-
-def s_fold_fibers(a: GroupSet, s: int, phi: FreimanMap) -> dict[int, frozenset[int]]:
-    """Map each element of sA to the set of achieved image sums."""
-    if s < 1:
-        raise DomainError("fold count must be at least 1")
-    return sum_difference_fibers(a, s, 0, phi)
-
-
-def sum_difference_fibers(
-    a: GroupSet, k: int, l: int, phi: FreimanMap
-) -> dict[int, frozenset[int]]:
-    """Fibers of the induced map on kA - lA."""
-    sums, images, _ = _fiber_pairs(phi.restrict(a), k, l)
-    fibers: dict[int, set[int]] = {}
-    for g, u in zip(sums, images):
-        fibers.setdefault(int(g), set()).add(int(u))
-    return {g: frozenset(us) for g, us in fibers.items()}
+    if pos + neg < 1:
+        raise DomainError("at least one fold is required")
+    spec, tspec = phi.domain.spec, phi.target
+    xs, us = phi.domain.indices, phi.images
+    layers = [(xs, us)] * pos + [(spec.negate_indices(xs), tspec.negate_indices(us))] * neg
+    if mask_pays(spec, (pos + neg - 1) * len(xs) ** 2):
+        keep = partial(_keep_in_array, spec.cardinality)
+    else:
+        keep = _keep_sorted
+    order = np.argsort(layers[0][0])
+    sums, images = layers[0][0][order], layers[0][1][order]
+    for depth, (xs, us) in enumerate(layers[1:], start=2):
+        blocks = (
+            (spec.add_pairwise(sums[rows], xs).ravel(),
+             tspec.add_pairwise(images[rows], us).ravel())
+            for rows in pair_chunks(len(sums), len(xs))
+        )
+        nxt, nxt_images, s0 = keep(blocks)
+        if s0 is not None:
+            back = spec.add_scalar(spec.negate_indices(xs), s0)  # s0 - x
+            at = np.minimum(np.searchsorted(sums, back), len(sums) - 1)
+            hit = sums[at] == back
+            fiber = np.unique(tspec.add_aligned(images[at[hit]], us[hit]))
+            return nxt, nxt_images, FiberWitness(depth, s0, tuple(int(u) for u in fiber))
+        sums, images = nxt, nxt_images
+    return sums, images, None
 
 
 def is_freiman_hom(phi: FreimanMap, s: int) -> HomReport:
@@ -267,7 +226,7 @@ def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
         raise DomainError(
             f"map does not induce a function on 2A-2A (fiber of {witness.sum_index})"
         )
-    domain = GroupSet.from_sorted(a.spec, sums)  # the DPs' sums are ascending and distinct
+    domain = GroupSet.from_sorted(a.spec, sums)  # the layer's sums are ascending and distinct
     induced = FreimanMap(domain, phi.target, images)
     if domain != iterated_sumset(a, 2, 2):
         raise DomainError("fiber domain does not equal 2A-2A")

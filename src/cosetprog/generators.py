@@ -22,6 +22,8 @@ from .sumsets import GroupSet, doubling, sumset
 
 
 def _rng_distinct(rng: Random, universe: int, count: int) -> list[int]:
+    if count < 0:
+        raise DomainError(f"sample size must be at least 0, got {count}")
     if count > universe:
         raise DomainError("cannot sample more elements than the group holds")
     chosen: set[int] = set()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _cartesian
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -202,17 +202,22 @@ def _tuple_order(coords: Sequence[int], orders: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a GroupSpec, coordinates reduced into [0, n_i)."""
+class _Coordinates:
+    """A coordinate vector of a GroupSpec, each entry reduced into [0, n_i).
+
+    Elements and characters share this shape.  Each kind adds, subtracts
+    and negates coordinatewise, and only with its own kind in its own group.
+    """
 
     spec: GroupSpec
     coords: tuple[int, ...]
+    kind: ClassVar[str]  # "element" or "character", named in errors
 
     def __post_init__(self) -> None:
         orders = self.spec.orders
         if len(self.coords) != len(orders):
             raise StructureError(
-                f"element has {len(self.coords)} coordinates, group has rank "
+                f"{self.kind} has {len(self.coords)} coordinates, group has rank "
                 f"{len(orders)}"
             )
         for c, n in zip(self.coords, orders):
@@ -226,23 +231,30 @@ class GroupElement:
     def order(self) -> int:
         return _tuple_order(self.coords, self.spec.orders)
 
-    def _require_same_spec(self, other: "GroupElement") -> None:
-        if self.spec != other.spec:
+    def _reduced(self, coords: Sequence[int]):
+        return type(self)(self.spec, self.spec.reduce(coords))
+
+    def __add__(self, other):
+        if not isinstance(other, _Coordinates):
+            return NotImplemented
+        if type(other) is not type(self) or other.spec != self.spec:
             raise StructureError(
-                f"elements of {self.spec} and {other.spec} cannot be combined"
+                f"{self.kind} of {self.spec} and {other.kind} of {other.spec} "
+                "cannot be combined"
             )
+        return self._reduced([a + b for a, b in zip(self.coords, other.coords)])
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._require_same_spec(other)
-        return self.spec.element(
-            [a + b for a, b in zip(self.coords, other.coords)]
-        )
+    def __neg__(self):
+        return self._reduced([-c for c in self.coords])
 
-    def __neg__(self) -> "GroupElement":
-        return self.spec.element([-c for c in self.coords])
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
+    def __sub__(self, other):
         return self + (-other)
+
+
+class GroupElement(_Coordinates):
+    """An element of a GroupSpec, coordinates reduced into [0, n_i)."""
+
+    kind = "element"
 
     def __rmul__(self, scalar: int) -> "GroupElement":
         return self.spec.element([scalar * c for c in self.coords])
@@ -251,37 +263,17 @@ class GroupElement:
         return f"({', '.join(map(str, self.coords))})"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Coordinates):
     """A character of a GroupSpec: x -> exp(2*pi*i * sum(c_i x_i / n_i)).
 
     The dual group is written additively, so ``-gamma`` is the inverse
     character and ``gamma + delta`` the pointwise product.
     """
 
-    spec: GroupSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        orders = self.spec.orders
-        if len(self.coords) != len(orders):
-            raise StructureError(
-                f"character has {len(self.coords)} coordinates, group has rank "
-                f"{len(orders)}"
-            )
-        for c, n in zip(self.coords, orders):
-            if not 0 <= c < n:
-                raise StructureError(f"coordinates {self.coords} out of range")
-
-    @property
-    def index(self) -> int:
-        return self.spec.index_of(self.coords)
+    kind = "character"
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def order(self) -> int:
-        return _tuple_order(self.coords, self.spec.orders)
 
     def arg_fraction(self, x: GroupElement) -> Fraction:
         """(sum c_i x_i / n_i) mod 1 as an exact rational in [0, 1)."""
@@ -313,22 +305,6 @@ class Character:
         """Vectorized arg numerators over coordinate rows, denominator order()."""
         q = self.order()
         return (np.asarray(coords, dtype=np.int64) @ self.phase_vector()) % q
-
-    def _require_same_spec(self, other: "Character") -> None:
-        if self.spec != other.spec:
-            raise StructureError("characters of different groups cannot be combined")
-
-    def __add__(self, other: "Character") -> "Character":
-        self._require_same_spec(other)
-        return self.spec.character(
-            [a + b for a, b in zip(self.coords, other.coords)]
-        )
-
-    def __neg__(self) -> "Character":
-        return self.spec.character([-c for c in self.coords])
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
 
     def __repr__(self) -> str:
         return f"chi({', '.join(map(str, self.coords))})"

@@ -15,13 +15,12 @@ from cosetprog import (
     is_freiman_iso,
     iterated_sumset,
     materialize,
-    s_fold_fibers,
     subgroup_closure,
-    sum_difference_fibers,
     transport_progression,
 )
 from cosetprog import sumsets
-from cosetprog.freiman import FiberWitness, HomReport, _fiber_pairs, _image_dp, compose
+from cosetprog.freiman import FiberWitness, HomReport, _induced_map, compose
+from cosetprog.groups import ENUMERATION_CAP
 
 from conftest import map_from_table, oracle_freiman_hom
 
@@ -36,26 +35,10 @@ def _map_from_coords(spec_a, spec_b, assignment):
 def test_identity_fibers_are_singletons():
     g = GroupSpec((12,))
     a = GroupSet.from_coords(g, [(0,), (2,), (5,)])
-    phi = FreimanMap.identity(a)
-    fibers = s_fold_fibers(a, 3, phi)
-    assert all(len(v) == 1 for v in fibers.values())
-
-
-def test_single_fold_fibers_always_singletons():
-    g = GroupSpec((7,))
-    a = GroupSet.from_coords(g, [(1,), (4,)])
-    phi = map_from_table(g, GroupSpec((9,)), {1: 0, 4: 5})
-    assert all(len(v) == 1 for v in s_fold_fibers(a, 1, phi).values())
-
-
-def test_fiber_violation_exposed():
-    f22 = GroupSpec((2, 2))
-    z4 = GroupSpec((4,))
-    phi = _map_from_coords(
-        f22, z4, {(0, 0): (0,), (0, 1): (2,), (1, 0): (1,)}
-    )
-    fibers = s_fold_fibers(phi.domain, 2, phi)
-    assert any(len(v) > 1 for v in fibers.values())
+    sums, images, witness = _induced_map(FreimanMap.identity(a), 3, 0)
+    assert witness is None
+    assert np.array_equal(sums, iterated_sumset(a, 3, 0).indices)
+    assert np.array_equal(images, sums)
 
 
 def test_not_hom_example_f2_square():
@@ -166,34 +149,51 @@ def _random_map(rng: Random) -> FreimanMap:
 
 @pytest.mark.parametrize("budget", [None, 5])
 def test_both_dps_match_the_keyed_reference(budget, monkeypatch):
+    """Both ways of keeping a layer, the array over G and the sorted
+    columns, give the reference's witness and (sums, images)."""
     if budget is not None:  # many row chunks per layer, so conflicts span chunks
         monkeypatch.setattr(sumsets, "_PAIR_BUDGET", budget)
     rng = Random(808)
     outcomes = {True: 0, False: 0}
     for _ in range(520):
         phi = _random_map(rng)
+        t_card = phi.target.cardinality
         s = (2, 3, 4, 8)[rng.randrange(4)]
-        _, want = _keyed_dp(phi, s, 0)
-        assert is_freiman_hom(phi, s) == HomReport(want is None, want)
-        assert _fiber_pairs(phi, s, 0, stop_on_violation=True)[2] == want
-        outcomes[want is None] += 1
-        key, want = _keyed_dp(phi, 2, 2)
-        img, got = _image_dp(phi, 2, 2)
-        sums, images, got_keyed = _fiber_pairs(phi, 2, 2, stop_on_violation=True)
-        assert got == got_keyed == want
-        if want is None:
-            t_card = phi.target.cardinality
-            assert np.array_equal(sums * t_card + images, key)
-            sums = np.flatnonzero(img >= 0)
-            assert np.array_equal(sums * t_card + img[sums], key)
-    assert min(outcomes.values()) >= 100
+        for pos, neg in ((s, 0), (2, 2)):
+            key, want = _keyed_dp(phi, pos, neg)
+            for dense in (True, False):
+                monkeypatch.setattr(sumsets, "_MASK_RATIO", ENUMERATION_CAP if dense else 0)
+                assert sumsets.mask_pays(phi.domain.spec, 1) == dense
+                sums, images, got = _induced_map(phi, pos, neg)
+                assert got == want
+                if want is None:
+                    assert np.array_equal(sums, key // t_card)
+                    assert np.array_equal(images, key % t_card)
+                if neg == 0:
+                    assert is_freiman_hom(phi, s) == HomReport(want is None, want)
+            outcomes[want is None] += 1
+    assert min(outcomes.values()) >= 200
 
 
 def test_empty_map_is_a_hom_with_no_fibers():
     spec = GroupSpec((8,))
     phi = map_from_table(spec, spec, {})
     assert is_freiman_hom(phi, 2) == HomReport(True, None)
-    assert s_fold_fibers(phi.domain, 3, phi) == {}
+    for pos, neg in ((3, 0), (2, 2)):
+        sums, images, witness = _induced_map(phi, pos, neg)
+        assert len(sums) == len(images) == 0 and witness is None
+
+
+def test_reduction_from_a_host_past_2_62_is_checked_exactly():
+    # {0, 1, 2^60} in Z/(4 * 2^60 + 5): a sum times 24 leaves int64
+    host = GroupSpec((4 * 2**60 + 5,))
+    a = GroupSet.from_sorted(host, np.array([0, 1, 2**60], dtype=np.int64))
+    # mod 24 the images 0, 1, 16 keep 2A distinct: a 2-isomorphism
+    assert is_freiman_iso(FreimanMap(a, GroupSpec((24,)), a.indices % 24), 2).ok
+    # mod 17 they are 0, 1, 16, and 1 + 16 = 0 + 0 in Z/17: the inverse fails
+    report = is_freiman_iso(FreimanMap(a, GroupSpec((17,)), a.indices % 17), 2)
+    assert not report.ok
+    assert report.witness == FiberWitness(2, 0, (0, 2**60 + 1))
 
 
 def test_hom_is_hom_for_smaller_s():
@@ -259,10 +259,6 @@ def test_map_operations_agree_with_a_dict_reference():
             name = re.escape(repr(spec.element_at(x)))
             with pytest.raises(DomainError, match=f"^{name} is outside the map's domain$"):
                 phi.apply_indices(probe)
-        # restrict
-        kept = {x: table[x] for x in points[: rng.randrange(len(points) + 1)]}
-        sub = phi.restrict(GroupSet(spec, np.array(list(kept), dtype=np.int64)))
-        assert dict(zip(sub.domain.indices.tolist(), sub.images.tolist())) == kept
         # compose with a map on a superset of phi's image
         outer_table = _random_table(rng, target, third, False)
         outer_table.update({y: rng.randrange(third.cardinality) for y in table.values()})
@@ -316,8 +312,10 @@ def test_induced_difference_rejects_weak_map():
 def test_sum_difference_fibers_shape():
     g = GroupSpec((9,))
     a = GroupSet.from_coords(g, [(0,), (1,)])
-    fibers = sum_difference_fibers(a, 2, 2, FreimanMap.identity(a))
-    assert set(fibers) == {int(i) for i in iterated_sumset(a, 2, 2).indices}
+    sums, images, witness = _induced_map(FreimanMap.identity(a), 2, 2)
+    assert witness is None
+    assert np.array_equal(sums, iterated_sumset(a, 2, 2).indices)
+    assert np.array_equal(images, sums)
 
 
 def _random_proper_progression(rng: Random):

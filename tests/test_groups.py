@@ -48,6 +48,29 @@ def test_spec_mismatch_raises():
         a + b
 
 
+@pytest.mark.parametrize("left, right, message", [
+    ((8, "element"), (9, "element"), "element of Z/8 and element of Z/9"),
+    ((8, "character"), (9, "character"), "character of Z/8 and character of Z/9"),
+    ((8, "character"), (8, "element"), "character of Z/8 and element of Z/8"),
+    ((8, "element"), (8, "character"), "element of Z/8 and character of Z/8"),
+], ids=["elements", "characters", "chi-plus-elem", "elem-plus-chi"])
+def test_mixed_kinds_or_groups_name_both_in_the_error(left, right, message):
+    x, y = (getattr(GroupSpec((n,)), kind)((1,)) for n, kind in (left, right))
+    for combine in (lambda: x + y, lambda: x - y):
+        with pytest.raises(StructureError, match=f"^{message} cannot be combined$"):
+            combine()
+
+
+def test_elements_and_characters_keep_their_reprs_and_kinds():
+    g = GroupSpec((3, 5))
+    x, chi = g.element((1, 2)), g.character((1, 2))
+    assert repr(x) == "(1, 2)" and repr(chi) == "chi(1, 2)"
+    assert x != chi and x.index == chi.index == 7
+    assert type(-x) is type(x) and type(x + x - x) is type(x)
+    assert type(-chi) is type(chi) and type(chi + chi - chi) is type(chi)
+    assert (x + x).coords == (2, 4) and (chi - chi).coords == (0, 0)
+
+
 def test_char_arg_fraction_examples():
     z8 = GroupSpec((8,))
     assert z8.character((1,)).arg_fraction(z8.element((3,))) == Fraction(3, 8)

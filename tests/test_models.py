@@ -184,6 +184,14 @@ def test_z_model_of_a_wide_span():
     assert z_model([0, 1, 3, 10**12]).modulus == 15
 
 
+def test_z_model_whose_host_order_passes_2_62():
+    # the host is Z/(4 * (2^60 + 3) + 5), above 2^62; the fiber check of the
+    # reduction into Z/24 keeps sums and images apart, so no product leaves int64
+    report = z_model([0, 3, 2**60 + 2, 2**60 + 3])
+    assert report.modulus == 24
+    assert report.assignment == ((0, 0), (3, 3), (2**60 + 2, 18), (2**60 + 3, 19))
+
+
 def test_z_model_translates_integers_past_int64():
     """The modulus and the doubling do not change under translation, so a
     set far past int64 models as its translate to 0 does, with each residue

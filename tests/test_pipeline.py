@@ -503,10 +503,23 @@ def test_cli_gen_malformed_list_option_exit_two(capsys, option):
     assert capsys.readouterr().err == "error: malformed integer token 'x'\n"
 
 
-@pytest.mark.parametrize("values, code", [
-    ([10**30, 10**30 + 1, 10**30 + 3], 0), ([0, 2**62], 2)
-], ids=["past-int64", "wide-span"])
-def test_cli_zmodel_past_int64(tmp_path, capsys, values, code):
+@pytest.mark.parametrize("option", [
+    ["random", "--orders", "8"],
+    ["random-in-progression", "--orders", "64", "--generator", "1", "--lengths", "10"],
+], ids=["random", "random-in-progression"])
+def test_cli_gen_negative_size_exit_two(capsys, option):
+    from cosetprog.cli import main
+
+    assert main(["gen", *option, "--size", "-1"]) == 2
+    assert capsys.readouterr().err == "error: sample size must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("values, code, modulus", [
+    ([10**30, 10**30 + 1, 10**30 + 3], 0, 7),
+    ([0, 3, 2**60 + 2, 2**60 + 3], 0, 24),
+    ([0, 2**62], 2, None),
+], ids=["past-int64", "host-past-2^62", "wide-span"])
+def test_cli_zmodel_past_int64(tmp_path, capsys, values, code, modulus):
     from cosetprog.cli import main
 
     set_file = tmp_path / "z.txt"
@@ -514,7 +527,7 @@ def test_cli_zmodel_past_int64(tmp_path, capsys, values, code):
     assert main(["zmodel", str(set_file)]) == code
     out, err = capsys.readouterr()
     if code == 0:
-        assert out.startswith("modulus 7\n") and err == ""
+        assert out.startswith(f"modulus {modulus}\n") and err == ""
     else:
         assert err.startswith(f"error: the integer set spans {2**62};")
 
