@@ -206,7 +206,8 @@ def _cmd_gen(args) -> int:
         out = gen_random_in_progression(
             spec, [0] * len(orders), generators, lengths, args.size, args.seed
         )
-    print(f"# doubling {fmt_fraction(doubling(out).k)}")
+    if out:  # an empty draw has no doubling
+        print(f"# doubling {fmt_fraction(doubling(out).k)}")
     sys.stdout.write(write_group_set(out))
     return 0
 

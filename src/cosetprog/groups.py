@@ -131,13 +131,14 @@ class GroupSpec:
         """All sums of one index from `a` with one from `b`, as an (m, n) grid.
 
         Each coordinate's sums are one grid, reduced and weighted in place,
-        so at most two grids are alive at once.
+        so at most two grids are alive at once.  Coordinates x, y of Z/n add
+        as x - (n - y), inside [-n, n), so no order below 2^63 wraps int64.
         """
         ca = self.decode(np.asarray(a, dtype=np.int64))
         cb = self.decode(np.asarray(b, dtype=np.int64))
         out = None
         for i, (n, w) in enumerate(zip(self.orders, self._weights.tolist())):
-            grid = ca[:, i : i + 1] + cb[None, :, i]
+            grid = ca[:, i : i + 1] - (n - cb[None, :, i])
             grid %= n
             if w != 1:
                 grid *= w
@@ -148,23 +149,20 @@ class GroupSpec:
         return out
 
     def add_aligned(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Componentwise sums of two equal-length index arrays."""
+        """Componentwise sums of two equal-length index arrays (as in add_pairwise)."""
         ca = self.decode(a)
-        cb = self.decode(b)
-        return self.encode(ca + cb)
+        ca -= self._orders_arr[None, :] - self.decode(b)
+        return self.encode(ca)
 
     def add_scalar(self, a: np.ndarray, index: int) -> np.ndarray:
         ca = self.decode(np.asarray(a, dtype=np.int64))
         cx = np.array(self.coords_of(int(index)), dtype=np.int64)
-        return self.encode(ca + cx[None, :])
+        ca -= self._orders_arr - cx
+        return self.encode(ca)
 
     def negate_indices(self, a: np.ndarray) -> np.ndarray:
         ca = self.decode(np.asarray(a, dtype=np.int64))
         return self.encode(-ca)
-
-    def scale_indices(self, a: np.ndarray, factor: int) -> np.ndarray:
-        ca = self.decode(np.asarray(a, dtype=np.int64))
-        return self.encode(ca * int(factor))
 
     def require_enumerable(self) -> None:
         if self.cardinality > ENUMERATION_CAP:

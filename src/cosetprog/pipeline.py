@@ -48,12 +48,13 @@ from .fourier import (
     bogolyubov_threshold,
     indicator_transform,
 )
-from .freiman import induced_difference_iso, is_freiman_iso, transport_progression
+from .freiman import induced_difference_iso, transport_progression
 from .groups import Character
 from .models import (
     MODEL_ORDER,
     ModelStage,
     ModelTrace,
+    composite_fault,
     minimize_model,
     model_trace,
     shrink_model_step,
@@ -607,12 +608,12 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     Only the search choices (the stages, Phi, the minima, the translates R_i
     and S_i) are taken from the certificate, and each is checked for the
     properties its search guarantees.  Each stage's map is derived from its
-    choice by ``shrink_model_step``, which checks the choice and that the
-    map is a Freiman 8-isomorphism; a stage it rejects fails
-    ``model_stage_<i>`` with its message, and the chain stops there; a
-    chain that derives into another group than the stored ``model-set``'s
-    fails ``model_group``, naming both.  Every
-    other object is derived from the choices with the functions
+    choice by ``shrink_model_step``, which checks the choice; a stage it
+    rejects fails ``model_stage_<i>`` with its message, and the chain stops
+    there; a chain that derives into another group than the stored
+    ``model-set``'s fails ``model_group``, naming both; the chain's composite
+    alone is checked as a Freiman 8-isomorphism (``model_composite``).
+    Every other object is derived from the choices with the functions
     ``run_pipeline`` uses: the model set, the spectral data, the Bohr set,
     P + H from the minima, its transport (one ``transport`` entry) and Q.
     Each check becomes one entry under its own name, evaluated once on the
@@ -659,11 +660,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     if chain_fault:
         trace = cert.model
     elif stages:
-        iso = is_freiman_iso(trace.composite, MODEL_ORDER)
-        w = iso.witness
-        fault = "" if iso.ok else "the composite is not one-to-one" if w is None else (
-            f"a {w.layer}-fold sum (index {w.sum_index}) has image sums {list(w.image_indices)}"
-        )
+        fault = composite_fault(trace)
         add("model_composite", not fault, fault)
     a1 = trace.final_set
 

@@ -141,7 +141,8 @@ def _random_map(rng: Random) -> FreimanMap:
     else:
         tspec = spec
         c, t = rng.randrange(1, 8), rng.randrange(spec.cardinality)
-        table = {i: spec.add_scalar(spec.scale_indices(np.array([i]), c), t)[0] for i in dom}
+        scaled = [spec.index_of([c * x for x in spec.coords_of(i)]) for i in dom]
+        table = dict(zip(dom, spec.add_scalar(np.array(scaled), t).tolist()))
         if kind == 2:
             table[dom[rng.randrange(size)]] = rng.randrange(spec.cardinality)
     return map_from_table(spec, tspec, table)

@@ -303,14 +303,22 @@ def test_rows_build_the_objects_the_constructors_build(spec):
         spec.elements_of_rows(coords[:, :1] if spec.rank > 1 else coords.repeat(2, axis=1))
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+# orders whose coordinate sums leave int64
+WIDE_SPECS = [GroupSpec((2**62 + 5,)), GroupSpec((2**62 - 1, 2)), GroupSpec(((1 << 63) - 25,))]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + WIDE_SPECS, ids=str)
 def test_add_pairwise_matches_elementwise_sums(spec):
+    """add_pairwise, add_aligned and add_scalar agree with element sums,
+    also where two coordinates add past 2^63 (the last index is in both)."""
     rng = np.random.default_rng(spec.cardinality + 7)
-    a = rng.integers(0, spec.cardinality, 9)
-    b = rng.integers(0, spec.cardinality, 13)
+    a = np.append(rng.integers(0, spec.cardinality, 9), spec.cardinality - 1)
+    b = np.append(rng.integers(0, spec.cardinality, 13), spec.cardinality - 1)
     expected = [[(spec.element_at(int(x)) + spec.element_at(int(y))).index for y in b] for x in a]
     assert spec.add_pairwise(a, b).tolist() == expected
     assert spec.add_pairwise(a[:0], b).shape == (0, len(b))
+    assert spec.add_aligned(a, b[: len(a)]).tolist() == [row[i] for i, row in enumerate(expected)]
+    assert spec.add_scalar(a, int(b[-1])).tolist() == [row[-1] for row in expected]
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)

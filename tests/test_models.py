@@ -133,6 +133,36 @@ def test_f2_shrink_pair_to_two_points():
         assert is_freiman_iso(stage.map, 2).ok
 
 
+@pytest.mark.parametrize("build", ["minimize_model", "f2_shrink"])
+def test_a_chain_makes_one_freiman_check(monkeypatch, build):
+    """The stages are not checked one by one: only the composite is."""
+    calls = []
+
+    def counted(phi, s):
+        calls.append(s)
+        return is_freiman_iso(phi, s)
+
+    monkeypatch.setattr(models, "is_freiman_iso", counted)
+    if build == "minimize_model":
+        trace = minimize_model(_interval(GroupSpec((1024,)), 16), models.MODEL_ORDER)
+    else:
+        pair = GroupSet.from_coords(GroupSpec((2, 2, 2, 2)), [(1, 0, 0, 0), (0, 1, 0, 0)])
+        trace = f2_shrink(pair)
+    assert len(trace.stages) >= (1 if build == "minimize_model" else 3)
+    assert calls == [trace.s]
+
+
+def test_composite_fault_names_the_failing_sum():
+    a = _interval(GroupSpec((1000,)), 3)
+    trace = minimize_model(a, 2)
+    assert models.composite_fault(trace) == ""
+    assert models.composite_fault(models.model_trace(2, a, [], Fraction(1))) == ""
+    # folding [0, 3) into Z/4 is one-to-one, but 2 + 2 and 0 + 0 meet
+    fold = models.ModelStage(map=FreimanMap(a, GroupSpec((4,)), a.indices % 4))
+    folded = models.model_trace(2, a, [fold], Fraction(5, 3))
+    assert models.composite_fault(folded) == "a 2-fold sum (index 0) has image sums [0, 4]"
+
+
 def test_f2_shrink_whole_space_zero_steps():
     g = GroupSpec((2, 2, 2))
     assert f2_shrink(GroupSet.full(g)).is_identity

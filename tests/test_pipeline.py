@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cosetprog.checks import parse_scalar
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.groups import ENUMERATION_CAP
 from cosetprog.pipeline import PipelineConfig, _open_sections
-from cosetprog.textio import fmt_float, parse_int
+from cosetprog.textio import fmt_float, parse_int, read_group_set
 
 from conftest import zoo_sets
 
@@ -514,6 +515,19 @@ def test_cli_gen_negative_size_exit_two(capsys, option):
     assert capsys.readouterr().err == "error: sample size must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("option", [
+    ["random", "--orders", "8"],
+    ["random-in-progression", "--orders", "8", "--generator", "1", "--lengths", "4"],
+], ids=["random", "random-in-progression"])
+def test_cli_gen_empty_draw_is_an_empty_set(capsys, option):
+    from cosetprog.cli import main
+
+    assert main(["gen", *option, "--size", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("group 8\n", "")
+    assert not read_group_set(out)
+
+
 @pytest.mark.parametrize("values, code, modulus", [
     ([10**30, 10**30 + 1, 10**30 + 3], 0, 7),
     ([0, 3, 2**60 + 2, 2**60 + 3], 0, 24),
@@ -780,6 +794,53 @@ def _tamper(text, section, key, corrupt):
     raise AssertionError(f"no {key!r} line in section {section!r}")
 
 
+def test_every_stage_token_rewrite_is_refused_or_says_the_same():
+    """Each integer token of each stage of a 4-stage chain, moved by +-1, is
+    a DomainError at read or a failing report, or it verifies because the
+    rewritten gamma takes the same values on the stage's set; nothing else
+    is raised.  The rewrites that verify move a gamma coordinate on which
+    the stage's set is zero."""
+    spec = GroupSpec((2,) * 8)
+    axes = [[int(j == i) for j in range(8)] for i in range(4)]
+    cert = run_pipeline(gen_random_in_progression(spec, [0] * 8, axes, [2] * 4, 10, seed=3))
+    assert len(cert.model.stages) == 4 and cert.all_passed
+    lines = write_certificate(cert).splitlines()
+
+    def values(gamma, stage):
+        q = gamma.order()
+        return [Fraction(n, q) for n in gamma.arg_numerators(stage.set_before.coords()).tolist()]
+
+    stage_of, k = {}, -1
+    for i, line in enumerate(lines):
+        if line == "begin stage":
+            k, start = k + 1, i
+        elif line == "end stage":
+            stage_of.update((j, k) for j in range(start + 1, i))
+    outcomes = {"read": 0, "fail": 0, "same": 0}
+    for i, k in sorted(stage_of.items()):
+        original = cert.model.stages[k]
+        tokens = lines[i].split()
+        for pos in range(1, len(tokens)):
+            for step in (-1, 1):
+                moved = tokens[:pos] + [str(int(tokens[pos]) + step)] + tokens[pos + 1:]
+                text = "\n".join(lines[:i] + [" ".join(moved)] + lines[i + 1:]) + "\n"
+                where = f"stage {k}: {lines[i]!r} -> {' '.join(moved)!r}"
+                try:
+                    back = read_certificate(text)
+                except DomainError:
+                    outcomes["read"] += 1
+                    continue
+                if not verify_certificate(back).ok:
+                    outcomes["fail"] += 1
+                    continue
+                gamma = back.model.stages[k].gamma
+                assert tokens[0] == "gamma", where
+                assert values(gamma, original) == values(original.gamma, original), where
+                outcomes["same"] += 1
+    assert sum(outcomes.values()) == 2 * sum(len(lines[i].split()) - 1 for i in stage_of)
+    assert outcomes["same"] == 12, outcomes
+
+
 @pytest.mark.parametrize(
     "section, key, corrupt, path", TAMPERS.values(), ids=list(TAMPERS)
 )
@@ -870,8 +931,6 @@ def test_cli_bohr_prints_every_check_it_judges(tmp_path, capsys):
 def test_cli_bohr_rho_checks_the_bohr_set_it_prints(tmp_path, capsys):
     # with --rho the threshold set, Phi and radius differ from the default
     # report's (here 5 characters against 4), and the checks are the shown ones
-    from fractions import Fraction
-
     from cosetprog.cli import main
     from cosetprog.generators import gen_random
     from cosetprog.textio import write_group_set
