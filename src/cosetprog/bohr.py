@@ -32,6 +32,7 @@ from .groups import (
     arg_numerators_over_group,
     filter_by_characters,
     kernel_of_characters,
+    smith_normal_form,
 )
 from .sumsets import GroupSet, sumset
 
@@ -95,55 +96,35 @@ class MinimaReport:
 
     def first_dependent(self) -> int | None:
         """The index of the first vector in the rational span of those before
-        it, or None when the vectors are independent.  A vector is in that
-        span exactly when it leaves the null space of those before it whole."""
-        basis = _integer_nullspace([], len(self.vectors[0]) if self.vectors else 0)
-        for i, row in enumerate(self.vectors):
-            cut = _orthogonal_part(basis, _integer_row(row))
-            if len(cut) == len(basis):
-                return i
-            basis = cut
-        return None
+        it, or None when the vectors are independent: the first prefix whose
+        Smith form has a rank below its length."""
+        rows = [_integer_row(v) for v in self.vectors]
+        if len(smith_normal_form(rows)[0]) == len(rows):
+            return None
+        return next(i for i in range(len(rows)) if len(smith_normal_form(rows[: i + 1])[0]) <= i)
 
 
 def _orthogonal_part(basis: list[list[int]], row: Sequence[int]) -> list[list[int]]:
-    """Integer basis of the vectors in span(basis) orthogonal to ``row``.
-
-    One fraction-free elimination step: with a pivot p, p.row != 0, each
-    other basis vector b becomes (p.row) b - (b.row) p, divided by its
-    content.  These are independent, orthogonal to ``row`` and one fewer,
-    so they span the whole orthogonal part; ``basis`` comes back unchanged
-    when ``row`` is already orthogonal to it.
-    """
+    """Integer basis of the vectors in span(basis) orthogonal to ``row``:
+    those orthogonal to it, and the combinations of the others that the
+    left kernel of their column of dot products gives, each divided by its
+    content (none when one vector or none has a nonzero dot)."""
     dots = [sum(b * r for b, r in zip(vec, row)) for vec in basis]
-    pivot = next((i for i, t in enumerate(dots) if t), None)
-    if pivot is None:
-        return basis
-    p, tp = basis[pivot], dots[pivot]
-    out = []
-    for i, (vec, t) in enumerate(zip(basis, dots)):
-        if i != pivot:
-            comb = [tp * v - t * w for v, w in zip(vec, p)]
-            g = math.gcd(*comb)
-            out.append([c // g for c in comb])
+    cut = [vec for vec, t in zip(basis, dots) if t]
+    out = [vec for vec, t in zip(basis, dots) if not t]
+    for c in smith_normal_form([[t] for t in dots if t], left=True)[1][1:] if len(cut) > 1 else ():
+        comb = [0] * len(row)
+        for x, vec in zip(c, cut):
+            comb = [y + x * v for y, v in zip(comb, vec)] if x else comb
+        g = math.gcd(*comb)
+        out.append([v // g for v in comb])
     return out
-
-
-def _integer_nullspace(
-    rows: Sequence[Sequence[int | Fraction]], width: int
-) -> list[list[int]]:
-    """Integer basis of the right null space of a rational matrix: the unit
-    vectors, cut down to the part orthogonal to each row in turn."""
-    basis = [[int(i == j) for j in range(width)] for i in range(width)]
-    for row in rows:
-        basis = _orthogonal_part(basis, _integer_row(row))
-    return basis
 
 
 def _integer_row(row: Sequence[int | Fraction]) -> list[int]:
     """A rational row scaled by the lcm of its denominators."""
-    den = math.lcm(*(Fraction(v).denominator for v in row))
-    return [int(Fraction(v) * den) for v in row]
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
 
 
 def minima_frame(characters: Sequence[Character]) -> MinimaReport:
@@ -288,7 +269,7 @@ def successive_minima(characters: Sequence[Character]) -> MinimaReport:
     short = np.flatnonzero((norms > 0) & (2 * norms < m_den))
     short = short[np.argsort(norms[short], kind="stable")]
     chosen: list[tuple[np.ndarray, int, int]] = []
-    null = _integer_nullspace([], d)
+    null = [[int(i == j) for j in range(d)] for i in range(d)]
     null = _extend_independent(chosen, null, table[short], norms[short], short, m_den)
     if len(chosen) < d:
         _extend_independent(chosen, null, *_shifted_lifts(table, m_den), m_den)

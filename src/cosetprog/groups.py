@@ -191,14 +191,6 @@ def _of_rows(kind: type, spec: GroupSpec, coords: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def _tuple_order(coords: Sequence[int], orders: Sequence[int]) -> int:
-    """Order of a coordinate vector in the product of cyclic groups."""
-    q = 1
-    for c, n in zip(coords, orders):
-        q = math.lcm(q, n // math.gcd(int(c), n))
-    return q
-
-
 @dataclass(frozen=True)
 class _Coordinates:
     """A coordinate vector of a GroupSpec, each entry reduced into [0, n_i).
@@ -227,7 +219,10 @@ class _Coordinates:
         return self.spec.index_of(self.coords)
 
     def order(self) -> int:
-        return _tuple_order(self.coords, self.spec.orders)
+        q = 1
+        for c, n in zip(self.coords, self.spec.orders):
+            q = math.lcm(q, n // math.gcd(c, n))
+        return q
 
     def _reduced(self, coords: Sequence[int]):
         return type(self)(self.spec, self.spec.reduce(coords))
@@ -357,52 +352,103 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.spec})"
 
 
-def _extend_closure(spec: GroupSpec, mask: np.ndarray, g: int) -> int:
-    """Grow the subgroup C marked in ``mask`` (over all of G) to
-    C + <g> = C + {0, g, ..., (r-1)g}, r the least k >= 1 with kg in C;
-    returns the new order."""
-    coords = spec.coords_of(g)
-    steps = np.arange(_tuple_order(coords, spec.orders) + 1, dtype=np.int64)
-    multiples = spec.encode(steps[:, None] * np.array(coords, dtype=np.int64))
-    r = 1 + int(mask[multiples[1:]].argmax())  # the last multiple is 0
-    mask[spec.add_pairwise(np.flatnonzero(mask), multiples[:r]).ravel()] = True
-    return int(np.count_nonzero(mask))
+def smith_normal_form(
+    a: Sequence[Sequence[int]], *, left: bool = False, carry: Sequence[Sequence[int]] | None = None
+) -> tuple[tuple[int, ...], list[list[int]] | None, list[list[int]] | None]:
+    """The Smith normal form D = u.a.v of an integer matrix ``a`` (rows of
+    Python ints) in exact ints: D's nonzero diagonal d_1 | d_2 | ..., then u
+    if ``left`` (its rows past the rank span the x with x.a = 0), then
+    v^-1 . carry if ``carry`` (one row per column of a) is given; when a's
+    rows span the relations among carry's rows in a group, the i-th carried
+    row has order d_i.  Each step moves a least entry of the block left to
+    its corner and clears its row and column until it divides the block."""
+    a = [list(row) for row in a]
+    m, n = len(a), len(a[0]) if a else len(carry or ())
+    # an empty row stands for each row of a transform nobody reads
+    u = [[0] * i + [1] + [0] * (m - 1 - i) if left else [] for i in range(m)]
+    w = [[] for _ in range(n)] if carry is None else [list(row) for row in carry]
+    diagonal: list[int] = []
+    for t in range(min(m, n)):
+        while True:
+            best, pi, pj = abs(a[t][t]), t, t
+            for i in range(t, m) if best != 1 else ():  # nothing beats a unit corner
+                row = a[i]
+                for j in range(t, n):
+                    if row[j] and (not best or abs(row[j]) < best):
+                        best, pi, pj = abs(row[j]), i, j
+            if not best:
+                return tuple(diagonal), u if left else None, None if carry is None else w
+            if pi != t:
+                a[t], a[pi], u[t], u[pi] = a[pi], a[t], u[pi], u[t]
+            if pj != t:
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+                w[t], w[pj] = w[pj], w[t]
+            top, p, clean = a[t], a[t][t], True
+            for i in range(t + 1, m):
+                if f := a[i][t] // p:
+                    a[i] = [x - f * y for x, y in zip(a[i], top)]
+                    u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+                    clean = clean and not a[i][t]
+            for j in range(t + 1, n):
+                if f := top[j] // p:
+                    for row in a:
+                        row[j] -= f * row[t]
+                    w[t] = [x + f * y for x, y in zip(w[t], w[j])]
+                    clean = clean and not top[j]
+            if not clean:
+                continue  # a remainder below |p| is the next pivot
+            # p must divide the rest of the block: else add in a row it does not divide
+            rest = best > 1 and next((i for i in range(t + 1, m) for x in a[i][t + 1:] if x % p), 0)
+            if not rest:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[rest])]
+            u[t] = [x + y for x, y in zip(u[t], u[rest])]
+        u[t] = [-x for x in u[t]] if p < 0 else u[t]
+        diagonal.append(abs(p))
+    return tuple(diagonal), u if left else None, None if carry is None else w
 
 
-def _closure_indices(spec: GroupSpec, gen_indices: Sequence[int]) -> np.ndarray:
-    mask = np.zeros(spec.cardinality, dtype=bool)
-    mask[0] = True
-    for g in gen_indices:
-        if not mask[g]:  # a generator already in the closure adds nothing
-            _extend_closure(spec, mask, int(g))
-    return np.flatnonzero(mask)
+def _congruence_lattice(rows: list[list[int]], e: int) -> list[list[int]]:
+    """A basis of the x in Z^len(rows) with x.rows = 0 mod e: with
+    u.rows.v = D, x = z.u meets it when e divides each z_i d_i."""
+    diagonal, u, _ = smith_normal_form(rows, left=True)
+    scaled = [[s * x for x in row] for s, row in zip([e // math.gcd(d, e) for d in diagonal], u)]
+    return scaled + u[len(diagonal):]
+
+
+def _invariant_basis(spec: GroupSpec, rows: Iterable[Sequence[int]]) -> tuple[list, list[tuple]]:
+    """The invariant factors, largest first, of the subgroup the coordinate
+    ``rows`` generate, and a basis of reduced rows of those orders: the Smith
+    form of the relations c.rows = 0 in G (column i scaled by E / n_i, E
+    the exponent, is 0 mod E), carrying the nonzero rows."""
+    rows = [row for row in map(spec.reduce, rows) if any(row)]
+    if not rows:
+        return [], []
+    scaled = [[x * (spec.exponent // n) for x, n in zip(row, spec.orders)] for row in rows]
+    diagonal, _, carried = smith_normal_form(_congruence_lattice(scaled, spec.exponent), carry=rows)
+    pairs = [(d, row) for d, row in zip(diagonal, carried) if d > 1][::-1]
+    return [d for d, _ in pairs], [spec.reduce(row) for _, row in pairs]
+
+
+def _span(spec: GroupSpec, orders: Sequence[int], basis: Sequence[Sequence[int]]) -> np.ndarray:
+    """The indices of a_1 b_1 + ... + a_r b_r, a in Z/o_1 x ... x Z/o_r in index order."""
+    coords = np.zeros((1, spec.rank), dtype=np.int64)
+    for o, row in zip(orders, basis):
+        steps = np.arange(o, dtype=np.int64)[:, None] * np.array(row, dtype=np.int64)
+        coords = (coords[:, None, :] + steps[None, :, :]).reshape(-1, spec.rank)
+    return spec.encode(coords)
 
 
 def subgroup_closure(spec: GroupSpec, generators: Iterable[GroupElement]) -> Subgroup:
-    """Smallest subgroup containing the generators."""
+    """Smallest subgroup containing the generators: their Smith basis's span."""
     gens = tuple(generators)
     for g in gens:
         if g.spec != spec:
             raise StructureError("generator is not in the ambient group")
     spec.require_enumerable()
-    # closure under addition suffices: -g = (order(g)-1)*g in a finite group
-    indices = _closure_indices(spec, [g.index for g in gens])
-    return Subgroup(spec, gens, indices)
-
-
-def reduce_generators(subgroup: Subgroup) -> tuple[GroupElement, ...]:
-    """A small deterministic generating set: repeatedly the least element
-    of the subgroup outside the closure of the generators so far."""
-    spec = subgroup.spec
-    gens: list[GroupElement] = []
-    have = np.zeros(spec.cardinality, dtype=bool)
-    have[0] = True
-    order = 1
-    while order < subgroup.order:
-        rest = subgroup.indices[~have[subgroup.indices]]
-        gens.append(spec.element_at(int(rest[0])))
-        order = _extend_closure(spec, have, int(rest[0]))
-    return tuple(gens)
+    orders, basis = _invariant_basis(spec, [g.coords for g in gens])
+    return Subgroup(spec, gens, np.sort(_span(spec, orders, basis)))
 
 
 def arg_numerators_over_group(gamma: Character) -> np.ndarray:
@@ -440,20 +486,26 @@ def filter_by_characters(
     return indices.astype(np.int64, copy=False)
 
 
-def kernel_of_characters(spec: GroupSpec, characters: Iterable[Character]) -> Subgroup:
-    """All x with gamma(x) = 1 for every gamma in the list.
+def kernel_generators(spec: GroupSpec, characters: Sequence[Character]) -> tuple[GroupElement, ...]:
+    """An invariant-factor basis of the kernel of the characters, largest
+    order first, from the Smith basis of the kernel lattice: the x with
+    sum_i x_i c_i E / n_i = 0 mod E for each character's coordinates c."""
+    steps = [spec.exponent // n for n in spec.orders]
+    rows = [[gamma.coords[i] * steps[i] for gamma in characters] for i in range(spec.rank)]
+    basis = _invariant_basis(spec, _congruence_lattice(rows, spec.exponent))[1]
+    return tuple(GroupElement(spec, row) for row in basis)
 
-    ``filter_by_characters`` with t == 0: one pass over G, then each later
-    character only on the kernel of those before it (about |G|/q points
-    after a character of order q).
-    """
+
+def kernel_of_characters(spec: GroupSpec, characters: Iterable[Character]) -> Subgroup:
+    """All x with gamma(x) = 1 for every gamma in the list, generated by
+    ``kernel_generators``; the points come from ``filter_by_characters``
+    with t == 0 (about |G|/q points left after a character of order q)."""
     chars = tuple(characters)
     for gamma in chars:
         if gamma.spec != spec:
             raise StructureError("character does not belong to the given group")
     indices = filter_by_characters(spec, chars, lambda t, q: t == 0)
-    kernel = Subgroup(spec, (), indices)
-    return Subgroup(spec, reduce_generators(kernel), indices)
+    return Subgroup(spec, kernel_generators(spec, chars) if len(indices) > 1 else (), indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,58 +533,21 @@ class CyclicDecomposition:
         return self._model_of_sorted[np.searchsorted(self.subgroup.indices, indices)]
 
 
-def _max_order_element(spec: GroupSpec, indices: np.ndarray) -> GroupElement:
-    """The first element of largest order among ``indices``."""
-    orders = spec._orders_arr
-    element_orders = np.lcm.reduce(orders // np.gcd(spec.decode(indices), orders), axis=1)
-    return spec.element_at(int(indices[int(np.argmax(element_orders))]))
-
-
-def _first_primitive_character(g: GroupElement) -> Character:
-    """The lowest-index character whose value at g has g's full order q.
-
-    chi(g) is the value at chi of the character with g's coordinates, whose
-    order is also q, so it has order q / gcd(t, q) for t its arg numerator.
-    """
-    q = g.order()
-    t = arg_numerators_over_group(g.spec.character(g.coords))
-    primitive = np.flatnonzero(np.gcd(t, q) == 1)
-    if not len(primitive):
-        raise InvariantError("no character is primitive on a maximal element")
-    return g.spec.character_at(int(primitive[0]))
-
-
 def subgroup_decomposition(subgroup: Subgroup) -> CyclicDecomposition:
-    """Present a subgroup as an explicit direct sum of cyclic groups.
-
-    Splits off a maximal-order element g at each step, using the first
-    ambient character that is primitive on g to cut out a complement.
-    Exhaustive over the ambient dual group, so only suitable below the
-    enumeration cap.
-    """
+    """Present a subgroup as an explicit direct sum of cyclic groups: the
+    invariant factors, largest first, and a basis, read from the Smith form
+    of the relations among ``subgroup.generators``, whose span must be the
+    subgroup's points (else an InvariantError)."""
     spec = subgroup.spec
     spec.require_enumerable()
-    orders: list[int] = []
-    gens: list[GroupElement] = []
-    rem = subgroup.indices
-    while len(rem) > 1:
-        g = _max_order_element(spec, rem)
-        m = g.order()
-        split = _first_primitive_character(g)
-        orders.append(m)
-        gens.append(g)
-        nums = split.arg_numerators(spec.decode(rem))
-        rem = rem[nums == 0]
-    model_spec = GroupSpec(tuple(orders) or (1,))
-    combos = model_spec.decode(np.arange(model_spec.cardinality, dtype=np.int64))
-    gen_coords = np.array([g.coords for g in gens] or [spec.zero().coords], dtype=np.int64)
-    points = spec.encode(combos @ gen_coords)
+    orders, basis = _invariant_basis(spec, [g.coords for g in subgroup.generators])
+    points = _span(spec, orders, basis)
     if not np.array_equal(np.sort(points), subgroup.indices):
         raise InvariantError("cyclic decomposition is not a direct sum covering the subgroup")
     return CyclicDecomposition(
         subgroup=subgroup,
         orders=tuple(orders),
-        generators=tuple(gens),
-        spec=model_spec,
+        generators=tuple(GroupElement(spec, row) for row in basis),
+        spec=GroupSpec(tuple(orders) or (1,)),
         from_model=_frozen(points),
     )

@@ -27,6 +27,7 @@ from .groups import (
     GroupSpec,
     Subgroup,
     arg_numerators_over_group,
+    kernel_generators,
     subgroup_decomposition,
 )
 from .freiman import FreimanMap, compose, is_freiman_iso
@@ -180,7 +181,9 @@ def shrink_model_step(
     The interval [b, b+l] must contain psi(A) and satisfy l < q/(4s).  The
     set is translated so the interval starts at 0; each element is written
     h + lambda*z with z the first preimage of 1 and lambda in [0, l], and
-    mapped to (h, lambda mod m).  Sums of s lambdas lie in [0, s*l], and
+    mapped to (h, lambda mod m), h in the coordinates of the cyclic
+    decomposition of ker(psi) with its ``kernel_generators``.  Sums of s
+    lambdas lie in [0, s*l], and
     s*l < m and s*l < q, so equal s-fold sums on either side match exactly:
     the map is an s-isomorphism for every m > s*l, and m = s*l + 1 is the
     smallest.  When m = 1 (l = 0, which a q = 2 character forces) the image
@@ -210,7 +213,7 @@ def shrink_model_step(
     lam = gamma.arg_numerators(spec.decode(shifted))
     if int(lam.max(initial=0)) > l:
         raise DomainError("the given interval does not contain psi(A)")
-    kernel = Subgroup(spec, (), np.flatnonzero(psi_all == 0))  # decomposition reads no generators
+    kernel = Subgroup(spec, kernel_generators(spec, (gamma,)), np.flatnonzero(psi_all == 0))
     z_idx = int(np.nonzero(psi_all == 1 % q)[0][0])
     z_coords = np.array(spec.coords_of(z_idx), dtype=np.int64)
     decomp = subgroup_decomposition(kernel)

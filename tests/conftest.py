@@ -7,6 +7,7 @@ kept free of the library code paths they are used to check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -268,28 +269,43 @@ def oracle_bohr_set(spec: GroupSpec, characters, rho: Fraction) -> list[int]:
     ]
 
 
-def oracle_kernel(spec: GroupSpec, characters) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The indices x with every argument 0, and the generators chosen from
-    them greedily: the least kernel point outside the span of those before
-    it, the span grown by adding multiples until nothing new appears."""
-    points = _points(spec)
-    members = [i for i, x in enumerate(points)
-               if all(r == 0 for r in _arguments(spec, characters, x))]
-    span = {tuple([0] * spec.rank)}
-    generators = []
-    for i in members:
-        if points[i] in span:
-            continue
-        generators.append(points[i])
-        grown = set(span)
-        while True:
-            step = {tuple((a + b) % n for a, b, n in zip(s, points[i], spec.orders))
-                    for s in grown} | grown
-            if step == grown:
-                break
-            grown = step
-        span = grown
-    return members, generators
+def oracle_kernel(spec: GroupSpec, characters) -> list[int]:
+    """The indices x with every argument 0."""
+    return [i for i, x in enumerate(_points(spec))
+            if all(r == 0 for r in _arguments(spec, characters, x))]
+
+
+def _primes(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _log(x: int, p: int) -> int:
+    """The e with p^e = x, for x a power of p."""
+    e = 0
+    while x > 1:
+        x //= p
+        e += 1
+    return e
+
+
+def oracle_invariant_factors(spec: GroupSpec, members) -> list[int]:
+    """The invariant factors d_1, d_2, ... (each dividing the one before)
+    of the subgroup with the given indices, read from counts of element
+    orders: with c(m) the number of its points whose order divides m,
+    c(p^k) / c(p^(k-1)) is p to the number of factors divisible by p^k."""
+    orders = [math.lcm(*(n // math.gcd(c, n) for c, n in zip(spec.coords_of(i), spec.orders)))
+              for i in members]
+    factors: list[int] = []
+    for p in _primes(len(members)):
+        counts = [1]
+        while (c := sum(1 for q in orders if p ** len(counts) % q == 0)) > counts[-1]:
+            counts.append(c)
+        at_least = [_log(b // a, p) for a, b in zip(counts, counts[1:])]
+        for j in range(at_least[0]):
+            if j == len(factors):
+                factors.append(1)
+            factors[j] *= p ** sum(1 for r in at_least if r > j)
+    return factors
 
 
 MINIMA_SPECS = [

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +22,8 @@ from cosetprog import (
     to_one_sided,
 )
 from cosetprog import bohr
-from cosetprog.bohr import _integer_nullspace, minima_frame
+from cosetprog.bohr import minima_frame
+from cosetprog.groups import smith_normal_form
 
 from conftest import SMALL_SPECS, character_tuples, oracle_bohr_set, seeded_minima_cases
 
@@ -111,19 +114,31 @@ def _echelon_insert(echelon, vec):
 
 
 def test_integer_nullspace_is_an_orthogonal_basis():
+    """The left kernel of the transposed rows, scaled to integers, is an
+    integer basis of their null space: orthogonal to every row,
+    independent and width - rank of them.  A minima report's
+    ``first_dependent``, which cuts that null space down one vector at a
+    time, names the first row in the span of those before it."""
     rng = Random(31)
+    frame = minima_frame([GroupSpec((12,)).character((1,))])
     for _ in range(300):
         width = 1 + rng.randrange(6)
         rows = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(width)]
                 for _ in range(rng.randrange(width + 1))]
         if len(rows) >= 2:
             rows.append([a - 3 * b for a, b in zip(rows[0], rows[1])])
-        basis = _integer_nullspace(rows, width)
+        scaled = [[int(v * math.lcm(*(x.denominator for x in row))) for v in row] for row in rows]
+        diagonal, u, _ = smith_normal_form([list(col) for col in zip(*scaled)] or [[]] * width,
+                                           left=True)
+        basis = u[len(diagonal):]
         assert all(sum(b * v for b, v in zip(vec, row)) == 0 for vec in basis for row in rows)
         row_echelon, basis_echelon = [], []
-        rank = sum(_echelon_insert(row_echelon, row) for row in rows)
-        assert len(basis) == width - rank
+        inserted = [_echelon_insert(row_echelon, row) for row in rows]
+        assert len(basis) == width - sum(inserted)
         assert all(_echelon_insert(basis_echelon, vec) for vec in basis)
+        report = replace(frame, vectors=tuple(tuple(row) for row in rows))
+        first = next((i for i, ok in enumerate(inserted) if not ok), None)
+        assert report.first_dependent() == first, rows
 
 
 def _full_table_minima(chars):

@@ -27,8 +27,8 @@ def _workloads():
 
 
 @pytest.mark.parametrize("workload, digest", [
-    ("small-batch", "bb7769d3e277b5c8"),
-    ("model-chain", "41811b7d97a5c613"),
+    ("small-batch", "ee3c45e53ef51357"),
+    ("model-chain", "5eaf89e83b269ba3"),
 ])
 def test_seed_101_certificates_keep_their_digest(workload, digest):
     h = hashlib.sha256()

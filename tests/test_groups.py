@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -14,15 +15,9 @@ from cosetprog import (
     subgroup_closure,
     subgroup_decomposition,
 )
-from cosetprog.groups import (
-    _closure_indices,
-    _first_primitive_character,
-    _max_order_element,
-    arg_numerators_over_group,
-    reduce_generators,
-)
+from cosetprog.groups import arg_numerators_over_group, smith_normal_form
 
-from conftest import SMALL_SPECS, character_tuples, oracle_kernel
+from conftest import SMALL_SPECS, character_tuples, oracle_invariant_factors, oracle_kernel
 
 
 def test_elem_add_modular():
@@ -148,10 +143,13 @@ def test_subgroup_closure_contains_identity_and_negatives():
 
 
 def test_reduce_generators_regenerates():
+    """A kernel's generators, an invariant-factor basis, close back to the
+    kernel, and their orders multiply to its order."""
     g = GroupSpec((4, 4))
     sub = kernel_of_characters(g, [g.character((2, 2))])
-    regen = subgroup_closure(g, reduce_generators(sub))
+    regen = subgroup_closure(g, sub.generators)
     assert regen == sub
+    assert [x.order() for x in sub.generators] == [4, 2]
 
 
 def _closure_by_set(spec, gen_indices):
@@ -167,29 +165,31 @@ def _closure_by_set(spec, gen_indices):
     return sorted(closed)
 
 
-def _reduce_generators_by_set(subgroup):
-    gens, have = [], {0}
-    for idx in subgroup.indices:
-        if len(have) == subgroup.order:
-            break
-        if int(idx) not in have:
-            gens.append(int(idx))
-            have = set(_closure_by_set(subgroup.spec, gens))
-    return gens
+def _character_kernels(spec):
+    """The kernel of every character of G, sampled to 64 characters where
+    G is larger: (character, kernel, brute-force kernel indices)."""
+    indices = range(spec.cardinality)
+    if spec.cardinality > 64:
+        indices = Random(spec.cardinality).sample(indices, 64)
+    for ci in indices:
+        gamma = spec.character_at(ci)
+        yield gamma, kernel_of_characters(spec, [gamma]), oracle_kernel(spec, [gamma])
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
 def test_closure_matches_set_loop(spec):
+    """A closure is the set its generators reach by adding them one at a
+    time; on every character kernel the generators reach the brute-force
+    kernel, and their orders multiply to its order."""
     rng = Random(spec.cardinality + 1)
     for count in (0, 1, 1, 2, 2, 3):
         gens = [rng.randrange(spec.cardinality) for _ in range(count)]
-        closed = _closure_indices(spec, gens)
-        assert closed.tolist() == _closure_by_set(spec, gens)
         sub = subgroup_closure(spec, [spec.element_at(i) for i in gens])
-        assert [g.index for g in reduce_generators(sub)] == _reduce_generators_by_set(sub)
-    for ci in rng.sample(range(spec.cardinality), 4):
-        kernel = kernel_of_characters(spec, [spec.character_at(ci)])
-        assert [g.index for g in kernel.generators] == _reduce_generators_by_set(kernel)
+        assert sub.indices.tolist() == _closure_by_set(spec, gens)
+    for gamma, kernel, members in _character_kernels(spec):
+        assert kernel.indices.tolist() == members, gamma
+        assert _closure_by_set(spec, [g.index for g in kernel.generators]) == members, gamma
+        assert math.prod(g.order() for g in kernel.generators) == len(members), gamma
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
@@ -200,24 +200,15 @@ def test_index_roundtrip(n, salt):
     assert g.index_of(g.coords_of(idx)) == idx
 
 
-def _first_primitive_by_loop(g):
-    spec = g.spec
-    for cidx in range(spec.cardinality):
-        gamma = spec.character_at(cidx)
-        if gamma.arg_fraction(g).denominator == g.order():
-            return gamma
-    return None
-
-
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
 def test_first_primitive_character_matches_loop(spec):
-    rng = Random(spec.cardinality)
-    indices = range(spec.cardinality)
-    if spec.cardinality > 64:
-        indices = rng.sample(indices, 64)
-    for idx in indices:
-        g = spec.element_at(idx)
-        assert _first_primitive_character(g) == _first_primitive_by_loop(g), g
+    """The cyclic decomposition of every character kernel has the
+    invariant factors that counts of element orders give, largest first,
+    and generators of those orders."""
+    for gamma, kernel, members in _character_kernels(spec):
+        dec = subgroup_decomposition(kernel)
+        assert list(dec.orders) == oracle_invariant_factors(spec, members), gamma
+        assert [g.order() for g in dec.generators] == list(dec.orders), gamma
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
@@ -282,10 +273,16 @@ def _max_order_by_loop(spec, indices):
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
 def test_max_order_element_matches_loop(spec):
+    """The first generator of a cyclic decomposition has the largest order
+    of any element of the subgroup, for closures of random elements."""
     rng = Random(spec.cardinality)
     for size in (1, 2, 5, spec.cardinality):
-        indices = np.array(sorted(rng.sample(range(spec.cardinality), size)), dtype=np.int64)
-        assert _max_order_element(spec, indices) == _max_order_by_loop(spec, indices)
+        indices = rng.sample(range(spec.cardinality), size)
+        sub = subgroup_closure(spec, [spec.element_at(i) for i in indices])
+        dec = subgroup_decomposition(sub)
+        largest = _max_order_by_loop(spec, sub.indices).order()
+        assert (dec.orders or (1,))[0] == largest, indices
+        assert [g.order() for g in dec.generators] == list(dec.orders), indices
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
@@ -324,10 +321,102 @@ def test_add_pairwise_matches_elementwise_sums(spec):
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
 def test_kernel_matches_the_oracle(spec):
     """kernel_of_characters filters G one character at a time; its points
-    and generators are the ones the definition gives point by point,
-    whatever the order of the characters."""
+    are the ones the definition gives point by point, whatever the order
+    of the characters, and its generators are an invariant-factor basis of
+    them: of orders that divide one another, largest first, multiplying
+    to the kernel's order, and reaching every point."""
     for label, chars in character_tuples(spec, seed=spec.cardinality):
-        members, generators = oracle_kernel(spec, chars)
+        members = oracle_kernel(spec, chars)
         kernel = kernel_of_characters(spec, chars)
         assert kernel.indices.tolist() == members, label
-        assert [g.coords for g in kernel.generators] == generators, label
+        orders = [g.order() for g in kernel.generators]
+        assert orders == oracle_invariant_factors(spec, members), label
+        assert _closure_by_set(spec, [g.index for g in kernel.generators]) == members, label
+
+
+def _product(x, y, cols):
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(cols)]
+            for i in range(len(x))]
+
+
+def _echelon(rows, cols):
+    """Row echelon form of a rational matrix by Gaussian elimination:
+    (rank, determinant when square)."""
+    rest = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rest)) if rest[i][c]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rest[rank], rest[pivot] = rest[pivot], rest[rank]
+            det = -det
+        det *= rest[rank][c]
+        for i in range(rank + 1, len(rest)):
+            f = rest[i][c] / rest[rank][c]
+            rest[i] = [x - f * y for x, y in zip(rest[i], rest[rank])]
+        rank += 1
+    return rank, det
+
+
+def _inverse(x):
+    """The inverse of a square rational matrix, by Gauss-Jordan."""
+    k = len(x)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(k)]
+           for i, row in enumerate(x)]
+    for c in range(k):
+        pivot = next(i for i in range(c, k) if aug[i][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c]:
+                aug[i] = [v - aug[i][c] * w for v, w in zip(aug[i], aug[c])]
+    return [row[k:] for row in aug]
+
+
+def _random_matrix(rng):
+    m, n = rng.randrange(7), rng.randrange(7)
+    pick = rng.randrange(4)
+
+    def entry():
+        if pick == 3 and rng.randrange(3) == 0:  # past 2^63
+            return rng.choice((-1, 1)) * rng.randrange(1 << 63, 1 << 70)
+        return rng.randrange(-9, 10) if pick else rng.randrange(-2, 3)
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if m and rng.randrange(3) == 0:
+        a[rng.randrange(m)] = [0] * n
+    if n and rng.randrange(3) == 0:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = 0
+    if m >= 2 and rng.randrange(3) == 0:  # a dependent row
+        a[-1] = [x - 3 * y for x, y in zip(a[0], a[1])]
+    return a, n
+
+
+def test_smith_normal_form_diagonalizes_with_unimodular_transforms():
+    """u.a.v is diagonal with positive entries, each dividing the next, as
+    many as the rank; u and v are invertible over the integers (v is the
+    inverse of the carried identity); and the left kernel rows, rows - rank
+    of them, annihilate a.  Shapes run from 0x0 to 6x6, with zero rows,
+    zero columns and entries past 2^63."""
+    rng = Random(63)
+    for _ in range(300):
+        a, n = _random_matrix(rng)
+        m = len(a)
+        d, u, carried = smith_normal_form(
+            a, left=True, carry=[[int(i == j) for j in range(n)] for i in range(n)])
+        v = _inverse(carried)
+        assert all(x.denominator == 1 for row in v for x in row), a
+        assert abs(_echelon(u, m)[1]) == 1 and abs(_echelon(carried, n)[1]) == 1, a
+        rank = _echelon(a, n)[0]
+        assert len(d) == rank and all(x > 0 for x in d), a
+        assert all(y % x == 0 for x, y in zip(d, d[1:])), a
+        assert _product(_product(u, a, n), v, n) == [
+            [d[i] if i == j and i < rank else 0 for j in range(n)] for i in range(m)], a
+        kernel = u[rank:]
+        assert len(kernel) == m - rank, a
+        assert all(row == [0] * n for row in _product(kernel, a, n)), a
+        assert smith_normal_form(a) == (d, None, None), a

@@ -798,8 +798,10 @@ def test_every_stage_token_rewrite_is_refused_or_says_the_same():
     """Each integer token of each stage of a 4-stage chain, moved by +-1, is
     a DomainError at read or a failing report, or it verifies because the
     rewritten gamma takes the same values on the stage's set; nothing else
-    is raised.  The rewrites that verify move a gamma coordinate on which
-    the stage's set is zero."""
+    is raised.  None verifies: a gamma moved on a coordinate where the
+    stage's set is zero takes the same values on the set, but has another
+    kernel, whose Smith basis gives the set other model coordinates, on
+    which a later stage's choice no longer holds."""
     spec = GroupSpec((2,) * 8)
     axes = [[int(j == i) for j in range(8)] for i in range(4)]
     cert = run_pipeline(gen_random_in_progression(spec, [0] * 8, axes, [2] * 4, 10, seed=3))
@@ -838,7 +840,58 @@ def test_every_stage_token_rewrite_is_refused_or_says_the_same():
                 assert values(gamma, original) == values(original.gamma, original), where
                 outcomes["same"] += 1
     assert sum(outcomes.values()) == 2 * sum(len(lines[i].split()) - 1 for i in stage_of)
-    assert outcomes["same"] == 12, outcomes
+    assert outcomes["same"] == 0, outcomes
+
+
+def _subgroup_rows(lines):
+    """The indices of the elem rows that list a subgroup: those of a
+    ``subgroup`` section, and those between a progression's ``subgroup``
+    and ``proper`` lines."""
+    rows, stack, listing = [], [], False
+    for i, line in enumerate(lines):
+        if line.startswith("begin "):
+            stack.append(line[len("begin "):])
+        elif line.startswith("end "):
+            stack.pop()
+        elif line == "subgroup":
+            listing = True
+        elif line.startswith("proper "):
+            listing = False
+        elif line.startswith("elem ") and (listing or stack[-1] == "subgroup"):
+            rows.append(i)
+    return rows
+
+
+@pytest.mark.parametrize("a, config", [
+    (gen_subgroup(GroupSpec((12, 12)), [[1, 0]]), PipelineConfig()),
+    (GroupSet.from_coords(GroupSpec((4, 4, 4)), [(0, 0, 0), (1, 0, 2), (2, 0, 0), (3, 0, 2)]),
+     PipelineConfig(skip_model=True)),
+], ids=["model-on", "skip-model"])
+def test_every_subgroup_token_rewrite_is_refused(a, config):
+    """Each coordinate of each subgroup generator (minima/subgroup,
+    progression-model, progression and cover/q), moved by +-1, is a
+    DomainError at read or a failing report: the reader closes whatever
+    generators it is given, and nothing else is raised or verifies."""
+    lines = write_certificate(run_pipeline(a, config)).splitlines()
+    rows = _subgroup_rows(lines)
+    paths = {_open_sections(lines[:i]) for i in rows}
+    assert paths == ({"progression-model", "progression", "cover/q"} if not config.skip_model
+                     else {"minima/subgroup", "progression-model", "progression", "cover/q"})
+    outcomes = {"read": 0, "fail": 0}
+    for i in rows:
+        tokens = lines[i].split()
+        for pos in range(1, len(tokens)):
+            for step in (-1, 1):
+                moved = tokens[:pos] + [str(int(tokens[pos]) + step)] + tokens[pos + 1:]
+                text = "\n".join(lines[:i] + [" ".join(moved)] + lines[i + 1:]) + "\n"
+                try:
+                    back = read_certificate(text)
+                except DomainError:
+                    outcomes["read"] += 1
+                    continue
+                assert not verify_certificate(back).ok, f"{lines[i]!r} -> {' '.join(moved)!r}"
+                outcomes["fail"] += 1
+    assert sum(outcomes.values()) == 2 * sum(len(lines[i].split()) - 1 for i in rows) > 0
 
 
 @pytest.mark.parametrize(
@@ -1111,12 +1164,12 @@ def test_verify_compares_the_subgroup_generators_it_derives():
     spec = GroupSpec((4, 4, 4))
     a = GroupSet.from_coords(spec, [(0, 0, 0), (1, 0, 2), (2, 0, 0), (3, 0, 2)])
     text = write_certificate(run_pipeline(a, PipelineConfig(skip_model=True)))
-    bad = text.replace("\nbegin subgroup\nelem 1 0 2\nend subgroup\nsubgroup-size 4\n",
-                       "\nbegin subgroup\nelem 3 0 2\nend subgroup\nsubgroup-size 4\n")
+    bad = text.replace("\nbegin subgroup\nelem 3 0 2\nend subgroup\nsubgroup-size 4\n",
+                       "\nbegin subgroup\nelem 1 0 2\nend subgroup\nsubgroup-size 4\n")
     assert bad != text
     failed = [(e.name, e.detail) for e in verify_certificate(read_certificate(bad)).failures()]
     assert failed == [
-        ("stored_value", "minima/subgroup: stored 'elem 3 0 2', derived 'elem 1 0 2'")
+        ("stored_value", "minima/subgroup: stored 'elem 1 0 2', derived 'elem 3 0 2'")
     ]
 
 
