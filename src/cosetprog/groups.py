@@ -6,6 +6,16 @@ index, so that lexicographic order on coordinates equals numeric order on
 indices.  All values are immutable after construction and every operation
 is a pure function, so everything here can be shared freely between
 threads.
+
+Index arithmetic (sums and negation of index arrays) never decodes an
+index into its k coordinates.  The factors are cut once into blocks: runs
+of consecutive factors merged while their product stays at most 2^10.  An
+index is one divmod per block away from its block indices.  A block of
+several factors adds by one gather from its exact sum table and negates by
+one from its negation row; the tables are cached by the block's orders, so
+every GroupSpec of the same shape shares them.  A block of one factor adds
+x - (n - y), which stays inside [-n, n), with one mod, so no order below
+2^63 wraps int64.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -22,11 +32,41 @@ import numpy as np
 from .errors import DomainError, InvariantError, ResourceLimitError, StructureError
 
 ENUMERATION_CAP = 1 << 20
+_TABLE_BLOCK = 1 << 10  # largest product of factors added by a sum table
+_TABLES = 32  # sum tables kept across every GroupSpec, by block orders
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+@lru_cache(maxsize=_TABLES)
+def _sum_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (c, c) sum table and the negation row of Z/n1 x ... x Z/nr in
+    mixed-radix indices, c = n1 ... nr <= _TABLE_BLOCK, kept in the smallest
+    dtype that holds c - 1.  One factor at a time: the table of the factors
+    so far times n, plus the new factor's (i + j) mod n on the finer index,
+    built in uint16, which holds i + j < 2c."""
+    table, neg = np.zeros((1, 1), dtype=np.uint16), np.zeros(1, dtype=np.uint16)
+    for n in orders:
+        r = np.arange(n, dtype=np.uint16)
+        c = len(neg) * n
+        table = (table[:, None, :, None] * n + ((r[:, None] + r) % n)[:, None]).reshape(c, c)
+        neg = (neg[:, None] * n + (n - r) % n).reshape(c)
+    dtype = np.min_scalar_type(len(neg) - 1)
+    return _frozen(table.astype(dtype, copy=False)), _frozen(neg.astype(dtype, copy=False))
+
+
+def _block_sum(size: int, table: np.ndarray | None, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One block's part of the sums x + y: one gather from its sum table, or
+    for one factor of order n, x - (n - y), inside [-n, n) so that no order
+    below 2^63 wraps int64, reduced in place with one mod."""
+    if table is not None:
+        return table.take(x * size + y)
+    s = x - (size - y)
+    s %= size
+    return s
 
 
 @dataclass(frozen=True)
@@ -127,42 +167,73 @@ class GroupSpec:
         """Coordinate rows (m, k) -> indices (m,)."""
         return self.reduce_rows(coords) @ self._weights
 
-    def add_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All sums of one index from `a` with one from `b`, as an (m, n) grid.
-
-        Each coordinate's sums are one grid, reduced and weighted in place,
-        so at most two grids are alive at once.  Coordinates x, y of Z/n add
-        as x - (n - y), inside [-n, n), so no order below 2^63 wraps int64.
-        """
-        ca = self.decode(np.asarray(a, dtype=np.int64))
-        cb = self.decode(np.asarray(b, dtype=np.int64))
-        out = None
-        for i, (n, w) in enumerate(zip(self.orders, self._weights.tolist())):
-            grid = ca[:, i : i + 1] - (n - cb[None, :, i])
-            grid %= n
-            if w != 1:
-                grid *= w
-            if out is None:
-                out = grid
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, np.ndarray | None, np.ndarray | None], ...]:
+        """Runs of consecutive factors, each merged while its product stays
+        at most _TABLE_BLOCK, as (size, sum table, negation row); a run of
+        one factor has neither and adds with one mod."""
+        runs: list[list[int]] = []
+        for n in self.orders:
+            if runs and math.prod(runs[-1]) * n <= _TABLE_BLOCK:
+                runs[-1].append(n)
             else:
-                out += grid
+                runs.append([n])
+        return tuple(
+            (math.prod(run), *(_sum_table(tuple(run)) if len(run) > 1 else (None, None)))
+            for run in runs
+        )
+
+    def _digits(self, indices: np.ndarray) -> list[np.ndarray]:
+        """Each block's own index of the indices, first block first: one
+        divmod per block after the first."""
+        x = np.asarray(indices, dtype=np.int64)
+        digits = []
+        for size, _, _ in self._blocks[:0:-1]:
+            x, r = np.divmod(x, size)
+            digits.append(r)
+        digits.append(x)
+        return digits[::-1]
+
+    def _join(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Indices in int64 from each block's part, first block first."""
+        out = parts[0].astype(np.int64, copy=False)
+        for (size, _, _), part in zip(self._blocks[1:], parts[1:]):
+            out *= size
+            out += part
         return out
 
     def add_aligned(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Componentwise sums of two equal-length index arrays (as in add_pairwise)."""
-        ca = self.decode(a)
-        ca -= self._orders_arr[None, :] - self.decode(b)
-        return self.encode(ca)
+        """Sums of two index arrays broadcast against each other, so
+        componentwise for two of one length: the one addition path."""
+        return self._join([
+            _block_sum(size, table, x, y)
+            for (size, table, _), x, y in zip(self._blocks, self._digits(a), self._digits(b))
+        ])
+
+    def add_pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """All sums of one index from `a` with one from `b`, as an (m, n) grid.
+
+        Each block of G adds its own part of the grid: a block of several
+        factors (at most 2^10 elements) by one gather from its sum table, a
+        block of one factor by one mod.  The parts are joined in int64, so a
+        group of at most 2^10 elements costs one gather or one mod and no
+        divmod, and F_2^20 two gathers and one divmod of each side.
+        """
+        return self.add_aligned(np.asarray(a, dtype=np.int64)[:, None], b)
 
     def add_scalar(self, a: np.ndarray, index: int) -> np.ndarray:
-        ca = self.decode(np.asarray(a, dtype=np.int64))
-        cx = np.array(self.coords_of(int(index)), dtype=np.int64)
-        ca -= self._orders_arr - cx
-        return self.encode(ca)
+        """The sums of each index in `a` with one index of G (as in add_pairwise)."""
+        if not 0 <= index < self.cardinality:
+            raise DomainError(f"index {index} out of range for {self}")
+        return self.add_aligned(a, np.int64(index))
 
     def negate_indices(self, a: np.ndarray) -> np.ndarray:
-        ca = self.decode(np.asarray(a, dtype=np.int64))
-        return self.encode(-ca)
+        """The index of -x for each index x: per block, one gather from its
+        negation row, or one mod."""
+        return self._join([
+            (-x) % size if neg is None else neg.take(x)
+            for (size, _, neg), x in zip(self._blocks, self._digits(a))
+        ])
 
     def require_enumerable(self) -> None:
         if self.cardinality > ENUMERATION_CAP:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetprog import (
+    DomainError,
     GroupSpec,
     StructureError,
     enumerate_group,
@@ -302,20 +303,37 @@ def test_rows_build_the_objects_the_constructors_build(spec):
 
 # orders whose coordinate sums leave int64
 WIDE_SPECS = [GroupSpec((2**62 + 5,)), GroupSpec((2**62 - 1, 2)), GroupSpec(((1 << 63) - 25,))]
+# groups cut into several blocks, or at the 2^10 edge of a table block:
+# two tables, a table of exactly 2^10, two factors just past it, a factor of
+# 2^10 beside one of 2, and a factor past 2^40 beside a (4, 4) table
+BLOCK_SPECS = [
+    GroupSpec((2,) * 20), GroupSpec((3,) * 12), GroupSpec((32, 32)), GroupSpec((33, 32)),
+    GroupSpec((1024, 2)), GroupSpec((2**40, 4, 4)),
+]
 
 
-@pytest.mark.parametrize("spec", SMALL_SPECS + WIDE_SPECS, ids=str)
+@pytest.mark.parametrize("spec", SMALL_SPECS + WIDE_SPECS + BLOCK_SPECS, ids=str)
 def test_add_pairwise_matches_elementwise_sums(spec):
-    """add_pairwise, add_aligned and add_scalar agree with element sums,
-    also where two coordinates add past 2^63 (the last index is in both)."""
+    """add_pairwise, add_aligned, add_scalar and negate_indices agree with
+    element sums and negation, in int64, also where two coordinates add
+    past 2^63 (the last index is in both); add_scalar refuses an index
+    outside G rather than gather a table row at it."""
     rng = np.random.default_rng(spec.cardinality + 7)
     a = np.append(rng.integers(0, spec.cardinality, 9), spec.cardinality - 1)
     b = np.append(rng.integers(0, spec.cardinality, 13), spec.cardinality - 1)
     expected = [[(spec.element_at(int(x)) + spec.element_at(int(y))).index for y in b] for x in a]
-    assert spec.add_pairwise(a, b).tolist() == expected
-    assert spec.add_pairwise(a[:0], b).shape == (0, len(b))
-    assert spec.add_aligned(a, b[: len(a)]).tolist() == [row[i] for i, row in enumerate(expected)]
-    assert spec.add_scalar(a, int(b[-1])).tolist() == [row[-1] for row in expected]
+    empty = spec.add_pairwise(a[:0], b)
+    assert empty.shape == (0, len(b)) and empty.dtype == np.int64
+    for got, want in [
+        (spec.add_pairwise(a, b), expected),
+        (spec.add_aligned(a, b[: len(a)]), [row[i] for i, row in enumerate(expected)]),
+        (spec.add_scalar(a, int(b[-1])), [row[-1] for row in expected]),
+        (spec.negate_indices(a), [(-spec.element_at(int(x))).index for x in a]),
+    ]:
+        assert got.dtype == np.int64 and got.tolist() == want
+    for index in (-1, spec.cardinality):
+        with pytest.raises(DomainError, match="out of range"):
+            spec.add_scalar(a, index)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
