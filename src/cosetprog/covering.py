@@ -63,24 +63,14 @@ class CoverInput:
     doubling: DoublingReport
 
     @classmethod
-    def build(
-        cls,
-        a: GroupSet,
-        cp: CosetProgression,
-        d22: GroupSet | None = None,
-    ) -> "CoverInput":
-        """The input for ``chang_cover``: cp must be proper and inside 2A - 2A.
-
-        ``d22`` is 2A - 2A, built here unless the caller has it.
-        """
+    def build(cls, a: GroupSet, cp: CosetProgression) -> "CoverInput":
+        """The input for ``chang_cover``: cp must be proper and inside 2A - 2A."""
         if not a:
             raise DomainError("cannot cover the empty set")
         cover_input = cls.derive(a, cp, doubling(a))
         if cover_input.realized.size != cp.formal_size:
             raise DomainError("progression is not proper")
-        if d22 is None:
-            d22 = iterated_sumset(a, 2, 2)
-        if not cover_input.realized.is_subset(d22):
+        if not cover_input.realized.is_subset(iterated_sumset(a, 2, 2)):
             raise DomainError("progression is not contained in 2A - 2A")
         return cover_input
 

@@ -149,7 +149,7 @@ def run_pipeline(
     if not trace.is_identity:
         cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
 
-    cover = chang_cover(CoverInput.build(a, cp, d22 if a1 == a else None))
+    cover = chang_cover(CoverInput.build(a, cp))
     return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, cp, cover)
 
 
@@ -737,7 +737,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         f"|P + H| = {p_0.size}, formal size {cp.formal_size}, marked proper {int(cp.proper)}"
     )
     add("cover_input_proper", not fault, fault)
-    d22_input = d22 if a1 == a else iterated_sumset(a, 2, 2)
+    d22_input = iterated_sumset(a, 2, 2)
     fault = "" if p_0.is_subset(d22_input) else (
         f"{_outside(p_0, d22_input)} of the {p_0.size} point(s) of P + H lie outside"
         f" 2A - 2A ({d22_input.size} point(s))"

@@ -3,8 +3,14 @@
 A sumset is computed by pairwise addition in row chunks.  When the sums are
 dense in G (see ``mask_pays``) each chunk is marked in one boolean mask over
 G, whose nonzero positions are the result, already sorted and distinct;
-otherwise each chunk is deduplicated by sorting.  No FFT is involved, so
-every cardinality below is exact.
+otherwise each chunk is deduplicated by sorting.  When |A| + |B| > |G| the
+sum is G by pigeonhole, and no sum is formed.  No FFT is involved, so every
+cardinality below is exact.
+
+A set keeps the sums kA - lA asked of it (``iterated_sumset``, ``doubling``
+and ``difference_set`` with one argument), so each is built once per set
+and freed with it; this changes neither the set's value, its equality nor
+its hash.
 """
 
 from __future__ import annotations
@@ -27,9 +33,12 @@ class GroupSet:
 
     Elements are stored as a sorted array of mixed-radix indices, which is
     the lexicographic order on coordinate vectors.  Instances are immutable.
+    A set keeps the sums kA - lA asked of it in ``_sums``, keyed by (k, l);
+    they change neither its value, its equality nor its hash, and are never
+    written to text.
     """
 
-    __slots__ = ("spec", "indices")
+    __slots__ = ("spec", "indices", "_sums")
 
     def __init__(self, spec: GroupSpec, indices: np.ndarray):
         arr = np.array(indices, dtype=np.int64).ravel()
@@ -42,6 +51,7 @@ class GroupSet:
             raise StructureError("element index out of range for the group")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "indices", _frozen(arr))
+        object.__setattr__(self, "_sums", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GroupSet is immutable")
@@ -64,6 +74,7 @@ class GroupSet:
         out = object.__new__(cls)
         object.__setattr__(out, "spec", spec)
         object.__setattr__(out, "indices", _frozen(indices))
+        object.__setattr__(out, "_sums", {})
         return out
 
     @classmethod
@@ -94,7 +105,7 @@ class GroupSet:
 
     @classmethod
     def full(cls, spec: GroupSpec) -> "GroupSet":
-        return cls(spec, np.arange(spec.cardinality, dtype=np.int64))
+        return cls.from_sorted(spec, np.arange(spec.cardinality, dtype=np.int64))
 
     @classmethod
     def from_subgroup(cls, sub: Subgroup) -> "GroupSet":
@@ -178,11 +189,16 @@ def mask_pays(spec: GroupSpec, pairs: int) -> bool:
 
 
 def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
-    """{x + y : x in A, y in B}."""
+    """{x + y : x in A, y in B}.
+
+    When |A| + |B| > |G|, every x - B meets A, so the sum is G.
+    """
     _require_same_spec(a, b)
     spec = a.spec
     if not a or not b:
         return GroupSet.empty(spec)
+    if a.size + b.size > spec.cardinality:
+        return GroupSet.full(spec)
     chunks = pair_chunks(a.size, b.size)
     if mask_pays(spec, a.size * b.size):
         mask = np.zeros(spec.cardinality, dtype=bool)
@@ -194,8 +210,10 @@ def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
 
 
 def difference_set(a: GroupSet, b: GroupSet | None = None) -> GroupSet:
-    """A - B (defaults to A - A)."""
-    return sumset(a, (b if b is not None else a).negate())
+    """A - B (defaults to A - A, which A keeps)."""
+    if b is None:
+        return _kept_sum(a, 1, 1)
+    return sumset(a, b.negate())
 
 
 def iterated_sumset(a: GroupSet, k: int, l: int) -> GroupSet:
@@ -204,13 +222,29 @@ def iterated_sumset(a: GroupSet, k: int, l: int) -> GroupSet:
         raise DomainError("fold counts must be non-negative")
     if k == 0 and l == 0:
         raise DomainError("0A - 0A is undefined")
-    result: GroupSet | None = None
-    for _ in range(k):
-        result = a if result is None else sumset(result, a)
-    neg = a.negate()
-    for _ in range(l):
-        result = neg if result is None else sumset(result, neg)
-    assert result is not None
+    return _kept_sum(a, k, l)
+
+
+def _kept_sum(a: GroupSet, k: int, l: int) -> GroupSet:
+    """kA - lA from the sums A keeps, extended one ``sumset`` at a time.
+
+    kA grows from the largest kept jA (j <= k; 1A is A itself), then A is
+    subtracted from the largest kept kA - iA (i <= l); every sum built on
+    the way is kept.  -A is kept as 0A - 1A, the start when k = 0.
+    """
+    sums = a._sums
+    if (k, l) in sums:
+        return sums[(k, l)]
+    if l and (0, 1) not in sums:
+        sums[(0, 1)] = a.negate()
+    j = max((j for j, i in sums if i == 0 and j <= k), default=1)
+    result = sums.get((j, 0), a)
+    for j in range(j + 1, k + 1):
+        result = sums[(j, 0)] = sumset(result, a)
+    i = max((i for j, i in sums if j == k and 0 < i <= l), default=0)
+    result = sums.get((k, i), result)
+    for i in range(i + 1, l + 1):
+        result = sums[(k, i)] = sumset(result, sums[(0, 1)])
     return result
 
 
@@ -226,7 +260,7 @@ class DoublingReport:
 def doubling(a: GroupSet) -> DoublingReport:
     if not a:
         raise DomainError("doubling of the empty set is undefined")
-    s = sumset(a, a)
+    s = _kept_sum(a, 2, 0)
     return DoublingReport(a.size, s.size, Fraction(s.size, a.size))
 
 

@@ -19,6 +19,7 @@ from cosetprog import (
 )
 from cosetprog import sumsets
 from cosetprog.generators import gen_random
+from cosetprog.textio import write_group_set
 
 from conftest import SMALL_SPECS, oracle_iterated, oracle_sumset, structured_sets
 
@@ -175,6 +176,76 @@ def test_iterated_recursion_consistency():
     a = gen_random(spec, 6, 9)
     for k in range(2, 4):
         assert iterated_sumset(a, k, 1) == sumset(iterated_sumset(a, k - 1, 1), a)
+
+
+def _counting_sumset(monkeypatch) -> list:
+    """Count the sums built from here on; the kept sums are built by ``sumset``."""
+    built = []
+    original = sumsets.sumset
+
+    def counted(a, b):
+        built.append((a.size, b.size))
+        return original(a, b)
+
+    monkeypatch.setattr(sumsets, "sumset", counted)
+    return built
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_kept_sums_asked_out_of_order_match_the_oracle(spec, monkeypatch):
+    built = _counting_sumset(monkeypatch)
+    for x in (gen_random(spec, 1, 5), gen_random(spec, 3, 6), gen_random(spec, 4, 7)):
+        fresh = GroupSet(spec, x.indices)
+        got = iterated_sumset(fresh, 3, 2)
+        assert _canonical(got) and _coord_set(got) == oracle_iterated(x, 3, 2)
+        # 2A, 3A, 3A - A, 3A - 2A and nothing else
+        assert len(built) == 4
+        for k, l in [(2, 2), (2, 0), (3, 1), (0, 2)]:
+            got = iterated_sumset(fresh, k, l)
+            assert _canonical(got) and _coord_set(got) == oracle_iterated(x, k, l)
+        # 2A - A and 2A - 2A extend the kept 2A, -2A extends the kept -A
+        assert len(built) == 7
+        assert doubling(fresh).sumset_size == iterated_sumset(fresh, 2, 0).size
+        assert difference_set(fresh) == iterated_sumset(x, 1, 1)
+        assert len(built) == 9  # A - A once for each of the two objects
+        built.clear()
+
+
+def test_kept_sums_leave_value_equality_hash_and_text():
+    spec = GroupSpec((12, 6))
+    a = gen_random(spec, 9, 4)
+    iterated_sumset(a, 3, 2)
+    difference_set(a)
+    doubling(a)
+    copy = GroupSet(spec, a.indices.copy())
+    assert a._sums and not copy._sums
+    assert a == copy and hash(a) == hash(copy)
+    assert len({a, copy}) == 1
+    assert write_group_set(a) == write_group_set(copy)
+
+
+@pytest.mark.parametrize("orders, coset", [
+    ((16,), lambda r: r[0] % 2 == 0),
+    ((2, 2, 2, 2, 2), lambda r: r[0] == 0),
+    ((6, 6), lambda r: (r[0] + r[1]) % 2 == 0),
+])
+def test_index_two_subgroup_sum_is_the_subgroup_not_g(orders, coset):
+    spec = GroupSpec(orders)
+    h = GroupSet.from_coords(spec, [r for r in spec.decode(np.arange(spec.cardinality)) if coset(r)])
+    assert h.size + h.size == spec.cardinality
+    assert sumset(h, h) == h
+    assert _coord_set(sumset(h, h)) == oracle_sumset(h, h)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_sizes_one_past_the_group_sum_to_g(spec):
+    card = spec.cardinality
+    for m in (2, card // 2):
+        a = gen_random(spec, m, 7)
+        b = gen_random(spec, card + 1 - m, 8)
+        got = sumset(a, b)
+        assert got == GroupSet.full(spec)
+        assert _coord_set(got) == oracle_sumset(a, b)
 
 
 @given(st.integers(min_value=2, max_value=64), st.integers(min_value=0, max_value=2**30))
