@@ -6,10 +6,13 @@ fractional arguments of the characters.  All minima computations are
 exact: arguments are rationals over the common denominator lcm(ord(gamma_j)),
 and every minimum is at most 1 because the integer unit vectors lie in the
 unit cube.  The minima come from one greedy scan by norm, in two stages:
-the centered lifts of norm below 1/2 first, and only if they span less
-than rank d the shifted lifts and unit vectors, all of norm at least 1/2.
-Since nothing else has norm below 1/2, the two stages pick exactly what a
-scan of the whole candidate table would (see ``successive_minima``).
+the centered lifts of norm below 1/2 first, a band of rows at a time, and
+only if they span less than rank d the shifted lifts and unit vectors, all
+of norm at least 1/2, one norm level at a time.  Since nothing else has
+norm below 1/2, the two stages pick exactly what a scan of the whole
+candidate table would (see ``successive_minima``).  Candidates are tested
+for independence a fixed-size block at a time, and the scan stops at rank
+d, so no band or level past the last pick is built.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +40,9 @@ from .groups import (
 from .sumsets import GroupSet, sumset
 
 _CANDIDATE_BUDGET = 1 << 24
+_BLOCK = 64  # candidates per independence test
+_BAND = 64  # rows in the first centered band; each later band doubles
+_PAIRS = 4096  # (row, pattern) pairs per broadcast of a shifted level
 
 
 def bohr_set(spec_b: BohrSpec) -> GroupSet:
@@ -151,73 +157,123 @@ def minima_frame(characters: Sequence[Character]) -> MinimaReport:
 def _extend_independent(
     chosen: list[tuple[np.ndarray, int, int]],
     null: list[list[int]],
-    rows: np.ndarray,
-    norms: np.ndarray,
-    preim: np.ndarray,
+    blocks: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
     m_den: int,
 ) -> list[list[int]]:
-    """Append to ``chosen`` each candidate, in the given order, that is
-    rationally independent of those chosen before it, until rank d.
+    """Append to ``chosen`` each candidate, in the order ``blocks`` yields
+    them as (rows, norms, preimages), that is rationally independent of
+    those chosen before it, until rank d; no block is drawn after that.
 
     ``null`` is an integer basis of the null space of the chosen rows, so
     a row is independent exactly when some basis vector has a nonzero dot
-    with it; the updated basis is returned.  Rows before a pick were
-    dependent on the smaller set chosen when they were passed, so each
-    search resumes just after the last pick.
+    with it; the updated basis is returned.  Rows are tested ``_BLOCK`` at
+    a time, so a pick costs one block of dot products.  Rows before a pick
+    were dependent on the smaller set chosen when they were passed, so
+    each search resumes just after the last pick.
     """
     d = len(chosen) + len(null)  # rank plus nullity
-    start = 0
-    while len(chosen) < d and start < len(rows):
-        if not null:
-            raise InvariantError("null space vanished before reaching rank d")
-        peak = max(abs(v) for vec in null for v in vec)
-        exact = peak * m_den * d < (1 << 62)
-        nmat = np.array(null, dtype=np.int64 if exact else object).T
-        rest = rows[start:]
-        dots = rest @ nmat if exact else rest.astype(object) @ nmat
-        hits = np.flatnonzero(np.any(dots != 0, axis=1))
-        if not len(hits):
-            break
-        pick = start + int(hits[0])
-        row = rows[pick]
-        chosen.append((row, int(norms[pick]), int(preim[pick])))
-        null = _orthogonal_part(null, [int(v) for v in row])
-        start = pick + 1
+    nmat = _null_matrix(null, m_den)
+    for rows, norms, preim in blocks:
+        start = 0
+        while start < len(rows):
+            block = rows[start:start + _BLOCK]
+            dots = block.astype(nmat.dtype, copy=False) @ nmat
+            hits = np.flatnonzero(np.any(dots != 0, axis=1))
+            if not len(hits):
+                start += len(block)
+                continue
+            pick = start + int(hits[0])
+            chosen.append((rows[pick], int(norms[pick]), int(preim[pick])))
+            null = _orthogonal_part(null, [int(v) for v in rows[pick]])
+            if len(chosen) == d:
+                return null
+            if not null:
+                raise InvariantError("null space vanished before reaching rank d")
+            nmat = _null_matrix(null, m_den)
+            start = pick + 1
     return null
 
 
-def _shifted_lifts(
+def _null_matrix(null: list[list[int]], m_den: int) -> np.ndarray:
+    """The null basis as columns: int64 when every dot with a candidate
+    (entries at most m_den) fits, object integers otherwise."""
+    peak = max(abs(v) for vec in null for v in vec)
+    exact = peak * m_den * len(null[0]) < (1 << 62)
+    return np.array(null, dtype=np.int64 if exact else object).T
+
+
+def _centered_bands(
+    table: np.ndarray, norms: np.ndarray, m_den: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows of norm in (0, 1/2) in (norm, index) order, a band at a
+    time.  A band is every remaining row up to the k-th smallest remaining
+    norm, ties included, with k = ``_BAND`` doubling per band; only the
+    band is sorted.  A row's preimage is its index."""
+    rest = np.flatnonzero((norms > 0) & (2 * norms < m_den))
+    k = _BAND
+    while len(rest):
+        rest_norms = norms[rest]
+        kth = min(k, len(rest)) - 1
+        inside = rest_norms <= np.partition(rest_norms, kth)[kth]
+        band, rest = rest[inside], rest[~inside]
+        band = band[np.argsort(norms[band], kind="stable")]
+        yield table[band], norms[band], band
+        k *= 2
+
+
+def _shifted_levels(
     table: np.ndarray, m_den: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every candidate of max-norm in [1/2, 1], ordered by (norm, preimage,
-    shift pattern): the centered row of each distinct nonzero image with
-    every subset of its nonzero coordinates moved by one toward the other
-    sign, and the unit vectors (preimage 0, after every pattern).  A row's
-    preimage is its first index."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every candidate of norm in [1/2, 1] in (norm, preimage, shift
+    pattern) order, one norm level at a time: the centered row r of each
+    distinct nonzero image, preimage its first index, with a set S of its
+    nonzero coordinates moved by m toward the other sign, and the unit
+    vectors (preimage 0, after every pattern).
+
+    Moving coordinate j takes |r_j| <= m/2 to m - |r_j| >= m/2, so for S
+    nonempty the norm is m - min over S of |r_j|.  The level of norm m - v
+    holds the rows with some |r_j| = v, each with the patterns S within
+    {j : |r_j| >= v} that meet {j : |r_j| = v}, and with S empty too when
+    v = m/2.  A level is built ``_PAIRS`` (row, pattern) pairs per
+    broadcast, with patterns as bit masks; nothing is built past the
+    block the scan stops in.
+    """
     d = table.shape[1]
     rows, first = np.unique(table, axis=0, return_index=True)
-    nonzero_rows = ~np.all(rows == 0, axis=1)
-    rows, preim = rows[nonzero_rows], first[nonzero_rows].astype(np.int64)
-    alt = np.where(rows > 0, rows - m_den, rows + m_den)
-    cand_rows = [np.eye(d, dtype=np.int64) * m_den]
-    cand_pre = [np.zeros(d, dtype=np.int64)]
-    cand_sel = [np.arange(d, dtype=np.int64) + (1 << d)]
-    for bits in range(1 << d):
-        sel = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
-        valid = ~np.any(sel[None, :] & (rows == 0), axis=1)
-        cand_rows.append(np.where(sel[None, :], alt, rows)[valid])
-        cand_pre.append(preim[valid])
-        cand_sel.append(np.full(int(valid.sum()), bits, dtype=np.int64))
-    all_rows = np.concatenate(cand_rows)
-    all_pre = np.concatenate(cand_pre)
-    all_sel = np.concatenate(cand_sel)
-    norms = np.abs(all_rows).max(axis=1)
-    keep = 2 * norms >= m_den
-    all_rows, all_pre, all_sel, norms = (
-        all_rows[keep], all_pre[keep], all_sel[keep], norms[keep]
-    )
-    order = np.lexsort((all_sel, all_pre, norms))
-    return all_rows[order], norms[order], all_pre[order]
+    order = np.argsort(first)[1:]  # the zero row is the image of index 0
+    rows, preim = rows[order], first[order].astype(np.int64)
+    alt = rows - np.sign(rows) * m_den
+    mags = np.abs(rows)
+    weight = 1 << np.arange(d, dtype=np.int64)
+    # nonzero (row, coordinate) cells by decreasing magnitude, rows in order
+    flat = mags.ravel()
+    cells = np.argsort(-flat, kind="stable")
+    cells = cells[flat[cells] > 0]
+    for level in np.split(cells, np.flatnonzero(np.diff(flat[cells])) + 1):
+        v = int(flat[level[0]])
+        at = np.unique(level // d)
+        inside = mags[at] >= v
+        meet = (mags[at] == v) @ weight
+        # at v = m/2 no |r_j| is larger, and S empty has norm m/2 as well
+        whole = 2 * v == m_den
+        # the subsets of each row's {j : |r_j| >= v}, counted in order: the
+        # bits of a count s spread onto those columns, lowest first
+        count = 1 << inside.sum(axis=1)
+        ends = np.cumsum(count)
+        spots = np.argsort(~inside, axis=1, kind="stable")
+        for lo in range(0, int(ends[-1]), _PAIRS):
+            pair = np.arange(lo, min(lo + _PAIRS, int(ends[-1])), dtype=np.int64)
+            r = np.searchsorted(ends, pair, side="right")
+            s = pair - ends[r] + count[r]
+            bits = (((s[:, None] >> np.arange(d)) & 1) << spots[r]).sum(axis=1)
+            ok = whole | ((bits & meet[r]) != 0)
+            r, bits = at[r[ok]], bits[ok]
+            if len(r):
+                moved = (bits[:, None] & weight) != 0
+                yield (np.where(moved, alt[r], rows[r]),
+                       np.full(len(r), m_den - v, dtype=np.int64), preim[r])
+    yield (np.eye(d, dtype=np.int64) * m_den, np.full(d, m_den, dtype=np.int64),
+           np.zeros(d, dtype=np.int64))
 
 
 def successive_minima(characters: Sequence[Character]) -> MinimaReport:
@@ -231,13 +287,15 @@ def successive_minima(characters: Sequence[Character]) -> MinimaReport:
     The scan is lazy and picks exactly what that full order picks.  Every
     shifted lift and every unit vector has norm at least 1/2, so the
     centered rows of norm below 1/2 come first; the fast path scans them
-    for every x in G in (norm, index) order.  A repeated row has the same
-    norm and a larger index than its first occurrence, so it is reached
-    when it is already dependent, and every pick is its row's first
-    preimage.  Only when these rows span less than rank d (order-2
-    characters, whose nonzero coordinates are all exactly 1/2, force
-    this) is the table of shifted lifts built, and the same scan goes on
-    over its candidates of norm at least 1/2.
+    for every x in G in (norm, index) order, sorting one band of the
+    smallest remaining norms at a time.  A repeated row has the same norm
+    and a larger index than its first occurrence, so it is reached when it
+    is already dependent, and every pick is its row's first preimage.
+    Only when these rows span less than rank d (order-2 characters, whose
+    nonzero coordinates are all exactly 1/2, force this) does the scan go
+    on to the shifted lifts, built one norm level at a time.  The scan
+    stops at rank d; the budget on (|G:H| - 1) 2^d, the size of the whole
+    shifted table, is still checked before it starts.
     """
     chars = list(characters)
     if not chars:
@@ -266,13 +324,11 @@ def successive_minima(characters: Sequence[Character]) -> MinimaReport:
     if int(np.count_nonzero(norms == 0)) != subgroup.order:
         raise InvariantError("image size does not match the kernel index")
 
-    short = np.flatnonzero((norms > 0) & (2 * norms < m_den))
-    short = short[np.argsort(norms[short], kind="stable")]
     chosen: list[tuple[np.ndarray, int, int]] = []
     null = [[int(i == j) for j in range(d)] for i in range(d)]
-    null = _extend_independent(chosen, null, table[short], norms[short], short, m_den)
+    null = _extend_independent(chosen, null, _centered_bands(table, norms, m_den), m_den)
     if len(chosen) < d:
-        _extend_independent(chosen, null, *_shifted_lifts(table, m_den), m_den)
+        _extend_independent(chosen, null, _shifted_levels(table, m_den), m_den)
     if len(chosen) < d:
         raise InvariantError("candidate enumeration cannot reach rank d")
 

@@ -250,6 +250,17 @@ class ModelTrace:
             composite = compose(stage.map, composite)
         return composite
 
+    @cached_property
+    def inverse(self) -> FreimanMap:
+        """The composite's inverse with the model set itself as its domain,
+        so the sums the model set keeps (2A' - 2A' among them) serve the
+        map too; its sorted images must be the model set's indices."""
+        images = self.composite.images
+        order = np.argsort(images)
+        if not np.array_equal(images[order], self.final_set.indices):
+            raise DomainError("the composite's image is not the model set")
+        return FreimanMap(self.final_set, self.initial_set.spec, self.initial_set.indices[order])
+
 
 def model_trace(
     s: int, initial: GroupSet, stages: Sequence[ModelStage], k: Fraction

@@ -147,7 +147,7 @@ def run_pipeline(
 
     cp = extraction.progression
     if not trace.is_identity:
-        cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
+        cp = transport_progression(induced_difference_iso(trace.inverse), cp)
 
     cover = chang_cover(CoverInput.build(a, cp))
     return _certificate(config, a, dbl, trace, bog, bohr_check, extraction, cp, cover)
@@ -720,7 +720,7 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         fault = chain_fault
         if not fault:
             try:
-                cp = transport_progression(induced_difference_iso(trace.composite.inverse()), cp)
+                cp = transport_progression(induced_difference_iso(trace.inverse), cp)
             except DomainError as exc:
                 fault = str(exc)
         add("transport", not fault, fault)

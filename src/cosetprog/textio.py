@@ -142,9 +142,14 @@ def character_rows(spec: GroupSpec, rows: Sequence[list[str]]) -> tuple[Characte
 
 
 def group_set_lines(a: GroupSet) -> list[str]:
-    return ["group " + join_ints(a.spec.orders)] + [
-        "elem " + " ".join(map(str, row)) for row in a.coords().tolist()
-    ]
+    """The ``group`` line and one ``elem`` line per point, every row
+    formatted by one template over one flat list of coordinates."""
+    head = "group " + join_ints(a.spec.orders)
+    if not a.size:
+        return [head]
+    row = "elem " + " ".join(["%d"] * a.spec.rank)
+    text = "\n".join([row] * a.size) % tuple(a.coords().ravel().tolist())
+    return [head] + text.split("\n")
 
 
 def parse_group_set(rows: list[list[str]], shapes: Shapes | None = None) -> GroupSet:

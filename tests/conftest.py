@@ -275,6 +275,69 @@ def oracle_kernel(spec: GroupSpec, characters) -> list[int]:
             if all(r == 0 for r in _arguments(spec, characters, x))]
 
 
+def echelon_insert(echelon, vec) -> bool:
+    """Add ``vec`` to a list of (pivot column, row scaled to 1 there) in
+    row echelon form over the rationals; False, and no change, when it is
+    dependent."""
+    rest = [Fraction(v) for v in vec]
+    for col, row in echelon:
+        rest = [a - rest[col] * b for a, b in zip(rest, row)]
+    lead = next((c for c, v in enumerate(rest) if v), None)
+    if lead is not None:
+        echelon.append((lead, [v / rest[lead] for v in rest]))
+    return lead is not None
+
+
+def oracle_minima(characters):
+    """Successive minima of the unit cube for phi(G) + Z^d from the whole
+    candidate table, scanned greedily: (lambdas, vectors, preimage
+    indices, |H|).
+
+    Trivial and repeated characters are dropped.  phi(x) is each
+    argument centered into (-1/2, 1/2], over the lcm m of the character
+    orders.  The table holds every distinct nonzero image, its preimage
+    the first x with it, with every subset of its nonzero coordinates
+    moved by one toward the other sign, and the unit vectors (preimage 0,
+    after every pattern); it is sorted by (norm, preimage, shift pattern).
+    """
+    spec = characters[0].spec
+    kept, seen = [], set()
+    for gamma in characters:
+        coords = tuple(c % n for c, n in zip(gamma.coords, spec.orders))
+        if any(coords) and coords not in seen:
+            kept.append(gamma)
+            seen.add(coords)
+    d = len(kept)
+    m = math.lcm(*(n // math.gcd(c, n) for g in kept for c, n in zip(g.coords, spec.orders)))
+    table = np.array([[int(r * m) for r in _arguments(spec, kept, x)] for x in _points(spec)],
+                     dtype=np.int64)
+    table = np.where(2 * table > m, table - m, table)
+    rows, first = np.unique(table, axis=0, return_index=True)
+    nonzero = ~np.all(rows == 0, axis=1)
+    rows, first = rows[nonzero], first[nonzero]
+    alt = np.where(rows > 0, rows - m, rows + m)
+    cands = [(m, 0, (1 << d) + j, tuple(m * (i == j) for i in range(d))) for j in range(d)]
+    for bits in range(1 << d):
+        sel = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
+        valid = ~np.any(sel & (rows == 0), axis=1)
+        vecs = np.where(sel, alt, rows)[valid]
+        cands += zip(np.abs(vecs).max(axis=1).tolist(), first[valid].tolist(),
+                     itertools.repeat(bits), map(tuple, vecs.tolist()))
+    cands.sort()
+    picks, echelon = [], []
+    for norm, pre, _, vec in cands:
+        if len(picks) == d:
+            break
+        if echelon_insert(echelon, vec):
+            picks.append((Fraction(norm, m), pre, vec))
+    return (
+        tuple(p[0] for p in picks),
+        tuple(tuple(Fraction(v, m) for v in p[2]) for p in picks),
+        tuple(p[1] for p in picks),
+        int(np.count_nonzero(~np.any(table, axis=1))),
+    )
+
+
 def _primes(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
 

@@ -25,7 +25,14 @@ from cosetprog import bohr
 from cosetprog.bohr import minima_frame
 from cosetprog.groups import smith_normal_form
 
-from conftest import SMALL_SPECS, character_tuples, oracle_bohr_set, seeded_minima_cases
+from conftest import (
+    SMALL_SPECS,
+    character_tuples,
+    echelon_insert,
+    oracle_bohr_set,
+    oracle_minima,
+    seeded_minima_cases,
+)
 
 
 def test_bohr_order_two_kernel():
@@ -101,18 +108,6 @@ def test_minima_campaign_minkowski_and_independence():
             assert max(abs(v) for v in vec) == lam
 
 
-def _echelon_insert(echelon, vec):
-    """Add ``vec`` to a list of (pivot column, row scaled to 1 there) in
-    row echelon form; False, and no change, when it is dependent."""
-    rest = [Fraction(v) for v in vec]
-    for col, row in echelon:
-        rest = [a - rest[col] * b for a, b in zip(rest, row)]
-    lead = next((c for c, v in enumerate(rest) if v), None)
-    if lead is not None:
-        echelon.append((lead, [v / rest[lead] for v in rest]))
-    return lead is not None
-
-
 def test_integer_nullspace_is_an_orthogonal_basis():
     """The left kernel of the transposed rows, scaled to integers, is an
     integer basis of their null space: orthogonal to every row,
@@ -133,70 +128,60 @@ def test_integer_nullspace_is_an_orthogonal_basis():
         basis = u[len(diagonal):]
         assert all(sum(b * v for b, v in zip(vec, row)) == 0 for vec in basis for row in rows)
         row_echelon, basis_echelon = [], []
-        inserted = [_echelon_insert(row_echelon, row) for row in rows]
+        inserted = [echelon_insert(row_echelon, row) for row in rows]
         assert len(basis) == width - sum(inserted)
-        assert all(_echelon_insert(basis_echelon, vec) for vec in basis)
+        assert all(echelon_insert(basis_echelon, vec) for vec in basis)
         report = replace(frame, vectors=tuple(tuple(row) for row in rows))
         first = next((i for i, ok in enumerate(inserted) if not ok), None)
         assert report.first_dependent() == first, rows
 
 
-def _full_table_minima(chars):
-    """The whole candidate table sorted by (norm, preimage, shift pattern),
-    scanned greedily: (lambdas, vectors, preimage indices, |H|)."""
-    frame = minima_frame(chars)
-    spec, m_den, d = frame.spec, frame.denominator, frame.dimension
-    coords = spec.decode(np.arange(spec.cardinality))
-    t = np.stack([g.arg_numerators(coords) * (m_den // g.order()) for g in frame.chars], axis=1)
-    table = np.where(2 * t > m_den, t - m_den, t)
-    rows, first = np.unique(table, axis=0, return_index=True)
-    nonzero = ~np.all(rows == 0, axis=1)
-    rows, first = rows[nonzero], first[nonzero]
-    alt = np.where(rows > 0, rows - m_den, rows + m_den)
-    cands = [(m_den, 0, (1 << d) + j, tuple(m_den * (i == j) for i in range(d)))
-             for j in range(d)]
-    for bits in range(1 << d):
-        sel = np.array([(bits >> j) & 1 for j in range(d)], dtype=bool)
-        for row, a, pre in zip(rows, alt, first):
-            if not np.any(sel & (row == 0)):
-                vec = tuple(int(v) for v in np.where(sel, a, row))
-                cands.append((max(map(abs, vec)), int(pre), bits, vec))
-    cands.sort()
-    picks, echelon = [], []
-    for norm, pre, _, vec in cands:
-        if len(picks) < d and _echelon_insert(echelon, vec):
-            picks.append((Fraction(norm, m_den), pre, vec))
-    return (
-        tuple(p[0] for p in picks),
-        tuple(tuple(Fraction(v, m_den) for v in p[2]) for p in picks),
-        tuple(p[1] for p in picks),
-        frame.subgroup.order,
-    )
+MINIMA_SHAPES = [s.orders for s in SMALL_SPECS] + [
+    (2, 2, 2), (2,) * 7, (2, 2, 6), (2,) * 8, (3,) * 4,
+]
+
+
+def _random_characters(count, seed):
+    """``count`` lists of 1 to 6 distinct nontrivial characters, cycling
+    through MINIMA_SHAPES."""
+    rng = Random(seed)
+    out = []
+    for case in range(count):
+        spec = GroupSpec(MINIMA_SHAPES[case % len(MINIMA_SHAPES)])
+        d = 1 + rng.randrange(min(6, spec.cardinality - 1))
+        out.append([spec.character_at(i) for i in rng.sample(range(1, spec.cardinality), d)])
+    return out
+
+
+def _picks(m):
+    return (m.lambdas, m.vectors, tuple(p.index for p in m.preimages), m.subgroup.order)
 
 
 def test_lazy_minima_match_the_full_table(monkeypatch):
-    shapes = [s.orders for s in SMALL_SPECS] + [(2, 2, 2), (2,) * 7, (2, 2, 6)]
     built = []
-    shifted_lifts = bohr._shifted_lifts
-    monkeypatch.setattr(bohr, "_shifted_lifts",
-                        lambda *a: built.append(1) or shifted_lifts(*a))
-    rng = Random(4242)
+    shifted_levels = bohr._shifted_levels
+    monkeypatch.setattr(bohr, "_shifted_levels",
+                        lambda *a: built.append(1) or shifted_levels(*a))
     fallback = fast = 0
-    for case in range(320):
-        spec = GroupSpec(shapes[case % len(shapes)])
-        d = 1 + rng.randrange(min(4, spec.cardinality - 1))
-        chars = [spec.character_at(i)
-                 for i in rng.sample(range(1, spec.cardinality), d)]
+    for chars in _random_characters(320, 4242):
         built.clear()
         m = successive_minima(chars)
-        ref = _full_table_minima(chars)
-        got = (m.lambdas, m.vectors, tuple(p.index for p in m.preimages), m.subgroup.order)
-        assert got == ref, (spec, chars)
-        # the shifted table is built exactly when rank d needs norm >= 1/2
-        assert bool(built) == (m.lambdas[-1] >= Fraction(1, 2)), (spec, chars)
+        assert _picks(m) == oracle_minima(chars), chars
+        # the shifted levels are built exactly when rank d needs norm >= 1/2
+        assert bool(built) == (m.lambdas[-1] >= Fraction(1, 2)), chars
         fallback += bool(built)
         fast += not built
     assert fallback >= 50 and fast >= 50, (fallback, fast)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_lazy_minima_match_the_full_table_in_small_blocks(monkeypatch, size):
+    """With every block, band and level chunk this small, picks fall on
+    their boundaries, and the picks stay those of the whole table."""
+    for name in ("_BLOCK", "_BAND", "_PAIRS"):
+        monkeypatch.setattr(bohr, name, size)
+    for chars in _random_characters(160, 4243 + size):
+        assert _picks(successive_minima(chars)) == oracle_minima(chars), chars
 
 
 def test_minima_budget_depends_on_index_and_dimension(monkeypatch):

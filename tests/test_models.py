@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -12,12 +13,14 @@ from cosetprog import (
     doubling,
     f2_shrink,
     find_concentrating_character,
+    induced_difference_iso,
     is_freiman_iso,
+    iterated_sumset,
     minimize_model,
     shrink_model_step,
     z_model,
 )
-from cosetprog import models
+from cosetprog import models, sumsets
 from cosetprog.sumsets import difference_set
 from cosetprog.generators import gen_random, gen_random_in_progression
 
@@ -161,6 +164,30 @@ def test_composite_fault_names_the_failing_sum():
     fold = models.ModelStage(map=FreimanMap(a, GroupSpec((4,)), a.indices % 4))
     folded = models.model_trace(2, a, [fold], Fraction(5, 3))
     assert models.composite_fault(folded) == "a 2-fold sum (index 0) has image sums [0, 4]"
+
+
+@pytest.mark.parametrize("build", ["minimize_model", "f2_shrink"])
+def test_trace_inverse_lives_on_the_model_set(monkeypatch, build):
+    """The chain's inverse has the model set itself as its domain, so the
+    2A' - 2A' that set keeps serves the induced map with no new sum; a
+    model set that is not the composite's image is refused."""
+    if build == "minimize_model":
+        trace = minimize_model(_interval(GroupSpec((1024,)), 16), models.MODEL_ORDER)
+    else:
+        trace = f2_shrink(GroupSet.from_coords(GroupSpec((2, 2, 2, 2)), [(1, 0, 0, 0), (0, 1, 0, 0)]))
+    inverse = trace.inverse
+    assert inverse.domain is trace.final_set
+    fresh = trace.composite.inverse()
+    assert inverse.domain == fresh.domain and list(inverse.images) == list(fresh.images)
+    iterated_sumset(trace.final_set, 2, 2)
+    calls = []
+    built = sumsets.sumset
+    monkeypatch.setattr(sumsets, "sumset", lambda x, y: calls.append(1) or built(x, y))
+    induced_difference_iso(inverse)
+    assert calls == []
+    other = GroupSet(trace.final_set.spec, trace.final_set.indices[1:])
+    with pytest.raises(DomainError, match="not the model set"):
+        replace(trace, final_set=other).inverse
 
 
 def test_f2_shrink_whole_space_zero_steps():
