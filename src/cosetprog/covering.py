@@ -4,7 +4,10 @@ The iteration keeps adjoining batches of ceil(2K) disjoint translates to
 the progression until greedy translate selection stalls, then assembles
 the final progression from difference cubes of the selected batches.
 Growth is geometric while the iterate stays inside (t+2)A - 2A, which
-forces termination; every step of that argument is checked exactly.
+forces termination; every step of that argument is checked exactly, and
+every cover condition is written here once.  P + x meets P + R exactly
+when x lies in R + (P - P) (Ruzsa's covering lemma, Tao-Vu Lemma 2.14):
+that set decides greedy's choices and a stored R's maximality.
 """
 
 from __future__ import annotations
@@ -19,32 +22,27 @@ import numpy as np
 from .bohr import CosetProgression, materialize
 from .checks import BoundCheck
 from .errors import DomainError, InvariantError
-from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
+from .sumsets import DoublingReport, GroupSet, difference_set, doubling, iterated_sumset, sumset
 
 
 def greedy_disjoint_translates(a: GroupSet, p: GroupSet) -> GroupSet:
     """Maximal subset R of A with {P + x : x in R} pairwise disjoint.
 
-    A is scanned in canonical order; every rejected element collides with
-    an earlier translate, so the result is maximal by construction.  The
-    translates P + x are built a ``pair_chunks`` block of rows of A + P at
-    a time.  The kept translates are disjoint, so once they cover G no
-    later one can be kept, and no later block is built.
+    A is scanned in canonical order.  An element x is kept unless it is
+    marked, and a kept x marks x + (P - P), the points whose translate
+    meets P + x.  Every rejected element collides with an earlier
+    translate, so the result is maximal by construction.
     """
     if not p:
         raise DomainError("translates of the empty set are not useful")
-    spec = a.spec
-    covered = np.zeros(spec.cardinality, dtype=bool)
+    diffs = difference_set(p).indices
+    blocked = np.zeros(a.spec.cardinality, dtype=bool)
     keep: list[int] = []
-    for rows in pair_chunks(a.size, p.size):
-        block = spec.add_pairwise(a.indices[rows], p.indices)
-        for x, translate in zip(a.indices[rows].tolist(), block):
-            if not covered[translate].any():
-                keep.append(x)
-                covered[translate] = True
-        if len(keep) * p.size == spec.cardinality:
-            break
-    return GroupSet(spec, np.array(keep, dtype=np.int64))
+    for x in a.indices.tolist():
+        if not blocked[x]:
+            keep.append(x)
+            blocked[a.spec.add_scalar(diffs, x)] = True
+    return GroupSet.from_sorted(a.spec, np.array(keep, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +62,13 @@ class CoverInput:
 
     @classmethod
     def build(cls, a: GroupSet, cp: CosetProgression) -> "CoverInput":
-        """The input for ``chang_cover``: cp must be proper and inside 2A - 2A."""
+        """The input for ``chang_cover``: its first ``judge_cover`` fault raises."""
         if not a:
             raise DomainError("cannot cover the empty set")
         cover_input = cls.derive(a, cp, doubling(a))
-        if cover_input.realized.size != cp.formal_size:
-            raise DomainError("progression is not proper")
-        if not cover_input.realized.is_subset(iterated_sumset(a, 2, 2)):
-            raise DomainError("progression is not contained in 2A - 2A")
+        for name, fault in judge_cover(cover_input, count_only=True)[1]:
+            if fault:
+                raise DomainError(f"{name}: {fault}")
         return cover_input
 
     @classmethod
@@ -217,20 +214,15 @@ def chang_cover(cover_input: CoverInput) -> CoverTrace:
     p_sets = [cover_input.realized]
     r_sets: list[GroupSet] = []
     s_sets: list[GroupSet] = []
-    t: int | None = None
     for i in range(max_rounds + 1):
         r_i = greedy_disjoint_translates(a, p_sets[i])
         r_sets.append(r_i)
         if r_i.size <= mk:
-            t = i
             break
         s_i = GroupSet(a.spec, r_i.indices[:mk])
         s_sets.append(s_i)
-        p_next = sumset(p_sets[i], s_i)
-        if p_next.size != p_sets[i].size * s_i.size:
-            raise InvariantError("translate disjointness failed: |P_{i+1}| != |P_i||S_i|")
-        p_sets.append(p_next)
-    if t is None:
+        p_sets.append(sumset(p_sets[i], s_i))
+    else:
         raise InvariantError("covering iteration exceeded its termination bound")
 
     trace = cover_trace(cover_input, r_sets, s_sets, p_sets)
@@ -238,3 +230,63 @@ def chang_cover(cover_input: CoverInput) -> CoverTrace:
         if check.failed:
             raise InvariantError(f"guaranteed covering property failed: {check.line()}")
     return trace
+
+
+def judge_cover(
+    cover_input: CoverInput, r_sets: Sequence[GroupSet] = (), s_sets: Sequence[GroupSet] = (),
+    count_only: bool = False,
+) -> tuple[list[GroupSet], list[tuple[str, str]]]:
+    """P_0, ..., P_t from stored rounds, and every cover condition as a
+    (name, fault) pair, the fault empty when it holds; ``count_only`` takes
+    properness by count alone, without the ``proper`` flag."""
+    a, mk = cover_input.set, cover_input.mk
+    cp, p_0 = cover_input.progression, cover_input.realized
+    d22 = iterated_sumset(a, 2, 2)
+    proper = (count_only or cp.proper) and p_0.size == cp.formal_size
+    faults = [
+        ("cover_input_proper", "" if proper else (
+            f"|P + H| = {p_0.size}, formal size {cp.formal_size}, marked proper {int(cp.proper)}"
+        )),
+        ("cover_input_contained", "" if p_0.is_subset(d22) else (
+            f"{_outside(p_0, d22)} of the {p_0.size} point(s) of P + H lie outside"
+            f" 2A - 2A ({d22.size} point(s))"
+        )),
+    ]
+    p_sets = [p_0]
+    for i, r_i in enumerate(r_sets):
+        p_i = p_sets[i]
+        union = sumset(p_i, r_i).size
+        fault = "" if union == p_i.size * r_i.size else (
+            f"|P_{i} + R_{i}| = {union}, not {p_i.size} * {r_i.size}"
+        )
+        if not r_i.is_subset(a):
+            fault = f"{_outside(r_i, a)} of the {r_i.size} point(s) of R_{i} lie outside A"
+        faults.append((f"cover_round_{i}_disjoint", fault))
+        # x in R_i or P_i + x meeting P_i + R_i: R_i + (P_i - P_i), or R_i if P_i is empty
+        reach = sumset(r_i, difference_set(p_i)) if p_i else r_i
+        missed = np.setdiff1d(a.indices, reach.indices, assume_unique=True)
+        x = a.spec.element_at(int(missed[0])) if missed.size else None
+        faults.append((f"cover_round_{i}_maximal", "" if x is None else (
+            f"{x!r} is in A but not in R_{i}, and P_{i} + {x!r} misses P_{i} + R_{i}"
+        )))
+        if i == len(s_sets):
+            fault = "" if r_i.size <= mk else f"|R_{i}| = {r_i.size} exceeds ceil(2K) = {mk}"
+            faults.append(("cover_rt_small", fault))
+            break
+        s_i = s_sets[i]
+        fault = "" if s_i.size == mk and s_i.is_subset(r_i) and r_i.size > mk else (
+            f"|S_{i}| = {s_i.size} with {_outside(s_i, r_i)} point(s) outside R_{i},"
+            f" |R_{i}| = {r_i.size}, ceil(2K) = {mk}"
+        )
+        faults.append((f"cover_round_{i}_batch", fault))
+        p_sets.append(sumset(p_i, s_i))
+        fault = "" if p_sets[-1].size == p_i.size * s_i.size else (
+            f"|P_{i + 1}| = {p_sets[-1].size}, not {p_i.size} * {s_i.size}"
+        )
+        faults.append((f"cover_round_{i}_growth", fault))
+    return p_sets, faults
+
+
+def _outside(x: GroupSet, y: GroupSet) -> int:
+    """The number of points of ``x`` not in ``y``."""
+    return int(np.setdiff1d(x.indices, y.indices, assume_unique=True).size)

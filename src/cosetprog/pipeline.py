@@ -37,7 +37,7 @@ from .bohr import (
     whole_group_extraction,
 )
 from .checks import BoundCheck, _fmt, parse_scalar
-from .covering import CoverInput, CoverTrace, chang_cover, cover_trace
+from .covering import CoverInput, CoverTrace, chang_cover, cover_trace, judge_cover
 from .errors import DomainError, InvariantError
 from .fourier import (
     TOLERANCE,
@@ -59,7 +59,7 @@ from .models import (
     model_trace,
     shrink_model_step,
 )
-from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset, pair_chunks, sumset
+from .sumsets import DoublingReport, GroupSet, doubling, iterated_sumset
 from .textio import (
     Shapes,
     character_rows,
@@ -627,7 +627,8 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     stored model trace after a stage that does not derive or a
     ``model_group`` failure, and the stored ``progression`` after a
     ``transport`` failure.  A failing entry says
-    why in its detail.
+    why in its detail.  The translates are judged by ``judge_cover``: R_i
+    is maximal when A lies in R_i + (P_i - P_i).
     """
     entries: list[VerificationEntry] = []
 
@@ -727,74 +728,20 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
         if fault:
             cp = cert.progression
 
-    # covering rounds: each R_i maximal and disjoint, each S_i a batch of R_i
-    cover = cert.cover
+    # covering rounds: the input and each stored round judged in covering.py
     cover_input = CoverInput.derive(a, cp, dbl)
-    mk = cover_input.mk
-    p_0 = cover_input.realized
-    p_sets = [p_0]
-    fault = "" if cp.proper and p_0.size == cp.formal_size else (
-        f"|P + H| = {p_0.size}, formal size {cp.formal_size}, marked proper {int(cp.proper)}"
-    )
-    add("cover_input_proper", not fault, fault)
-    d22_input = iterated_sumset(a, 2, 2)
-    fault = "" if p_0.is_subset(d22_input) else (
-        f"{_outside(p_0, d22_input)} of the {p_0.size} point(s) of P + H lie outside"
-        f" 2A - 2A ({d22_input.size} point(s))"
-    )
-    add("cover_input_contained", not fault, fault)
-    t = len(cover.s_sets)
-    for i, r_i in enumerate(cover.r_sets):
-        p_current = p_sets[i]
-        union = sumset(p_current, r_i)
-        if not r_i.is_subset(a):
-            fault = f"{_outside(r_i, a)} of the {r_i.size} point(s) of R_{i} lie outside A"
-        elif union.size != p_current.size * r_i.size:
-            fault = f"|P_{i} + R_{i}| = {union.size}, not {p_current.size} * {r_i.size}"
-        else:
-            fault = ""
-        add(f"cover_round_{i}_disjoint", not fault, fault)
-        covered = np.zeros(a.spec.cardinality, dtype=bool)
-        covered[union.indices] = True
-        maximal = np.isin(a.indices, r_i.indices)  # x in R_i, or P_i + x meets P_i + R_i
-        for rows in pair_chunks(a.size, p_current.size):
-            grid = a.spec.add_pairwise(a.indices[rows], p_current.indices)
-            maximal[rows] |= covered[grid].any(axis=1)
-        fault = ""
-        if not maximal.all():
-            x = a.spec.element_at(int(a.indices[np.argmin(maximal)]))
-            fault = f"{x!r} is in A but not in R_{i}, and P_{i} + {x!r} misses P_{i} + R_{i}"
-        add(f"cover_round_{i}_maximal", not fault, fault)
-        if i < t:
-            s_i = cover.s_sets[i]
-            fault = "" if s_i.size == mk and s_i.is_subset(r_i) and r_i.size > mk else (
-                f"|S_{i}| = {s_i.size} with {_outside(s_i, r_i)} point(s) outside R_{i},"
-                f" |R_{i}| = {r_i.size}, ceil(2K) = {mk}"
-            )
-            add(f"cover_round_{i}_batch", not fault, fault)
-            p_next = sumset(p_current, s_i)
-            p_sets.append(p_next)
-            fault = "" if p_next.size == p_current.size * s_i.size else (
-                f"|P_{i + 1}| = {p_next.size}, not {p_current.size} * {s_i.size}"
-            )
-            add(f"cover_round_{i}_growth", not fault, fault)
-    r_t = cover.r_sets[t]
-    fault = "" if r_t.size <= mk else f"|R_{t}| = {r_t.size} exceeds ceil(2K) = {mk}"
-    add("cover_rt_small", not fault, fault)
+    p_sets, faults = judge_cover(cover_input, cert.cover.r_sets, cert.cover.s_sets)
+    for name, fault in faults:
+        add(name, not fault, fault)
     derived = _certificate(
         cert.config, a, dbl, trace, bog, bohr_check, extraction, cp,
-        cover_trace(cover_input, cover.r_sets, cover.s_sets, p_sets),
+        cover_trace(cover_input, cert.cover.r_sets, cert.cover.s_sets, p_sets),
     )
     for check in derived.checks:
         add(check.name, not check.failed, f"{check.status} {_fmt(check.lhs)} {_fmt(check.rhs)}")
     for detail in _text_mismatches(write_certificate(cert), write_certificate(derived)):
         add("stored_value", False, detail)
     return VerificationReport(tuple(entries))
-
-
-def _outside(x: GroupSet, y: GroupSet) -> int:
-    """The number of points of ``x`` not in ``y``."""
-    return int(np.setdiff1d(x.indices, y.indices, assume_unique=True).size)
 
 
 def _minima_vectors_fault(minima: MinimaReport) -> str:

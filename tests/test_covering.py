@@ -10,11 +10,13 @@ from cosetprog import (
     GroupSet,
     GroupSpec,
     chang_cover,
+    doubling,
     greedy_disjoint_translates,
     iterated_sumset,
     materialize,
     subgroup_closure,
 )
+from cosetprog.covering import judge_cover
 
 
 def _interval(spec, length):
@@ -137,35 +139,158 @@ def test_greedy_blocks_keep_the_one_at_a_time_choice(budget, monkeypatch):
     from cosetprog import sumsets
     from cosetprog.generators import gen_random
 
-    if budget is not None:  # a few rows of A + P per block
+    if budget is not None:  # a few rows a block in the sums of P - P
         monkeypatch.setattr(sumsets, "_PAIR_BUDGET", budget)
+    cases = []
     for orders, size_a, size_p in [((64,), 30, 3), ((6, 6), 20, 4), ((2, 4, 8), 40, 5)]:
         spec = GroupSpec(orders)
-        a = gen_random(spec, size_a, 1)
-        p = gen_random(spec, size_p, 2)
+        cases.append((gen_random(spec, size_a, 1), gen_random(spec, size_p, 2)))
+    spec = GroupSpec((4, 8))  # P = G: the first translate covers G, so R is {min A}
+    cases.append((gen_random(spec, 20, 3), GroupSet.full(spec)))
+    for a, p in cases:
         got = greedy_disjoint_translates(a, p)
         assert got.indices.tolist() == _greedy_one_translate_at_a_time(a, p)
+    assert got.indices.tolist() == [int(a.indices[0])]
 
 
-def test_greedy_stops_once_the_translates_cover_g(monkeypatch):
-    """With P = G the first translate covers G: R is {min A}, and the blocks
-    of A + P after the first are never built."""
-    from cosetprog import covering, sumsets
+def _faults(cover_input, r_sets=(), s_sets=(), **kwargs):
+    """The judge's entries as a dict from name to fault."""
+    return dict(judge_cover(cover_input, r_sets, s_sets, **kwargs)[1])
+
+
+def test_judge_names_an_improper_input():
+    g = GroupSpec((8,))
+    a = _interval(g, 2)
+    h = subgroup_closure(g, [])
+    bad = CosetProgression(g, g.zero(), (g.element((1,)),), ((0, 8),), h, False)
+    assert _faults(CoverInput.derive(a, bad, doubling(a)))["cover_input_proper"] == (
+        "|P + H| = 8, formal size 9, marked proper 0"
+    )
+    with pytest.raises(DomainError, match=r"^cover_input_proper: \|P \+ H\| = 8, formal size 9"):
+        CoverInput.build(a, bad)
+
+
+def test_judge_reads_properness_by_count_only_when_asked():
+    """A progression that counts proper but is not marked proper is a fault
+    to verify and an accepted input to ``CoverInput.build``."""
+    g = GroupSpec((8,))
+    a = _interval(g, 2)
+    unmarked = CosetProgression(g, g.zero(), (g.element((1,)),), ((0, 1),), subgroup_closure(g, []),
+                                False)
+    cover_input = CoverInput.derive(a, unmarked, doubling(a))
+    assert _faults(cover_input)["cover_input_proper"] == (
+        "|P + H| = 2, formal size 2, marked proper 0"
+    )
+    assert _faults(cover_input, count_only=True)["cover_input_proper"] == ""
+    assert CoverInput.build(a, unmarked).realized.size == 2
+
+
+def test_judge_names_an_input_outside_2a_minus_2a():
+    g = GroupSpec((32,))
+    a = _interval(g, 2)
+    h = subgroup_closure(g, [])
+    wide = CosetProgression(g, g.zero(), (g.element((1,)),), ((-9, 9),), h, True)
+    assert _faults(CoverInput.derive(a, wide, doubling(a)))["cover_input_contained"] == (
+        "14 of the 19 point(s) of P + H lie outside 2A - 2A (5 point(s))"
+    )
+    with pytest.raises(DomainError, match=r"^cover_input_contained: 14 of the 19 point\(s\)"):
+        CoverInput.build(a, wide)
+
+
+def _two_round_cover():
+    """[0, 20) in Z/128 covered from P_0 = [-1, 1]: R_0 = {0, 3, ..., 18},
+    S_0 = {0, 3, 6, 9}, P_1 = [-1, 10] and R_1 = {0, 12}, with ceil(2K) = 4."""
+    g = GroupSpec((128,))
+    cp = CosetProgression(g, g.zero(), (g.element((1,)),), ((-1, 1),), subgroup_closure(g, []),
+                          True)
+    trace = chang_cover(CoverInput.build(_interval(g, 20), cp))
+    assert trace.p_sizes == (3, 12) and trace.input.mk == 4
+    return trace
+
+
+def test_judge_passes_the_rounds_chang_cover_chose():
+    trace = _two_round_cover()
+    p_sets, faults = judge_cover(trace.input, trace.r_sets, trace.s_sets)
+    assert [p.size for p in p_sets] == list(trace.p_sizes)
+    assert [name for name, _ in faults] == [
+        "cover_input_proper", "cover_input_contained",
+        "cover_round_0_disjoint", "cover_round_0_maximal", "cover_round_0_batch",
+        "cover_round_0_growth",
+        "cover_round_1_disjoint", "cover_round_1_maximal",
+        "cover_rt_small",
+    ]
+    assert all(fault == "" for _, fault in faults)
+
+
+def test_judge_names_a_batch_whose_translates_overlap():
+    """S_0 = {0, 1, 2, 3}: the translates of P_0 = [-1, 1] overlap, so P_1
+    is [-1, 4], 6 points, not 3 * 4."""
+    trace = _two_round_cover()
+    overlapping = _interval(trace.input.set.spec, 4)
+    faults = _faults(trace.input, trace.r_sets, (overlapping,))
+    assert faults["cover_round_0_growth"] == "|P_1| = 6, not 3 * 4"
+    assert faults["cover_round_0_batch"] == (
+        "|S_0| = 4 with 2 point(s) outside R_0, |R_0| = 7, ceil(2K) = 4"
+    )
+
+
+def test_judge_names_a_last_round_with_too_many_translates():
+    """R_0 of seven translates as the last round: more than ceil(2K) = 4."""
+    trace = _two_round_cover()
+    assert _faults(trace.input, trace.r_sets[:1])["cover_rt_small"] == (
+        "|R_0| = 7 exceeds ceil(2K) = 4"
+    )
+
+
+def _first_uncovered(a, p, r):
+    """The first x of A, in canonical order, that is not in R and whose
+    P + x misses every P + y, y in R, by a scan over the translates; None
+    if there is none."""
+    spec, members = a.spec, set(r.indices.tolist())
+    covered = set()
+    for y in members:
+        covered |= set(spec.add_scalar(p.indices, y).tolist())
+    for x in a.indices.tolist():
+        if x not in members and not covered & set(spec.add_scalar(p.indices, x).tolist()):
+            return x
+    return None
+
+
+def test_judge_maximality_matches_a_scan_over_the_translates():
+    """R maximal, with a point dropped, with a point outside A added and with
+    a point of A added whose translate meets another: the judge's verdict on
+    round 0, and the point it names, are the scan's."""
     from cosetprog.generators import gen_random
 
-    spec = GroupSpec((4, 8))
-    g = GroupSet(spec, np.arange(spec.cardinality))
-    a = gen_random(spec, 20, 3)
-    monkeypatch.setattr(sumsets, "_PAIR_BUDGET", 2 * spec.cardinality)  # two rows a block
-    built = []
-
-    def counted_chunks(rows, cols):
-        for block in sumsets.pair_chunks(rows, cols):
-            built.append(block)
-            yield block
-
-    monkeypatch.setattr(covering, "pair_chunks", counted_chunks)
-    assert len(list(sumsets.pair_chunks(a.size, g.size))) == 10
-    r = greedy_disjoint_translates(a, g)
-    assert r.indices.tolist() == [int(a.indices[0])]
-    assert built == [slice(0, 2)]
+    kinds = set()
+    for orders, size_a, gen, length in [((64,), 24, (1,), 3), ((6, 6), 14, (1, 1), 2),
+                                        ((2, 4, 8), 30, (1, 1, 3), 2), ((101,), 40, (7,), 4)]:
+        spec = GroupSpec(orders)
+        for seed in (1, 2, 3):
+            a = gen_random(spec, size_a, seed)
+            cp = CosetProgression(spec, spec.zero(), (spec.element(gen),), ((0, length),),
+                                  subgroup_closure(spec, []), True)
+            cover_input = CoverInput.derive(a, cp, doubling(a))
+            p = cover_input.realized
+            r = greedy_disjoint_translates(a, p)
+            others = np.setdiff1d(a.indices, r.indices)
+            outside = np.setdiff1d(np.arange(spec.cardinality), a.indices)
+            rs = {"maximal": r, "dropped": GroupSet(spec, r.indices[1:])}
+            if others.size:
+                rs["not disjoint"] = GroupSet(spec, np.append(r.indices, others[0]))
+            if outside.size:
+                rs["outside A"] = GroupSet(spec, np.append(r.indices, outside[0]))
+            for kind, r_0 in rs.items():
+                x = _first_uncovered(a, p, r_0)
+                fault = _faults(cover_input, (r_0,))["cover_round_0_maximal"]
+                if x is None:
+                    assert fault == "", (orders, seed, kind)
+                else:
+                    e = spec.element_at(x)
+                    assert fault == (
+                        f"{e!r} is in A but not in R_0, and P_0 + {e!r} misses P_0 + R_0"
+                    ), (orders, seed, kind)
+                kinds.add((kind, x is None))
+    # every kind was judged, and a dropped point broke maximality somewhere
+    assert {kind for kind, _ in kinds} == {"maximal", "dropped", "not disjoint", "outside A"}
+    assert ("maximal", True) in kinds and ("dropped", False) in kinds

@@ -321,6 +321,26 @@ def test_verify_names_the_element_a_round_leaves_uncovered(model_on_certificate)
     assert "cover_round_0_disjoint" not in failed
 
 
+@pytest.mark.parametrize("moved, detail", [
+    ("3", "|P_1 + R_1| = 7, not 4 * 2"),
+    ("5", "1 of the 2 point(s) of R_1 lie outside A"),
+], ids=["overlap", "outside-a"])
+def test_verify_names_a_round_that_is_not_disjoint_translates_in_a(
+    model_on_certificate, moved, detail
+):
+    """R_1 = {0, 4} with 4 moved: to 3, P_1 + 3 meets P_1 + 0 (P_1 = [0, 3]);
+    to 5, R_1 leaves A = [0, 5).  The one cover entry that fails is round
+    1's disjointness; Q, derived from R_1, differs only in stored values."""
+    lines = model_on_certificate[1].splitlines()
+    at = lines.index("begin r1") + 3
+    assert lines[at] == "elem 4"
+    lines[at] = f"elem {moved}"
+    report = verify_certificate(read_certificate("\n".join(lines) + "\n"))
+    assert [(e.name, e.detail) for e in report.failures() if e.name != "stored_value"] == [
+        ("cover_round_1_disjoint", detail)
+    ]
+
+
 def test_cli_round_trip(tmp_path, capsys):
     from cosetprog.cli import main
     from cosetprog.textio import write_group_set
