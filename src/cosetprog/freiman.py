@@ -1,8 +1,8 @@
 """Freiman homomorphism verification and transport of coset progressions.
 
 A map is held as a set is: its domain's sorted index array and, aligned
-with it, one array of image indices.  Applying, composing and inverting
-maps are array operations, never a walk over the points.
+with it, one array of image indices.  Applying and composing maps are
+array operations, never a walk over the points.
 
 The s-fold condition is checked through fibers of the induced map on sums:
 phi is an s-homomorphism iff every multiset of s elements with the same sum
@@ -14,7 +14,10 @@ are dense in G it is an image array over G (the image sum of each reached
 sum, -1 elsewhere), so no layer is sorted; otherwise it is the distinct
 (sum, image sum) pairs, sorted as two columns.  Neither packs a pair into
 one integer, so the check is exact in every group whose index sums fit in
-int64, at any target order.
+int64, at any target order.  Either way a layer with no such sum holds the
+inverse's pairs too, so one run checks an isomorphism: it reads each layer
+the other way as well, and an image sum reached by two sums is where the
+inverse fails.
 """
 
 from __future__ import annotations
@@ -83,16 +86,6 @@ class FreimanMap:
     def image(self) -> GroupSet:
         return GroupSet(self.target, self.images)
 
-    def is_injective(self) -> bool:
-        return len(np.unique(self.images)) == self.domain.size
-
-    def inverse(self) -> "FreimanMap":
-        if not self.is_injective():
-            raise DomainError("only injective maps can be inverted")
-        order = np.argsort(self.images)
-        image = GroupSet.from_sorted(self.target, self.images[order])
-        return FreimanMap(image, self.domain.spec, self.domain.indices[order])
-
     def __repr__(self) -> str:
         return f"FreimanMap({self.domain!r} -> {self.target})"
 
@@ -154,22 +147,32 @@ def _keep_in_array(card: int, blocks) -> tuple[np.ndarray, np.ndarray, int | Non
     return sums, img[sums], int(np.argmax(bad)) if bad.any() else None
 
 
+def _image_clash(layer: int, sums: np.ndarray, images: np.ndarray) -> FiberWitness | None:
+    """The smallest image sum that two of the ascending sums reach, with them."""
+    u, count = np.unique(images, return_counts=True)
+    twice = u[count > 1].tolist()
+    return FiberWitness(layer, twice[0], tuple(sums[images == twice[0]].tolist())) if twice else None
+
+
 def _induced_map(
     phi: FreimanMap, pos: int, neg: int
-) -> tuple[np.ndarray, np.ndarray, FiberWitness | None]:
-    """(sums, image sums, witness) of the induced map on the (pos, neg)-fold signed sums.
+) -> tuple[np.ndarray, np.ndarray, FiberWitness | None, FiberWitness | None]:
+    """(sums, image sums, witness, inverse's witness) of the induced map on
+    the (pos, neg)-fold signed sums, pos >= 1 and pos + neg >= 2.
 
-    Layer 1 is the domain, pos times as it is and then neg times negated;
-    each later layer adds one signed element to every sum of the one before.
-    The loop stops at the first layer where one sum has two image sums, and
+    Layer 1 is the sorted domain; each later layer adds one element to every
+    sum of the one before, as it is up to layer pos and negated after.  The
+    loop stops at the first layer where one sum has two image sums, and
     returns that layer with the smallest such sum and its distinct image
-    sums, sorted, read back from the layer before.  A layer is kept in an
-    array over G when the sums are dense in G (see ``mask_pays``: the array
-    costs O(|G|) a layer, the sort at least |A|^2 log |A|), and as sorted
-    (sum, image) columns otherwise.
+    sums, sorted, read back from the layer before.  Each layer before it is
+    read the other way too: the first where two sums reach one image sum
+    gives the inverse's witness.  A layer is kept in an array over G when
+    the sums are dense in G (see ``mask_pays``: the array costs O(|G|) a
+    layer, the sort at least |A|^2 log |A|), and as sorted (sum, image)
+    columns otherwise.
     """
-    if pos + neg < 1:
-        raise DomainError("at least one fold is required")
+    if pos + neg < 2:
+        raise DomainError("the homomorphism condition needs s >= 2")
     spec, tspec = phi.domain.spec, phi.target
     xs, us = phi.domain.indices, phi.images
     layers = [(xs, us)] * pos + [(spec.negate_indices(xs), tspec.negate_indices(us))] * neg
@@ -177,8 +180,8 @@ def _induced_map(
         keep = partial(_keep_in_array, spec.cardinality)
     else:
         keep = _keep_sorted
-    order = np.argsort(layers[0][0])
-    sums, images = layers[0][0][order], layers[0][1][order]
+    sums, images = layers[0]
+    inverse = _image_clash(1, sums, images)
     for depth, (xs, us) in enumerate(layers[1:], start=2):
         blocks = (
             (spec.add_pairwise(sums[rows], xs).ravel(),
@@ -191,49 +194,44 @@ def _induced_map(
             at = np.minimum(np.searchsorted(sums, back), len(sums) - 1)
             hit = sums[at] == back
             fiber = np.unique(tspec.add_aligned(images[at[hit]], us[hit]))
-            return nxt, nxt_images, FiberWitness(depth, s0, tuple(int(u) for u in fiber))
+            return nxt, nxt_images, FiberWitness(depth, s0, tuple(fiber.tolist())), inverse
         sums, images = nxt, nxt_images
-    return sums, images, None
+        inverse = inverse or _image_clash(depth, sums, images)
+    return sums, images, None, inverse
 
 
 def is_freiman_hom(phi: FreimanMap, s: int) -> HomReport:
     """Whether phi respects every equality of s-fold sums."""
-    if s < 2:
-        raise DomainError("the homomorphism condition needs s >= 2")
-    _, _, witness = _induced_map(phi, s, 0)
+    witness = _induced_map(phi, s, 0)[2]
     return HomReport(witness is None, witness)
 
 
 def is_freiman_iso(phi: FreimanMap, s: int) -> HomReport:
-    """Homomorphism in both directions plus injectivity."""
-    forward = is_freiman_hom(phi, s)
-    if not forward.ok:
-        return forward
-    if not phi.is_injective():
+    """One-to-one and an s-homomorphism both ways, read from one fiber run:
+    a sum with two image sums is the witness, else two points with one image
+    fail with none, else an image sum that two sums reach is the inverse's."""
+    _, _, witness, inverse = _induced_map(phi, s, 0)
+    if witness is None and inverse is not None and inverse.layer == 1:
         return HomReport(False, None)
-    return is_freiman_hom(phi.inverse(), s)
+    witness = witness or inverse
+    return HomReport(witness is None, witness)
 
 
 def induced_difference_iso(phi: FreimanMap) -> FreimanMap:
-    """The map on 2A - 2A induced by an 8-isomorphism on A.
-
-    Well-definedness is established by the fiber computation itself; the
-    result is re-verified as a 2-isomorphism before being returned.
-    """
+    """The map on 2A - 2A induced by phi, an 8-isomorphism on A (every
+    caller checks that first).  It is then a 2-isomorphism (Tao-Vu, 5.3), so
+    only the fiber run is checked: a sum with two image sums, or a domain
+    other than 2A - 2A, is a DomainError."""
     a = phi.domain
-    sums, images, witness = _induced_map(phi, 2, 2)
+    sums, images, witness, _ = _induced_map(phi, 2, 2)
     if witness is not None:
         raise DomainError(
             f"map does not induce a function on 2A-2A (fiber of {witness.sum_index})"
         )
     domain = GroupSet.from_sorted(a.spec, sums)  # the layer's sums are ascending and distinct
-    induced = FreimanMap(domain, phi.target, images)
     if domain != iterated_sumset(a, 2, 2):
         raise DomainError("fiber domain does not equal 2A-2A")
-    report = is_freiman_iso(induced, 2)
-    if not report.ok:
-        raise DomainError("induced map is not a 2-isomorphism")
-    return induced
+    return FreimanMap(domain, phi.target, images)
 
 
 def transport_progression(psi: FreimanMap, cp: CosetProgression) -> CosetProgression:

@@ -71,7 +71,7 @@ def _block_sum(size: int, table: np.ndarray | None, x: np.ndarray, y: np.ndarray
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """The group Z/n1 x ... x Z/nk, each order >= 1."""
+    """The group Z/n1 x ... x Z/nk, each order >= 1, of fewer than 2^63 elements."""
 
     orders: tuple[int, ...]
 
@@ -80,6 +80,8 @@ class GroupSpec:
         if any(n < 1 for n in orders):
             raise DomainError(f"cyclic orders must be positive, got {orders!r}")
         object.__setattr__(self, "orders", orders)
+        if self.cardinality >= 1 << 63:  # no element index fits an int64
+            self.require_enumerable()
 
     @property
     def rank(self) -> int:

@@ -624,11 +624,11 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
     where a float token may differ by ``TOLERANCE`` relative and every
     other token must match.  So that later failures are still collected, a
     stored object that is not a choice is read in two cases only: the
-    stored model trace after a stage that does not derive or a
-    ``model_group`` failure, and the stored ``progression`` after a
-    ``transport`` failure.  A failing entry says
-    why in its detail.  The translates are judged by ``judge_cover``: R_i
-    is maximal when A lies in R_i + (P_i - P_i).
+    stored model trace after a stage that does not derive, a ``model_group``
+    or a ``model_composite`` failure, each of which fails ``transport`` too,
+    and the stored ``progression`` after a ``transport`` failure.  A failing
+    entry says why in its detail.  The translates are judged by
+    ``judge_cover``: R_i is maximal when A lies in R_i + (P_i - P_i).
     """
     entries: list[VerificationEntry] = []
 
@@ -650,19 +650,19 @@ def verify_certificate(cert: PipelineCertificate) -> VerificationReport:
             add(f"model_stage_{i}", False, str(exc))
             break
         add(f"model_stage_{i}", True)
-    # a chain that stops short, or ends outside the group the stored phi and
-    # minima were read in, derives no trace: the stored one stands in
+    # a chain that stops short, ends outside the stored model-set's group or
+    # fails the composite check derives no trace: the stored one stands in
     trace = model_trace(MODEL_ORDER, a, stages, dbl.k)
     chain_fault = "" if len(stages) == len(cert.model.stages) else "the model chain was not derived"
     ends, stored = trace.final_set.spec, cert.model.final_set.spec
     if not chain_fault and ends != stored:
         chain_fault = f"the derived chain ends in {ends}, the stored model-set is in {stored}"
         add("model_group", False, chain_fault)
+    if not chain_fault and stages:
+        chain_fault = composite_fault(trace)
+        add("model_composite", not chain_fault, chain_fault)
     if chain_fault:
         trace = cert.model
-    elif stages:
-        fault = composite_fault(trace)
-        add("model_composite", not fault, fault)
     a1 = trace.final_set
 
     # spectral stage: Phi inside the threshold set, dissociated and maximal

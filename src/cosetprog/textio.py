@@ -85,10 +85,7 @@ class Shapes:
         orders = parse_ints(tokens)
         spec = self._specs.get(orders)
         if spec is None:
-            spec = GroupSpec(orders)
-            if spec.cardinality >= 1 << 63:  # no element index fits an int64
-                spec.require_enumerable()
-            self._specs[orders] = spec
+            spec = self._specs[orders] = GroupSpec(orders)
         return spec
 
     def subgroup(self, spec: GroupSpec, generators: Sequence[GroupElement]) -> Subgroup:

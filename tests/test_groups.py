@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cosetprog import (
     DomainError,
     GroupSpec,
+    ResourceLimitError,
     StructureError,
     enumerate_group,
     kernel_of_characters,
@@ -24,6 +25,15 @@ from conftest import SMALL_SPECS, character_tuples, oracle_invariant_factors, or
 def test_elem_add_modular():
     g = GroupSpec((8, 3))
     assert (g.element((7, 2)) + g.element((2, 2))).coords == (1, 1)
+
+
+def test_a_group_of_2_63_elements_is_refused():
+    """No element index of such a group fits an int64, so building its spec
+    is the enumeration cap's error, whatever builds it."""
+    for orders in [(1 << 63,), (1 << 32, 1 << 31)]:
+        with pytest.raises(ResourceLimitError, match=f"^group of size {1 << 63} exceeds"):
+            GroupSpec(orders)
+    assert GroupSpec(((1 << 63) - 25,)).cardinality == (1 << 63) - 25
 
 
 def test_neg_identity():

@@ -16,7 +16,7 @@ from cosetprog import (
     verify_certificate,
     write_certificate,
 )
-from cosetprog import fourier, models
+from cosetprog import fourier, models, pipeline
 from cosetprog.checks import parse_scalar
 from cosetprog.generators import gen_random_in_progression, gen_subgroup
 from cosetprog.groups import ENUMERATION_CAP
@@ -716,7 +716,7 @@ def _parent_format(cert, text):
                *map_lines(stage.map, 8), "end stage"]
         text = text.replace("\n".join(new), "\n".join(old), 1)
     transport = ["begin transport", "identity 0",
-                 *map_lines(induced_difference_iso(cert.model.composite.inverse()), 2),
+                 *map_lines(induced_difference_iso(cert.model.inverse), 2),
                  "end transport"]
     transport = "\n".join(transport)
     return text.replace("\nbegin progression\n", f"\n{transport}\nbegin progression\n")
@@ -954,6 +954,17 @@ def test_verify_derives_the_model_set_from_the_stages(model_on_certificate):
     failed = [(e.name, e.detail)
               for e in verify_certificate(read_certificate("\n".join(lines) + "\n")).failures()]
     assert failed == [("stored_value", "model/model-set: stored '', derived 'elem 4'")]
+
+
+def test_verify_transports_only_a_checked_chain(model_on_certificate, monkeypatch):
+    """A composite that fails its check is a chain fault, as a chain into
+    another group is: the stored trace stands in, and transport fails with
+    the same detail rather than carry P + H back through an unchecked map."""
+    monkeypatch.setattr(pipeline, "composite_fault", lambda trace: "forced")
+    report = verify_certificate(model_on_certificate[0])
+    assert [(e.name, e.detail) for e in report.failures()] == [
+        ("model_composite", "forced"), ("transport", "forced")
+    ]
 
 
 def _f2_five_without_zero():
